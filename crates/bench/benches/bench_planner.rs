@@ -51,31 +51,6 @@ fn bench_plan(c: &mut Criterion) {
     group.finish();
 }
 
-/// Measures what deduplicating the candidate schemes saves: under the
-/// `EvenOnly` scheme with a wide epsilon the candidate list collapses
-/// to a handful of distinct schemes, so the dedup-on planner evaluates
-/// far fewer layouts for an identical plan.
-fn bench_dedup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("planner_dedup");
-    let topo = Topology::single_node(4).expect("cluster");
-    let demand = RoutingGenerator::new(RoutingGeneratorConfig::new(4, 8, 16 * 1024).with_seed(1))
-        .next_iteration();
-    for (label, dedup) in [("dedup_on", true), ("dedup_off", false)] {
-        let planner = Planner::new(
-            PlannerConfig::new(2)
-                .with_scheme(laer_planner::ReplicaScheme::EvenOnly)
-                .with_epsilon(4)
-                .with_dedup(dedup),
-            CostParams::mixtral_8x7b(),
-            topo.clone(),
-        );
-        group.bench_with_input(BenchmarkId::from_parameter(label), &demand, |b, demand| {
-            b.iter(|| planner.plan(demand))
-        });
-    }
-    group.finish();
-}
-
 /// Lite routing (Alg. 3) across fleet sizes: the allocating entry point
 /// vs the scratch-reusing one — the per-call allocation overhead is the
 /// quantity the flat-array refactor removes from the refiner's loop.
@@ -128,11 +103,5 @@ fn bench_refine_probes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_plan,
-    bench_dedup,
-    bench_lite_route,
-    bench_refine_probes
-);
+criterion_group!(benches, bench_plan, bench_lite_route, bench_refine_probes);
 criterion_main!(benches);

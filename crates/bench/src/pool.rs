@@ -7,11 +7,10 @@
 //! serially afterwards — the output is byte-identical to a single-worker
 //! run, which the `ext-obs` perf gate depends on.
 //!
-//! Built on `std::thread::scope` with an atomic work-claiming cursor,
-//! mirroring `laer-planner`'s `parallel` module: no new dependencies, no
-//! unsafe code. Worker panics abort the remaining queue and are
-//! re-raised on the submitting thread with the failing cell's label
-//! attached.
+//! Built on `std::thread::scope` with an atomic work-claiming cursor:
+//! no new dependencies, no unsafe code. Worker panics abort the
+//! remaining queue and are re-raised on the submitting thread with the
+//! failing cell's label attached.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -174,8 +173,7 @@ impl Batch {
                 });
             }
         });
-        // Re-raise the earliest panic with its cell label attached,
-        // mirroring the planner's scope-panic convention.
+        // Re-raise the earliest panic with its cell label attached.
         for (idx, cell) in panics.iter().enumerate() {
             if let Some(msg) = lock_recover(cell).take() {
                 panic!("bench pool job `{}` panicked: {msg}", labels[idx]);

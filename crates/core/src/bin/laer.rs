@@ -13,7 +13,7 @@
 //!               [--seed S] [--out DIR]
 //! ```
 
-use laer_moe::planner::CostParams;
+use laer_moe::planner::{CostParams, PlanError};
 use laer_moe::prelude::*;
 use laer_moe::train::run_experiment_on_trace;
 use std::collections::HashMap;
@@ -105,6 +105,14 @@ where
     }
 }
 
+/// [`get`] for a count that must be at least 1.
+fn get_count(flags: &Flags, name: &str, default: usize) -> Result<usize, String> {
+    match get(flags, name, default)? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn model(flags: &Flags) -> Result<ModelPreset, String> {
     get(flags, "model", ModelPreset::Mixtral8x7bE8k2).map_err(|e| {
         format!(
@@ -116,7 +124,7 @@ fn model(flags: &Flags) -> Result<ModelPreset, String> {
 
 fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let devices: usize = get(flags, "devices", 8)?;
-    let experts: usize = get(flags, "experts", 8)?;
+    let experts = get_count(flags, "experts", 8)?;
     let capacity: usize = get(flags, "capacity", 2)?;
     let seed: u64 = get(flags, "seed", 0)?;
     if !devices.is_multiple_of(8) && devices > 8 {
@@ -127,6 +135,14 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     } else {
         Topology::new(devices / 8, 8).map_err(|e| e.to_string())?
     };
+    if devices.saturating_mul(capacity) < experts {
+        return Err(PlanError::InsufficientCapacity {
+            survivors: devices,
+            capacity,
+            experts,
+        }
+        .to_string());
+    }
     let demand = RoutingGenerator::new(
         RoutingGeneratorConfig::new(devices, experts, 16 * 1024).with_seed(seed),
     )
@@ -157,8 +173,8 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let preset = model(flags)?;
     let system: SystemKind = get(flags, "system", SystemKind::Laer)?;
-    let layers: usize = get(flags, "layers", 8)?;
-    let iters: usize = get(flags, "iters", 15)?;
+    let layers = get_count(flags, "layers", 8)?;
+    let iters = get_count(flags, "iters", 15)?;
     let seed: u64 = get(flags, "seed", 0)?;
     let aux: f64 = get(flags, "aux", 0.0)?;
     let cfg = ExperimentConfig::new(preset, system)
@@ -226,8 +242,8 @@ fn gib(bytes: u64) -> f64 {
 }
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
-    let devices: usize = get(flags, "devices", 32)?;
-    let experts: usize = get(flags, "experts", 8)?;
+    let devices = get_count(flags, "devices", 32)?;
+    let experts = get_count(flags, "experts", 8)?;
     let iters: usize = get(flags, "iters", 100)?;
     let seed: u64 = get(flags, "seed", 0)?;
     let out = flags.get("out").ok_or("--out FILE required")?;
@@ -246,12 +262,9 @@ fn cmd_faults(flags: &Flags) -> Result<(), String> {
 
     let preset = model(flags)?;
     let fault = flags.get("fault").map(String::as_str).unwrap_or("failure");
-    let window: u64 = get(flags, "iters", 10)?;
+    let window = get_count(flags, "iters", 10)? as u64;
     let seed: u64 = get(flags, "seed", 3)?;
     let onset: u64 = 4;
-    if window == 0 {
-        return Err("--iters must be at least 1".into());
-    }
     let total = onset + window;
 
     let mut plan = FaultPlan::new();
@@ -334,8 +347,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use laer_moe::sim::write_chrome_trace;
 
     let preset = model(flags)?;
-    let nodes: usize = get(flags, "nodes", 1)?;
-    let devices: usize = get(flags, "devices", 4)?;
+    let nodes = get_count(flags, "nodes", 1)?;
+    let devices = get_count(flags, "devices", 4)?;
     let rate: f64 = get(flags, "rate", 1200.0)?;
     let requests: usize = get(flags, "requests", 300)?;
     let burst: f64 = get(flags, "burst", 1.0)?;
@@ -420,11 +433,11 @@ fn cmd_obs(flags: &Flags) -> Result<(), String> {
     use laer_moe::train::run_experiment_observed;
 
     let preset = model(flags)?;
-    let layers: usize = get(flags, "layers", 4)?;
-    let iters: usize = get(flags, "iters", 10)?;
+    let layers = get_count(flags, "layers", 4)?;
+    let iters = get_count(flags, "iters", 10)?;
     let seed: u64 = get(flags, "seed", 0)?;
-    let nodes: usize = get(flags, "nodes", 2)?;
-    let devices: usize = get(flags, "devices", 8)?;
+    let nodes = get_count(flags, "nodes", 2)?;
+    let devices = get_count(flags, "devices", 8)?;
     let systems: Vec<SystemKind> = match flags.get("system").map(String::as_str) {
         None | Some("all") => vec![SystemKind::Laer, SystemKind::FsdpEp, SystemKind::SmartMoe],
         Some(s) => vec![s.parse()?],

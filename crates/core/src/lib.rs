@@ -49,7 +49,7 @@
 //! | [`sim`] | multi-stream discrete-event engine, collectives, timelines |
 //! | [`model`] | the six Tab. 2 architectures, cost model, Eq. 1, memory analysis |
 //! | [`routing`] | gating, calibrated routing-trace generator, stats |
-//! | [`planner`] | Algorithms 1–4, cost model, exact solver, parallel solver |
+//! | [`planner`] | Algorithms 1–4, cost model, exact solver, incremental cost |
 //! | [`fsep`] | numeric shard/unshard/reshard engine, Fig. 5 scheduling |
 //! | [`systems`] | LAER + all baselines behind one trait |
 //! | [`train`] | experiment runner, convergence model, Tab. 4 scaling |

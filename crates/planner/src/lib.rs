@@ -21,8 +21,6 @@
 //! * [`cost`] — the joint objective `T = T_comm + T_comp` of Eqs. 2–4;
 //! * [`exact`] — a brute-force layout enumerator for tiny instances, used
 //!   by tests to bound the greedy optimality gap;
-//! * [`parallel`] — multi-threaded candidate evaluation (the paper's
-//!   multi-process CPU solver, Sec. 4);
 //! * [`delta`] — incremental Eq. 2 evaluation for the refine/exact hot
 //!   paths: a move re-routes only the affected experts' columns, with
 //!   results bit-identical to `lite_route` + `time_cost` from scratch.
@@ -52,7 +50,6 @@ pub mod delta;
 pub mod exact;
 pub mod layout;
 pub mod lite_routing;
-pub mod parallel;
 pub mod predictor;
 pub mod refine;
 pub mod relocation;
@@ -65,8 +62,7 @@ pub use cost::{time_cost, CostBreakdown, CostParams};
 pub use delta::IncrementalCost;
 pub use exact::exhaustive_best_layout;
 pub use layout::{ExpertLayout, LayoutError};
-pub use lite_routing::{lite_route, lite_route_into, lite_route_with, RouteScratch};
-pub use parallel::{plan_layers_parallel, plan_parallel, plan_parallel_indexed};
+pub use lite_routing::{lite_route, lite_route_with, RouteScratch};
 pub use predictor::{
     AnyPredictor, LoadPredictor, PredictError, Predictor, PredictorKind, ReplayPredictor,
 };

@@ -83,14 +83,6 @@ impl TokenRouting {
         self.experts
     }
 
-    /// Clears the routing and re-shapes it to `devices × experts`,
-    /// keeping the entry vector's allocation for reuse across solves.
-    pub fn reset(&mut self, devices: usize, experts: usize) {
-        self.devices = devices;
-        self.experts = experts;
-        self.entries.clear();
-    }
-
     /// Records `tokens` moving from `src` to `dst` for `expert`.
     /// Zero-token records are dropped.
     pub fn push(&mut self, src: DeviceId, expert: ExpertId, dst: DeviceId, tokens: u64) {

@@ -5,13 +5,13 @@
 
 // Test code may panic freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use laer_cluster::{DeviceId, ExpertId, Topology};
+use laer_cluster::{DegradedView, DeviceId, ExpertId, Topology};
 use laer_planner::{
     even_replicas, expert_relocation, lite_route, refine_layout, refine_layout_scratch,
     replica_allocation, CostParams, IncrementalCost, LoadPredictor, Planner, PlannerConfig,
     Predictor, ReplayPredictor,
 };
-use laer_routing::{RoutingGeneratorConfig, RoutingMatrix, RoutingTrace};
+use laer_routing::{RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix, RoutingTrace};
 use proptest::prelude::*;
 
 /// Strategy: a routing matrix for `devices × experts` with entries in
@@ -159,6 +159,35 @@ proptest! {
             plan.predicted.total(),
             even_cost.total()
         );
+    }
+
+    /// On a healthy cluster the degraded entry point places on the same
+    /// devices and prices on an identical network, so it must return the
+    /// nominal plan bit for bit.
+    #[test]
+    fn plan_degraded_on_healthy_view_equals_plan(
+        topo in topo_strategy(),
+        experts in 1usize..12,
+        c in 1usize..4,
+        seed in 0u64..1_000,
+        latency_aware in any::<bool>(),
+    ) {
+        prop_assume!(topo.num_devices() * c >= experts);
+        let cfg = RoutingGeneratorConfig::new(topo.num_devices(), experts, 4096).with_seed(seed);
+        let demand = RoutingGenerator::new(cfg).next_iteration();
+        let planner = Planner::new(
+            PlannerConfig::new(c).with_seed(seed),
+            CostParams::mixtral_8x7b().with_latency_aware(latency_aware),
+            topo.clone(),
+        );
+        let plan = planner.plan(&demand);
+        let degraded = planner
+            .plan_degraded(&demand, &DegradedView::new(topo))
+            .expect("healthy cluster");
+        prop_assert_eq!(&degraded.layout, &plan.layout);
+        prop_assert_eq!(degraded.routing.entries(), plan.routing.entries());
+        prop_assert_eq!(degraded.predicted.comm.to_bits(), plan.predicted.comm.to_bits());
+        prop_assert_eq!(degraded.predicted.comp.to_bits(), plan.predicted.comp.to_bits());
     }
 
     /// The load predictor's output is always a valid matrix with totals
