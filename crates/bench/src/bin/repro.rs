@@ -1,425 +1,306 @@
 //! `repro` — regenerate any table or figure of the paper.
 //!
 //! ```text
-//! repro <target> [--quick|--full] [--jobs N] [--iters N]
-//!               [--update-baseline] [--baseline PATH] [--tolerance F]
-//!
-//! targets: fig1a fig1b fig1 fig2 tab2 eq1 fig8 fig9 fig10a fig10b
-//!          fig11 fig12 tab3 tab4 ext-refine ext-staleness ext-rack
-//!          ext-overlap ext-pipeline ext-replay ext-faults ext-serve
-//!          ext-chaos ext-obs ext-diagnose ext-scale all harness-bench
+//! repro <target|all|help> [--quick|--full] [--jobs N] [--iters N]
+//!                         [--update-baseline] [--baseline PATH] [--tolerance F]
 //! ```
 //!
-//! `--jobs N` fans the target's independent experiment cells across `N`
-//! worker threads (default: the machine's available parallelism).
-//! Results are rendered in submission order after all cells finish, so
-//! stdout and every JSON artifact are byte-identical to a `--jobs 1`
-//! run. `repro all` schedules every target's cells on one shared pool.
+//! The targets live in one table, `TARGETS`; `repro help` lists them,
+//! and `repro all` runs every entry marked for it in table order.
+//!
+//! `--quick` (the default) and `--full` pick the [`Effort`]. `--jobs N`
+//! fans the chosen targets' independent experiment cells across `N`
+//! worker threads (default: the machine's available parallelism), all
+//! on one shared pool. Results are rendered in table order after all
+//! cells finish, so stdout and every JSON artifact are byte-identical
+//! to a `--jobs 1` run.
 //!
 //! `--iters N` only affects `ext-serve`, `ext-chaos` and
 //! `ext-diagnose`, where it overrides the number of requests served
-//! per operating point (smoke runs in CI use a small value). The baseline/tolerance flags only
-//! affect `ext-obs`, whose perf-regression gate exits non-zero on
-//! failure.
+//! per operating point (smoke runs in CI use a small value). The
+//! baseline/tolerance flags only affect the perf-regression gates of
+//! `ext-obs` and `ext-scale`, which exit 1 on failure; `ext-scale`
+//! rewrites its baseline only from a `--full` sweep.
 //!
-//! `harness-bench` times `repro all --quick` at `--jobs 1` vs the
-//! default job count and writes the informational `BENCH_harness.json`.
+//! Malformed flags are rejected with one `error:` line and exit 2
+//! before any cell runs.
 
-use laer_bench::pool::Batch;
+use laer_bench::pool::{self, Batch};
 use laer_bench::{
     eq1, ext_chaos, ext_diagnose, ext_faults, ext_obs, ext_overlap, ext_pipeline, ext_rack,
     ext_refine, ext_replay, ext_scale, ext_serve, ext_staleness, fig1, fig10, fig11, fig12, fig2,
-    fig8, fig9, pool, tab2, tab3, tab4, Effort,
+    fig8, fig9, tab2, tab3, tab4, Effort,
 };
 use std::time::Instant;
 
-/// Target order of `repro all`.
-const ALL_TARGETS: [&str; 22] = [
-    "tab2",
-    "eq1",
-    "fig1",
-    "fig2",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "tab3",
-    "tab4",
-    "ext-refine",
-    "ext-staleness",
-    "ext-rack",
-    "ext-overlap",
-    "ext-pipeline",
-    "ext-replay",
-    "ext-faults",
-    "ext-serve",
-    "ext-chaos",
-    "ext-obs",
-    "ext-diagnose",
+/// The parsed command-line flags every target reads from.
+struct Opts {
+    effort: Effort,
+    jobs: usize,
+    /// Requests per serving operating point (`--iters`).
+    iters: Option<usize>,
+    obs: ext_obs::ObsOptions,
+}
+
+/// Deferred renderer of one target's pooled cells; returns the
+/// target's pass/fail verdict (`false` only from a failed perf gate).
+type Finisher = Box<dyn FnOnce() -> bool>;
+
+/// One `repro` target.
+struct Target {
+    name: &'static str,
+    /// Other names that run the same target.
+    aliases: &'static [&'static str],
+    /// Whether `repro all` runs it.
+    in_all: bool,
+    /// Submits the target's cells and returns its renderer.
+    submit: fn(&mut Batch, &Opts) -> Finisher,
+}
+
+const fn target(
+    name: &'static str,
+    aliases: &'static [&'static str],
+    in_all: bool,
+    submit: fn(&mut Batch, &Opts) -> Finisher,
+) -> Target {
+    Target {
+        name,
+        aliases,
+        in_all,
+        submit,
+    }
+}
+
+/// Defers a module's `finish` for a target without a gate.
+fn render<P: 'static, R: 'static>(finish: fn(P) -> R, pending: P) -> Finisher {
+    Box::new(move || {
+        finish(pending);
+        true
+    })
+}
+
+/// Every target, in `repro all` order: (name, aliases, run by `all`,
+/// submit).
+const TARGETS: &[Target] = &[
+    target("tab2", &[], true, |b, _| {
+        render(tab2::finish, tab2::submit(b))
+    }),
+    target("eq1", &[], true, |b, _| render(eq1::finish, eq1::submit(b))),
+    target("fig1", &["fig1a", "fig1b"], true, |b, o| {
+        render(fig1::finish, fig1::submit(b, o.effort))
+    }),
+    target("fig2", &[], true, |b, _| {
+        render(fig2::finish, fig2::submit(b))
+    }),
+    target("fig8", &[], true, |b, o| {
+        render(fig8::finish, fig8::submit(b, o.effort))
+    }),
+    target("fig9", &[], true, |b, o| {
+        render(fig9::finish, fig9::submit(b, o.effort))
+    }),
+    target("fig10", &["fig10a", "fig10b"], true, |b, o| {
+        render(fig10::finish, fig10::submit(b, o.effort))
+    }),
+    target("fig11", &[], true, |b, _| {
+        render(fig11::finish, fig11::submit(b))
+    }),
+    target("fig12", &[], true, |b, o| {
+        render(fig12::finish, fig12::submit(b, o.effort))
+    }),
+    target("tab3", &[], true, |b, o| {
+        render(tab3::finish, tab3::submit(b, o.effort))
+    }),
+    target("tab4", &[], true, |b, _| {
+        render(tab4::finish, tab4::submit(b))
+    }),
+    target("ext-refine", &[], true, |b, _| {
+        render(ext_refine::finish, ext_refine::submit(b))
+    }),
+    target("ext-staleness", &[], true, |b, _| {
+        render(ext_staleness::finish, ext_staleness::submit(b))
+    }),
+    target("ext-rack", &[], true, |b, _| {
+        render(ext_rack::finish, ext_rack::submit(b))
+    }),
+    target("ext-overlap", &[], true, |b, _| {
+        render(ext_overlap::finish, ext_overlap::submit(b))
+    }),
+    target("ext-pipeline", &[], true, |b, _| {
+        render(ext_pipeline::finish, ext_pipeline::submit(b))
+    }),
+    target("ext-replay", &[], true, |b, o| {
+        render(ext_replay::finish, ext_replay::submit(b, o.effort))
+    }),
+    target("ext-faults", &[], true, |b, _| {
+        render(ext_faults::finish, ext_faults::submit(b))
+    }),
+    target("ext-serve", &[], true, |b, o| {
+        render(ext_serve::finish, ext_serve::submit(b, o.effort, o.iters))
+    }),
+    target("ext-chaos", &[], true, |b, o| {
+        render(ext_chaos::finish, ext_chaos::submit(b, o.effort, o.iters))
+    }),
+    target("ext-obs", &[], true, |b, o| {
+        let (pending, obs) = (ext_obs::submit(b), o.obs.clone());
+        Box::new(move || ext_obs::finish(&obs, pending))
+    }),
+    target("ext-diagnose", &[], true, |b, o| {
+        render(
+            ext_diagnose::finish,
+            ext_diagnose::submit(b, o.effort, o.iters),
+        )
+    }),
+    // Gated against its own `BENCH_planner.json`; its two-phase driver
+    // runs its own batches at `--jobs`.
+    target("ext-scale", &[], false, |_, o| {
+        if o.obs.update_baseline && o.effort == Effort::Quick {
+            fail("ext-scale rewrites its baseline only from a --full sweep");
+        }
+        let (obs, effort, jobs) = (o.obs.clone(), o.effort, o.jobs);
+        Box::new(move || ext_scale::run_jobs(&obs, effort, jobs))
+    }),
+    target("harness-bench", &[], false, |_, _| {
+        Box::new(|| {
+            harness_bench();
+            true
+        })
+    }),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let target = args.first().map(String::as_str).unwrap_or("help");
-    let effort = if args.iter().any(|a| a == "--full") {
-        Effort::Full
-    } else {
-        Effort::Quick
+    let (name, flags) = match args.split_first() {
+        Some((name, flags)) => (name.as_str(), flags),
+        None => ("help", &[][..]),
     };
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(pool::default_jobs);
-    let iters = args
-        .iter()
-        .position(|a| a == "--iters")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let obs = ext_obs::ObsOptions {
-        update_baseline: args.iter().any(|a| a == "--update-baseline"),
-        baseline: args
+    let opts = parse_flags(flags).unwrap_or_else(|msg| fail(&msg));
+    let chosen: Vec<&Target> = match name {
+        "help" => {
+            print!("{}", usage());
+            return;
+        }
+        "all" => TARGETS.iter().filter(|t| t.in_all).collect(),
+        _ => match TARGETS
             .iter()
-            .position(|a| a == "--baseline")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from),
-        tolerance: args
-            .iter()
-            .position(|a| a == "--tolerance")
-            .and_then(|v| args.get(v + 1))
-            .and_then(|v| v.parse::<f64>().ok()),
+            .find(|t| t.name == name || t.aliases.contains(&name))
+        {
+            Some(t) => vec![t],
+            None => {
+                eprint!("error: unknown target `{name}`\n{}", usage());
+                std::process::exit(2);
+            }
+        },
     };
-    // `ext-scale` defaults to the full N64→N4096 sweep; `--quick`
-    // restricts it to the CI smoke sizes (unlike `Effort`, which
-    // defaults to quick).
-    let scale_quick = args.iter().any(|a| a == "--quick");
     let start = Instant::now();
-    let ran = dispatch(target, effort, jobs, iters, &obs, scale_quick);
-    if !ran {
-        eprintln!(
-            "usage: repro <target> [--quick|--full] [--jobs N] [--iters N] [--update-baseline] [--baseline PATH] [--tolerance F]\n\
-             targets: fig1a fig1b fig1 fig2 tab2 eq1 fig8 fig9 fig10a fig10b fig11 fig12 tab3 tab4 \
-             ext-refine ext-staleness ext-rack ext-overlap ext-pipeline ext-replay ext-faults \
-             ext-serve ext-chaos ext-obs ext-diagnose ext-scale all harness-bench"
-        );
-        std::process::exit(if target == "help" { 0 } else { 2 });
-    }
-    eprintln!("[{target}: {:.2}s elapsed]", start.elapsed().as_secs_f64());
-}
-
-fn dispatch(
-    target: &str,
-    effort: Effort,
-    jobs: usize,
-    iters: Option<usize>,
-    obs: &ext_obs::ObsOptions,
-    scale_quick: bool,
-) -> bool {
-    match target {
-        "fig1a" => {
-            let a = fig1::fig1a();
-            for p in a.iter().step_by(4) {
-                println!(
-                    "iter {:>3}  max/mean {:.2}  shares {:?}",
-                    p.iteration,
-                    p.imbalance,
-                    p.expert_shares
-                        .iter()
-                        .map(|s| (s * 1000.0).round() / 10.0)
-                        .collect::<Vec<_>>()
-                );
-            }
-            laer_bench::output::save_json("fig1a", &a);
-        }
-        "fig1b" => {
-            let b = fig1::fig1b(effort);
-            for bar in &b {
-                println!(
-                    "{:<9} a2a {:>7.1} ms  rest {:>7.1} ms  share {:>5.1}%",
-                    bar.condition,
-                    bar.a2a * 1e3,
-                    bar.rest * 1e3,
-                    bar.a2a_fraction * 100.0
-                );
-            }
-            laer_bench::output::save_json("fig1b", &b);
-        }
-        "fig1" => {
-            fig1::run_jobs(effort, jobs);
-        }
-        "fig2" => {
-            fig2::run_jobs(jobs);
-        }
-        "tab2" => {
-            tab2::run_jobs(jobs);
-        }
-        "eq1" => {
-            eq1::run_jobs(jobs);
-        }
-        "fig8" => {
-            fig8::run_jobs(effort, jobs);
-        }
-        "fig9" => {
-            fig9::run_jobs(effort, jobs);
-        }
-        "fig10" | "fig10a" | "fig10b" => {
-            fig10::run_jobs(effort, jobs);
-        }
-        "fig11" => {
-            fig11::run_jobs(jobs);
-        }
-        "fig12" => {
-            fig12::run_jobs(effort, jobs);
-        }
-        "tab3" => {
-            tab3::run_jobs(effort, jobs);
-        }
-        "tab4" => {
-            tab4::run_jobs(jobs);
-        }
-        "ext-refine" => {
-            ext_refine::run_jobs(jobs);
-        }
-        "ext-staleness" => {
-            ext_staleness::run_jobs(jobs);
-        }
-        "ext-rack" => {
-            ext_rack::run_jobs(jobs);
-        }
-        "ext-overlap" => {
-            ext_overlap::run_jobs(jobs);
-        }
-        "ext-pipeline" => {
-            ext_pipeline::run_jobs(jobs);
-        }
-        "ext-replay" => {
-            ext_replay::run_jobs(effort, jobs);
-        }
-        "ext-faults" => {
-            ext_faults::run_jobs(jobs);
-        }
-        "ext-serve" => {
-            ext_serve::run_jobs(effort, iters, jobs);
-        }
-        "ext-chaos" => {
-            ext_chaos::run_jobs(effort, iters, jobs);
-        }
-        "ext-obs" => {
-            if !ext_obs::run_jobs(obs, jobs) {
-                std::process::exit(1);
-            }
-        }
-        "ext-diagnose" => {
-            ext_diagnose::run_jobs(effort, iters, jobs);
-        }
-        // Not part of `repro all`: the full sweep reaches N4096 and is
-        // run (or smoked with `--quick`) explicitly.
-        "ext-scale" => {
-            if !ext_scale::run_jobs(obs, scale_quick, jobs) {
-                std::process::exit(1);
-            }
-        }
-        "all" => run_all(effort, jobs, iters, obs),
-        "harness-bench" => harness_bench(),
-        _ => return false,
-    }
-    true
-}
-
-/// Deferred renderer of one target's pooled cells; returns the
-/// target's pass/fail verdict (always `true` except the `ext-obs`
-/// gate).
-type Finisher = Box<dyn FnOnce() -> bool>;
-
-/// Runs every target on one shared pool: all cells are submitted up
-/// front, executed across `jobs` workers, then rendered target by
-/// target in the fixed [`ALL_TARGETS`] order — so stdout and every
-/// artifact are byte-identical to a serial run.
-fn run_all(effort: Effort, jobs: usize, iters: Option<usize>, obs: &ext_obs::ObsOptions) {
-    let mut batch = Batch::new();
-    let mut finishers: Vec<(&'static str, Finisher)> = Vec::new();
-    for t in ALL_TARGETS {
-        let f: Finisher = match t {
-            "tab2" => {
-                let p = tab2::submit(&mut batch);
-                Box::new(move || {
-                    tab2::finish(p);
-                    true
-                })
-            }
-            "eq1" => {
-                let p = eq1::submit(&mut batch);
-                Box::new(move || {
-                    eq1::finish(p);
-                    true
-                })
-            }
-            "fig1" => {
-                let p = fig1::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig1::finish(p);
-                    true
-                })
-            }
-            "fig2" => {
-                let p = fig2::submit(&mut batch);
-                Box::new(move || {
-                    fig2::finish(p);
-                    true
-                })
-            }
-            "fig8" => {
-                let p = fig8::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig8::finish(p);
-                    true
-                })
-            }
-            "fig9" => {
-                let p = fig9::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig9::finish(p);
-                    true
-                })
-            }
-            "fig10" => {
-                let p = fig10::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig10::finish(p);
-                    true
-                })
-            }
-            "fig11" => {
-                let p = fig11::submit(&mut batch);
-                Box::new(move || {
-                    fig11::finish(p);
-                    true
-                })
-            }
-            "fig12" => {
-                let p = fig12::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig12::finish(p);
-                    true
-                })
-            }
-            "tab3" => {
-                let p = tab3::submit(&mut batch, effort);
-                Box::new(move || {
-                    tab3::finish(p);
-                    true
-                })
-            }
-            "tab4" => {
-                let p = tab4::submit(&mut batch);
-                Box::new(move || {
-                    tab4::finish(p);
-                    true
-                })
-            }
-            "ext-refine" => {
-                let p = ext_refine::submit(&mut batch);
-                Box::new(move || {
-                    ext_refine::finish(p);
-                    true
-                })
-            }
-            "ext-staleness" => {
-                let p = ext_staleness::submit(&mut batch);
-                Box::new(move || {
-                    ext_staleness::finish(p);
-                    true
-                })
-            }
-            "ext-rack" => {
-                let p = ext_rack::submit(&mut batch);
-                Box::new(move || {
-                    ext_rack::finish(p);
-                    true
-                })
-            }
-            "ext-overlap" => {
-                let p = ext_overlap::submit(&mut batch);
-                Box::new(move || {
-                    ext_overlap::finish(p);
-                    true
-                })
-            }
-            "ext-pipeline" => {
-                let p = ext_pipeline::submit(&mut batch);
-                Box::new(move || {
-                    ext_pipeline::finish(p);
-                    true
-                })
-            }
-            "ext-replay" => {
-                let p = ext_replay::submit(&mut batch, effort);
-                Box::new(move || {
-                    ext_replay::finish(p);
-                    true
-                })
-            }
-            "ext-faults" => {
-                let p = ext_faults::submit(&mut batch);
-                Box::new(move || {
-                    ext_faults::finish(p);
-                    true
-                })
-            }
-            "ext-serve" => {
-                let p = ext_serve::submit(&mut batch, effort, iters);
-                Box::new(move || {
-                    ext_serve::finish(p);
-                    true
-                })
-            }
-            "ext-chaos" => {
-                let p = ext_chaos::submit(&mut batch, effort, iters);
-                Box::new(move || {
-                    ext_chaos::finish(p);
-                    true
-                })
-            }
-            "ext-obs" => {
-                let p = ext_obs::submit(&mut batch);
-                let opts = obs.clone();
-                Box::new(move || ext_obs::finish(&opts, p))
-            }
-            "ext-diagnose" => {
-                let p = ext_diagnose::submit(&mut batch, effort, iters);
-                Box::new(move || {
-                    ext_diagnose::finish(p);
-                    true
-                })
-            }
-            other => unreachable!("unlisted target {other}"),
-        };
-        finishers.push((t, f));
-    }
-    let stats = batch.run(jobs);
-    let mut ok = true;
-    for (t, finish) in finishers {
-        println!("\n================ {t} ================\n");
-        ok &= finish();
-        let compute: f64 = stats
-            .iter()
-            .filter(|s| s.label.split('/').next() == Some(target_prefix(t)))
-            .map(|s| s.seconds)
-            .sum();
-        eprintln!("[{t}: {compute:.2}s compute across cells]");
-    }
+    let ok = run(&chosen, name == "all", &opts);
+    eprintln!("[{name}: {:.2}s elapsed]", start.elapsed().as_secs_f64());
     if !ok {
         std::process::exit(1);
     }
 }
 
-/// Maps a target name to its cell-label prefix (the part before the
-/// first `/` in a job-stat label). They coincide for every target.
-fn target_prefix(target: &'static str) -> &'static str {
-    target
+/// Submits every chosen target's cells into one batch, runs it across
+/// `--jobs` workers, then renders the targets in order — so stdout and
+/// every artifact are byte-identical to a serial run. `all` adds a
+/// section header and the per-target compute seconds.
+fn run(targets: &[&Target], all: bool, opts: &Opts) -> bool {
+    let mut batch = Batch::new();
+    let finishers: Vec<Finisher> = targets
+        .iter()
+        .map(|t| (t.submit)(&mut batch, opts))
+        .collect();
+    let stats = batch.run(opts.jobs);
+    let mut ok = true;
+    for (t, finish) in targets.iter().zip(finishers) {
+        if all {
+            println!("\n================ {} ================\n", t.name);
+        }
+        ok &= finish();
+        if all {
+            // Cell labels read `target/cell`.
+            let compute: f64 = stats
+                .iter()
+                .filter(|s| s.label.split('/').next() == Some(t.name))
+                .map(|s| s.seconds)
+                .sum();
+            eprintln!("[{}: {compute:.2}s compute across cells]", t.name);
+        }
+    }
+    ok
+}
+
+/// Parses the flags after the target name; `Err` is the message of the
+/// one `error:` line.
+fn parse_flags(flags: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts {
+        effort: Effort::Quick,
+        jobs: pool::default_jobs(),
+        iters: None,
+        obs: ext_obs::ObsOptions::default(),
+    };
+    let mut rest = flags.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--quick" => opts.effort = Effort::Quick,
+            "--full" => opts.effort = Effort::Full,
+            "--jobs" => opts.jobs = parse(flag, value()?, "a positive integer", |&n| n > 0)?,
+            "--iters" => {
+                opts.iters = Some(parse(flag, value()?, "a positive integer", |&n| n > 0)?)
+            }
+            "--update-baseline" => opts.obs.update_baseline = true,
+            "--baseline" => opts.obs.baseline = Some(value()?.into()),
+            "--tolerance" => {
+                let fraction = |&t: &f64| t > 0.0 && t < 1.0;
+                opts.obs.tolerance = Some(parse(flag, value()?, "a fraction in (0, 1)", fraction)?);
+            }
+            other => return Err(format!("unknown flag `{other}` (see `repro help`)")),
+        }
+    }
+    Ok(opts)
+}
+
+/// Parses `flag`'s value `v`, which must satisfy `valid`.
+fn parse<T: std::str::FromStr>(
+    flag: &str,
+    v: &str,
+    expected: &str,
+    valid: fn(&T) -> bool,
+) -> Result<T, String> {
+    v.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("{flag} expects {expected}, got `{v}`"))
+}
+
+/// Rejects the command line with one `error:` line and exit code 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The usage text, listing every target of [`TARGETS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: repro <target|all|help> [--quick|--full] [--jobs N] [--iters N] \
+         [--update-baseline] [--baseline PATH] [--tolerance F]\ntargets:\n",
+    );
+    for t in TARGETS {
+        let mut line = format!("  {:<14}", t.name);
+        if !t.aliases.is_empty() {
+            line += &format!(" aliases: {}", t.aliases.join(" "));
+        }
+        if !t.in_all {
+            line += " (not run by `all`)";
+        }
+        out += line.trim_end();
+        out.push('\n');
+    }
+    out
 }
 
 /// Path of the informational harness benchmark report at the repo root.

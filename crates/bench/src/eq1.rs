@@ -66,19 +66,6 @@ pub fn finish(pending: Pending) -> Vec<Eq1Row> {
     rows
 }
 
-/// Runs the analysis across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<Eq1Row> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Prints the Eq. 1 analysis.
-pub fn run() -> Vec<Eq1Row> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

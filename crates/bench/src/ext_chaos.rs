@@ -34,6 +34,7 @@ use laer_serve::{
 use laer_sim::{write_chrome_trace_with_counters, FaultKind, FaultPlan, TimedFaultEvent};
 use serde::{Deserialize, Serialize};
 
+use crate::output::{save_text, save_with};
 use crate::pool::{Batch, Slot};
 use crate::Effort;
 
@@ -259,31 +260,35 @@ fn run_cell(
     (r, is_headline.then_some(o))
 }
 
-/// Measures every cell serially. The returned outcome is the headline
-/// `laer` run under the severe device failure.
-pub fn rows(requests: usize) -> (Vec<ChaosRow>, ServingOutcome) {
-    let mut out = Vec::new();
-    let mut headline = None;
-    for (kind, level, system) in cells_list() {
-        let (r, h) = run_cell(kind, level, system, requests);
-        out.push(r);
-        if h.is_some() {
-            headline = h;
-        }
-    }
-    let headline = headline.unwrap_or_else(|| {
-        // The cell list always contains HEADLINE; keep a fallback rather
-        // than a panic so constant edits cannot break the binary.
-        let (kind, level, system) = HEADLINE;
-        run_serving(&point(system, Some(fault_plan(kind, level)), requests))
-    });
-    (out, headline)
-}
-
 /// The sweep's cells, pending pool execution.
 pub struct Pending {
     requests: usize,
     cells: Vec<Slot<(ChaosRow, Option<ServingOutcome>)>>,
+}
+
+impl Pending {
+    /// Redeems the executed cells in submission order. The returned
+    /// outcome is the headline `laer` run under the severe device
+    /// failure.
+    fn take(self) -> (Vec<ChaosRow>, ServingOutcome) {
+        let mut rows = Vec::new();
+        let mut headline = None;
+        for slot in self.cells {
+            let (r, h) = slot.take();
+            rows.push(r);
+            if h.is_some() {
+                headline = h;
+            }
+        }
+        let headline = headline.unwrap_or_else(|| {
+            // The cell list always contains HEADLINE; keep a fallback
+            // rather than a panic so constant edits cannot break the
+            // binary.
+            let (kind, level, system) = HEADLINE;
+            run_serving(&point(system, Some(fault_plan(kind, level)), self.requests))
+        });
+        (rows, headline)
+    }
 }
 
 /// Submits every cell of the sweep to the pool.
@@ -343,32 +348,14 @@ fn print_rows(rows: &[ChaosRow]) {
 /// fault/recovery spans and the queue-depth counter track, plus the
 /// resilience journal/metrics exports.
 fn save_headline(headline: &ServingOutcome) {
-    let dir = crate::output::repro_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let trace_path = dir.join("ext_chaos_trace.json");
     let tracks = [queue_depth_track(&headline.queue_depth)];
-    match std::fs::File::create(&trace_path) {
-        Ok(f) => match write_chrome_trace_with_counters(&headline.timeline, &tracks, f) {
-            Ok(()) => eprintln!("[saved {}]", trace_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-        },
-        Err(e) => eprintln!("warning: cannot create {}: {e}", trace_path.display()),
-    }
+    save_with("ext_chaos_trace.json", |f| {
+        write_chrome_trace_with_counters(&headline.timeline, &tracks, f)
+    });
     let mut obs = Observer::new();
     record_observability(headline, &mut obs);
-    for (name, body) in [
-        ("ext_chaos_metrics.txt", obs.registry.to_openmetrics()),
-        ("ext_chaos_journal.jsonl", obs.journal.to_jsonl()),
-    ] {
-        let path = dir.join(name);
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
+    save_text("ext_chaos_metrics.txt", &obs.registry.to_openmetrics());
+    save_text("ext_chaos_journal.jsonl", &obs.journal.to_jsonl());
 }
 
 /// Renders the executed cells — identical output to the serial run.
@@ -379,19 +366,7 @@ pub fn finish(pending: Pending) -> Vec<ChaosRow> {
          (2×8 cluster, seed {SEED}, {requests} requests per cell at {RATE:.0} rps;\n\
          shed = queue-full/brownout/retry-exhausted/unserved, lost must be 0)"
     );
-    let mut all = Vec::new();
-    let mut headline = None;
-    for slot in pending.cells {
-        let (r, h) = slot.take();
-        all.push(r);
-        if h.is_some() {
-            headline = h;
-        }
-    }
-    let headline = headline.unwrap_or_else(|| {
-        let (kind, level, system) = HEADLINE;
-        run_serving(&point(system, Some(fault_plan(kind, level)), requests))
-    });
+    let (all, headline) = pending.take();
     println!();
     print_rows(&all);
     println!(
@@ -418,20 +393,6 @@ pub fn finish(pending: Pending) -> Vec<ChaosRow> {
     all
 }
 
-/// Runs the sweep across `workers` pool threads.
-pub fn run_jobs(effort: Effort, requests_override: Option<usize>, workers: usize) -> Vec<ChaosRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort, requests_override);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the sweep; saves the rows, the replayable fault
-/// plans and the headline trace/journal/metrics under `target/repro/`.
-pub fn run(effort: Effort, requests_override: Option<usize>) -> Vec<ChaosRow> {
-    run_jobs(effort, requests_override, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,7 +409,10 @@ mod tests {
     /// lost, and the headline trace carries fault/recovery spans.
     #[test]
     fn laer_degrades_gracefully_while_static_cliffs() {
-        let (rows, headline) = rows(80);
+        let mut batch = Batch::new();
+        let pending = submit(&mut batch, Effort::Quick, None);
+        batch.run(2);
+        let (rows, headline) = pending.take();
         assert_eq!(rows.len(), (KINDS.len() * LEVELS.len() + 1) * 3);
         // Zero-loss: every request completes, retries or is accounted
         // as shed — in every cell, for every system.

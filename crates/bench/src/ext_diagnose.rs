@@ -31,6 +31,7 @@
 //! and the headline run's journal/metrics exports. Everything is
 //! deterministic: any `--jobs` level reproduces every byte.
 
+use crate::output::{save_text, save_with};
 use crate::pool::{Batch, Slot};
 use crate::Effort;
 use laer_baselines::SystemKind;
@@ -336,29 +337,11 @@ pub fn submit(batch: &mut Batch, effort: Effort, requests_override: Option<usize
 /// a flow-event Chrome trace (arrows along the last iteration's
 /// critical path) plus the diagnosed run's journal/metrics exports.
 fn save_headline(timeline: &Timeline, diag: &TrainDiagnosis, obs: &Observer) {
-    let dir = crate::output::repro_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let trace_path = dir.join("ext_diagnose_trace.json");
-    match std::fs::File::create(&trace_path) {
-        Ok(f) => match write_chrome_trace_with_flow(timeline, &[], &diag.critical_edges, f) {
-            Ok(()) => eprintln!("[saved {}]", trace_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-        },
-        Err(e) => eprintln!("warning: cannot create {}: {e}", trace_path.display()),
-    }
-    for (name, body) in [
-        ("ext_diagnose_metrics.txt", obs.registry.to_openmetrics()),
-        ("ext_diagnose_journal.jsonl", obs.journal.to_jsonl()),
-    ] {
-        let path = dir.join(name);
-        match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
+    save_with("ext_diagnose_trace.json", |f| {
+        write_chrome_trace_with_flow(timeline, &[], &diag.critical_edges, f)
+    });
+    save_text("ext_diagnose_metrics.txt", &obs.registry.to_openmetrics());
+    save_text("ext_diagnose_journal.jsonl", &obs.journal.to_jsonl());
 }
 
 fn print_train(rows: &[TrainDiagnoseRow]) {
@@ -466,25 +449,6 @@ pub fn finish(pending: Pending) -> DiagnoseSummary {
     summary
 }
 
-/// Runs both sweeps across `workers` pool threads.
-pub fn run_jobs(
-    effort: Effort,
-    requests_override: Option<usize>,
-    workers: usize,
-) -> DiagnoseSummary {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort, requests_override);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints both sweeps; saves `ext_diagnose.json`, the
-/// flow-event Chrome trace and the headline journal/metrics under
-/// `target/repro/`.
-pub fn run(effort: Effort, requests_override: Option<usize>) -> DiagnoseSummary {
-    run_jobs(effort, requests_override, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,10 +517,16 @@ mod tests {
     /// summary exactly.
     #[test]
     fn summary_is_identical_across_job_counts() {
-        let serial = run_jobs(Effort::Quick, Some(40), 1);
-        let parallel = run_jobs(Effort::Quick, Some(40), 3);
-        let a = serde_json::to_string(&serial).expect("serialize");
-        let b = serde_json::to_string(&parallel).expect("serialize");
-        assert_eq!(a, b, "summaries must be byte-identical across --jobs");
+        let summary_at = |workers: usize| {
+            let mut batch = Batch::new();
+            let pending = submit(&mut batch, Effort::Quick, Some(40));
+            batch.run(workers);
+            serde_json::to_string(&finish(pending)).expect("serialize")
+        };
+        assert_eq!(
+            summary_at(1),
+            summary_at(3),
+            "summaries must be byte-identical across --jobs"
+        );
     }
 }

@@ -120,20 +120,16 @@ fn row_for(fault: &'static str, system: SystemKind, plan: FaultPlan) -> FaultRow
     }
 }
 
-/// Measures every (fault class, system) pair.
-pub fn rows() -> Vec<FaultRow> {
-    let mut out = Vec::new();
-    for (fault, plan) in fault_classes() {
-        for system in SYSTEMS {
-            out.push(row_for(fault, system, plan.clone()));
-        }
-    }
-    out
-}
-
 /// The study's cells, pending pool execution.
 pub struct Pending {
     cells: Vec<Slot<FaultRow>>,
+}
+
+impl Pending {
+    /// Redeems the executed cells in submission order.
+    fn take(self) -> Vec<FaultRow> {
+        self.cells.into_iter().map(Slot::take).collect()
+    }
 }
 
 /// Submits every (fault class, system) cell to the pool.
@@ -161,7 +157,7 @@ pub fn finish(pending: Pending) -> Vec<FaultRow> {
         "{:<16} {:<10} {:>14} {:>14} {:>9}",
         "fault", "system", "faulted tok/s", "clean tok/s", "ratio"
     );
-    let rows: Vec<FaultRow> = pending.cells.into_iter().map(Slot::take).collect();
+    let rows = pending.take();
     for r in &rows {
         println!(
             "{:<16} {:<10} {:>14.0} {:>14.0} {:>8.1}%",
@@ -182,19 +178,6 @@ pub fn finish(pending: Pending) -> Vec<FaultRow> {
     rows
 }
 
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<FaultRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the study.
-pub fn run() -> Vec<FaultRow> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +187,10 @@ mod tests {
     /// vanilla-EP baseline does not.
     #[test]
     fn device_failure_separates_elastic_from_static() {
-        let rows = rows();
+        let mut batch = Batch::new();
+        let pending = submit(&mut batch);
+        batch.run(2);
+        let rows = pending.take();
         let get = |fault: &str, system: &str| {
             rows.iter()
                 .find(|r| r.fault == fault && r.system == system)

@@ -25,6 +25,7 @@
 //! every artifact byte for byte; the gate failing therefore always
 //! means the tree changed (or the baseline was doctored).
 
+use crate::output::{save_json, save_text, save_with};
 use crate::pool::{Batch, Slot};
 use laer_baselines::SystemKind;
 use laer_model::ModelPreset;
@@ -215,16 +216,6 @@ fn write_text(path: &Path, body: &str) {
     }
 }
 
-fn write_trace(path: &Path, timeline: &Timeline, tracks: &[CounterTrack]) {
-    match std::fs::File::create(path) {
-        Ok(f) => match write_chrome_trace_with_counters(timeline, tracks, f) {
-            Ok(()) => eprintln!("[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("warning: cannot create {}: {e}", path.display()),
-    }
-}
-
 /// Gates `current` against the baseline at `path`. `None` means the
 /// baseline is missing or unreadable (a failure unless updating).
 pub fn gate_against(path: &Path, current: &BenchSnapshot, tolerance: f64) -> Option<GateReport> {
@@ -295,31 +286,21 @@ pub fn finish(opts: &ObsOptions, pending: Pending) -> bool {
     );
 
     // Artifacts.
-    let dir = crate::output::repro_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    }
-    crate::output::save_json("ext_obs", &run.summary);
-    write_text(
-        &dir.join("ext_obs_metrics.txt"),
+    save_json("ext_obs", &run.summary);
+    save_text(
+        "ext_obs_metrics.txt",
         &run.observer.registry.to_openmetrics(),
     );
-    write_text(
-        &dir.join("ext_obs_journal.jsonl"),
-        &run.observer.journal.to_jsonl(),
-    );
-    write_trace(
-        &dir.join("ext_obs_trace_train.json"),
-        &run.train_timeline,
-        &utilization_tracks(&run.train_timeline, run.train_devices),
-    );
+    save_text("ext_obs_journal.jsonl", &run.observer.journal.to_jsonl());
+    let train_tracks = utilization_tracks(&run.train_timeline, run.train_devices);
+    save_with("ext_obs_trace_train.json", |f| {
+        write_chrome_trace_with_counters(&run.train_timeline, &train_tracks, f)
+    });
     let mut serve_tracks = utilization_tracks(&run.serve_timeline, run.serve_devices);
     serve_tracks.push(queue_depth_track(&run.queue_depth));
-    write_trace(
-        &dir.join("ext_obs_trace_serve.json"),
-        &run.serve_timeline,
-        &serve_tracks,
-    );
+    save_with("ext_obs_trace_serve.json", |f| {
+        write_chrome_trace_with_counters(&run.serve_timeline, &serve_tracks, f)
+    });
 
     // The gate.
     let baseline_path = opts.baseline.clone().unwrap_or_else(default_baseline_path);
@@ -346,21 +327,6 @@ pub fn finish(opts: &ObsOptions, pending: Pending) -> bool {
             false
         }
     }
-}
-
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(opts: &ObsOptions, workers: usize) -> bool {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(opts, pending)
-}
-
-/// Runs the calibrated telemetry configuration, writes every artifact
-/// and gates against the committed baseline. Returns `true` when the
-/// gate passes (or the baseline was just rewritten).
-pub fn run(opts: &ObsOptions) -> bool {
-    run_jobs(opts, 1)
 }
 
 #[cfg(test)]

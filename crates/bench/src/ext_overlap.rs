@@ -139,19 +139,6 @@ pub fn finish(pending: Pending) -> Vec<OverlapRow> {
     rows
 }
 
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<OverlapRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the study.
-pub fn run() -> Vec<OverlapRow> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,6 +26,7 @@
 //! (skewed `C = 4` timeline with per-stream utilisation counters, for
 //! Perfetto).
 
+use crate::output::{save_text, save_with};
 use crate::pool::{Batch, Slot};
 use laer_baselines::{MoeSystem, SystemContext, VanillaEpSystem};
 use laer_cluster::Topology;
@@ -210,19 +211,11 @@ pub fn finish(pending: Pending) -> Vec<PipelineRow> {
     );
     crate::output::save_json("ext_pipeline", &rows);
 
-    let dir = crate::output::repro_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    }
     let mut journal = Journal::new();
     for o in &outs {
         journal.push("iteration", &o.record);
     }
-    let journal_path = dir.join("ext_pipeline_journal.jsonl");
-    match std::fs::write(&journal_path, journal.to_jsonl()) {
-        Ok(()) => eprintln!("[saved {}]", journal_path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", journal_path.display()),
-    }
+    save_text("ext_pipeline_journal.jsonl", &journal.to_jsonl());
     if let Some(timeline) = outs.iter().find_map(|o| o.timeline.as_ref()) {
         let n = Topology::paper_cluster().num_devices();
         let makespan = timeline.makespan();
@@ -231,29 +224,11 @@ pub fn finish(pending: Pending) -> Vec<PipelineRow> {
         } else {
             Vec::new()
         };
-        let trace_path = dir.join("ext_pipeline_trace.json");
-        match std::fs::File::create(&trace_path) {
-            Ok(f) => match write_chrome_trace_with_counters(timeline, &tracks, f) {
-                Ok(()) => eprintln!("[saved {}]", trace_path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-            },
-            Err(e) => eprintln!("warning: cannot create {}: {e}", trace_path.display()),
-        }
+        save_with("ext_pipeline_trace.json", |f| {
+            write_chrome_trace_with_counters(timeline, &tracks, f)
+        });
     }
     rows
-}
-
-/// Runs the sweep across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<PipelineRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the sweep.
-pub fn run() -> Vec<PipelineRow> {
-    run_jobs(1)
 }
 
 #[cfg(test)]

@@ -182,19 +182,6 @@ pub fn finish(pending: Pending) -> Vec<RackRow> {
     rows
 }
 
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<RackRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the study.
-pub fn run() -> Vec<RackRow> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -115,19 +115,6 @@ pub fn finish(pending: Pending) -> Vec<RefineRow> {
     rows
 }
 
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<RefineRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the extension study.
-pub fn run() -> Vec<RefineRow> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -26,6 +26,7 @@
 //! `ext_replay_trace.json` (the headline replay cell's final-iteration
 //! timeline with per-stream utilisation counters, for Perfetto).
 
+use crate::output::{save_text, save_with};
 use crate::pool::{Batch, Slot};
 use crate::Effort;
 use laer_model::ModelPreset;
@@ -211,16 +212,8 @@ pub fn finish(pending: Pending) -> Vec<ReplayRow> {
     }
     crate::output::save_json("ext_replay", &rows);
 
-    let dir = crate::output::repro_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    }
     let journal: String = outs.iter().map(|o| o.journal.as_str()).collect();
-    let journal_path = dir.join("ext_replay_journal.jsonl");
-    match std::fs::write(&journal_path, journal) {
-        Ok(()) => eprintln!("[saved {}]", journal_path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", journal_path.display()),
-    }
+    save_text("ext_replay_journal.jsonl", &journal);
     let mut registry = laer_obs::MetricsRegistry::new();
     registry.declare_gauge(
         "ext_replay_audit_mean_abs_rel_error",
@@ -254,11 +247,7 @@ pub fn finish(pending: Pending) -> Vec<ReplayRow> {
             r.relocation_moves as f64,
         );
     }
-    let metrics_path = dir.join("ext_replay_metrics.txt");
-    match std::fs::write(&metrics_path, registry.to_openmetrics()) {
-        Ok(()) => eprintln!("[saved {}]", metrics_path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", metrics_path.display()),
-    }
+    save_text("ext_replay_metrics.txt", &registry.to_openmetrics());
     if let Some(timeline) = outs.iter().find_map(|o| o.timeline.as_ref()) {
         let n = 2 * 8; // every cell runs the same 2×8 cluster
         let makespan = timeline.makespan();
@@ -267,29 +256,11 @@ pub fn finish(pending: Pending) -> Vec<ReplayRow> {
         } else {
             Vec::new()
         };
-        let trace_path = dir.join("ext_replay_trace.json");
-        match std::fs::File::create(&trace_path) {
-            Ok(f) => match write_chrome_trace_with_counters(timeline, &tracks, f) {
-                Ok(()) => eprintln!("[saved {}]", trace_path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-            },
-            Err(e) => eprintln!("warning: cannot create {}: {e}", trace_path.display()),
-        }
+        save_with("ext_replay_trace.json", |f| {
+            write_chrome_trace_with_counters(timeline, &tracks, f)
+        });
     }
     rows
-}
-
-/// Runs the sweep across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<ReplayRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the sweep.
-pub fn run(effort: Effort) -> Vec<ReplayRow> {
-    run_jobs(effort, 1)
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! the full planning stack, with the perf-regression gate over the
 //! committed `BENCH_planner.json`.
 //!
-//! For each cluster size N ∈ {64, 256, 1024, 4096} (`--quick`: {64,
-//! 256}) the study:
+//! For each cluster size N ∈ {64, 256, 1024, 4096} (`--full`; the
+//! default `--quick` sweep stops at {64, 256}) the study:
 //!
 //! * fans the tuner's deduplicated candidate schemes across
 //!   [`crate::pool`] workers — one cell per scheme — and selects the
@@ -24,13 +24,14 @@
 //! deterministic and gated two-sided against `BENCH_planner.json`
 //! (same machinery as `ext-obs`); the wall-clock `probe/*` rows are
 //! recorded for context but excluded from gating, as is any baseline
-//! row for a cluster size the current run did not sweep (so the CI
-//! `--quick` smoke gates N64/N256 against the full committed
-//! baseline). A full run additionally enforces the ≥ 5× delta-vs-
-//! scratch probe-throughput floor at N1024.
+//! row for a cluster size the current run did not sweep (so the quick
+//! sweep gates N64/N256 against the full committed baseline, which
+//! only a full sweep may rewrite). A full run additionally enforces
+//! the ≥ 5× delta-vs-scratch probe-throughput floor at N1024.
 
 use crate::ext_obs::ObsOptions;
 use crate::pool::{Batch, Slot};
+use crate::Effort;
 use laer_baselines::SystemContext;
 use laer_cluster::Topology;
 use laer_fsep::{schedule_iteration, ScheduleOptions};
@@ -49,7 +50,7 @@ use std::time::Instant;
 
 /// Cluster sizes of the full sweep.
 pub const FULL_SIZES: [usize; 4] = [64, 256, 1024, 4096];
-/// Cluster sizes of the `--quick` CI smoke.
+/// Cluster sizes of the quick sweep (the default, and the CI smoke).
 pub const QUICK_SIZES: [usize; 2] = [64, 256];
 /// Experts per layer.
 const EXPERTS: usize = 16;
@@ -452,12 +453,15 @@ pub fn default_baseline_path() -> PathBuf {
     p
 }
 
-/// Runs the sweep across `workers` pool threads. `quick` restricts the
-/// sizes to the CI smoke set. Returns `true` when the gate (and, on
-/// full runs, the N1024 probe-speedup floor) passes — or the baseline
-/// was just rewritten.
-pub fn run_jobs(opts: &ObsOptions, quick: bool, workers: usize) -> bool {
-    let sizes: &[usize] = if quick { &QUICK_SIZES } else { &FULL_SIZES };
+/// Runs the sweep across `workers` pool threads: [`FULL_SIZES`] at
+/// [`Effort::Full`], else [`QUICK_SIZES`]. Returns `true` when the gate
+/// (and, on full runs, the N1024 probe-speedup floor) passes — or the
+/// baseline was just rewritten.
+pub fn run_jobs(opts: &ObsOptions, effort: Effort, workers: usize) -> bool {
+    let sizes: &[usize] = match effort {
+        Effort::Quick => &QUICK_SIZES,
+        Effort::Full => &FULL_SIZES,
+    };
     println!(
         "Extension: fleet-scale planning sweep N{}..N{}\n({})\n",
         sizes[0],
@@ -604,7 +608,7 @@ pub fn run_jobs(opts: &ObsOptions, quick: bool, workers: usize) -> bool {
         }
         None => {
             eprintln!(
-                "error: no readable baseline at {} — run `repro ext-scale --update-baseline`",
+                "error: no readable baseline at {} — run `repro ext-scale --full --update-baseline`",
                 baseline_path.display()
             );
             false

@@ -158,36 +158,40 @@ fn run_point(
     (r, is_headline.then_some(o))
 }
 
-/// Measures every (sweep, operating point, system) triple. The returned
-/// outcome is the `laer` run at the headline point (near saturation,
-/// 30-step flips) — its timeline carries the charged `relayout` spans.
-pub fn rows(requests: usize) -> (Vec<ServeRow>, ServingOutcome) {
-    let mut out = Vec::new();
-    let mut headline = None;
-    for (sweep, rate, flip, kind) in points_list() {
-        let (r, h) = run_point(sweep, rate, flip, kind, requests);
-        out.push(r);
-        if h.is_some() {
-            headline = h;
-        }
-    }
-    let headline = headline.unwrap_or_else(|| {
-        // LOAD_SWEEP always contains SHIFT_RATE; keep a fallback rather
-        // than a panic so constant edits cannot break the binary.
-        run_serving(&point(
-            ServingSystemKind::Laer,
-            SHIFT_RATE,
-            LOAD_FLIP,
-            requests,
-        ))
-    });
-    (out, headline)
-}
-
 /// The study's cells, pending pool execution.
 pub struct Pending {
     requests: usize,
     cells: Vec<Slot<(ServeRow, Option<ServingOutcome>)>>,
+}
+
+impl Pending {
+    /// Redeems the executed cells in submission order. The returned
+    /// outcome is the `laer` run at the headline point (near
+    /// saturation, 30-step flips) — its timeline carries the charged
+    /// `relayout` spans.
+    fn take(self) -> (Vec<ServeRow>, ServingOutcome) {
+        let mut rows = Vec::new();
+        let mut headline = None;
+        for slot in self.cells {
+            let (r, h) = slot.take();
+            rows.push(r);
+            if h.is_some() {
+                headline = h;
+            }
+        }
+        let headline = headline.unwrap_or_else(|| {
+            // LOAD_SWEEP always contains SHIFT_RATE; keep a fallback
+            // rather than a panic so constant edits cannot break the
+            // binary.
+            run_serving(&point(
+                ServingSystemKind::Laer,
+                SHIFT_RATE,
+                LOAD_FLIP,
+                self.requests,
+            ))
+        });
+        (rows, headline)
+    }
 }
 
 /// Submits every operating point of both sweeps to the pool.
@@ -253,23 +257,7 @@ pub fn finish(pending: Pending) -> Vec<ServeRow> {
          (1×4 cluster, seed {SEED}, {requests} requests per point; re-layout\n\
          traffic charged on the prefetch stream)"
     );
-    let mut all = Vec::new();
-    let mut headline = None;
-    for slot in pending.cells {
-        let (r, h) = slot.take();
-        all.push(r);
-        if h.is_some() {
-            headline = h;
-        }
-    }
-    let headline = headline.unwrap_or_else(|| {
-        run_serving(&point(
-            ServingSystemKind::Laer,
-            SHIFT_RATE,
-            LOAD_FLIP,
-            requests,
-        ))
-    });
+    let (all, headline) = pending.take();
     let (load, shift): (Vec<_>, Vec<_>) = all.iter().cloned().partition(|r| r.sweep == "load");
     print_rows(
         "Throughput/latency/goodput vs offered load (flips every 30 steps):",
@@ -286,30 +274,10 @@ pub fn finish(pending: Pending) -> Vec<ServeRow> {
          ahead even though every weight move is priced, not assumed free."
     );
     crate::output::save_json("ext_serve", &all);
-    let trace_path = crate::output::repro_dir().join("ext_serve_trace.json");
-    match std::fs::File::create(&trace_path) {
-        Ok(f) => match write_chrome_trace(&headline.timeline, f) {
-            Ok(()) => eprintln!("[saved {}]", trace_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-        },
-        Err(e) => eprintln!("warning: cannot create {}: {e}", trace_path.display()),
-    }
+    crate::output::save_with("ext_serve_trace.json", |f| {
+        write_chrome_trace(&headline.timeline, f)
+    });
     all
-}
-
-/// Runs both sweeps across `workers` pool threads.
-pub fn run_jobs(effort: Effort, requests_override: Option<usize>, workers: usize) -> Vec<ServeRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort, requests_override);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints both sweeps; saves the rows as JSON and the headline
-/// `laer` run's timeline (with its charged `relayout` spans) as a Chrome
-/// trace, both under `target/repro/`.
-pub fn run(effort: Effort, requests_override: Option<usize>) -> Vec<ServeRow> {
-    run_jobs(effort, requests_override, 1)
 }
 
 #[cfg(test)]
@@ -322,7 +290,10 @@ mod tests {
     /// relocation traffic is visible as charged timeline spans.
     #[test]
     fn laer_beats_static_under_drifting_mix() {
-        let (rows, headline) = rows(300);
+        let mut batch = Batch::new();
+        let pending = submit(&mut batch, Effort::Quick, None);
+        batch.run(2);
+        let (rows, headline) = pending.take();
         let get = |sweep: &str, rate: f64, flip: Option<u64>, system: &str| {
             rows.iter()
                 .find(|r| {

@@ -139,19 +139,6 @@ pub fn finish(pending: Pending) -> (Vec<Fig1aPoint>, Vec<Fig1bBar>) {
     (a, b)
 }
 
-/// Runs both panels across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> (Vec<Fig1aPoint>, Vec<Fig1bBar>) {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints both panels serially.
-pub fn run(effort: Effort) -> (Vec<Fig1aPoint>, Vec<Fig1bBar>) {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

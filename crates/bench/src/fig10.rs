@@ -63,20 +63,16 @@ pub fn row_for(preset: ModelPreset, system: SystemKind, effort: Effort) -> Fig10
     }
 }
 
-/// Computes all rows for both model variants.
-pub fn rows(effort: Effort) -> Vec<Fig10Row> {
-    let mut out = Vec::new();
-    for preset in PRESETS {
-        for system in SYSTEMS {
-            out.push(row_for(preset, system, effort));
-        }
-    }
-    out
-}
-
 /// The figure's cells, pending pool execution.
 pub struct Pending {
     cells: Vec<Slot<Fig10Row>>,
+}
+
+impl Pending {
+    /// Redeems the executed cells in submission order.
+    fn take(self) -> Vec<Fig10Row> {
+        self.cells.into_iter().map(Slot::take).collect()
+    }
 }
 
 /// Submits every (model, system) cell to the pool.
@@ -95,7 +91,7 @@ pub fn submit(batch: &mut Batch, effort: Effort) -> Pending {
 
 /// Renders the executed cells — identical output to the serial run.
 pub fn finish(pending: Pending) -> Vec<Fig10Row> {
-    let rows: Vec<Fig10Row> = pending.cells.into_iter().map(Slot::take).collect();
+    let rows = pending.take();
     println!("Fig. 10(a): time breakdown per iteration (avg across ranks)\n");
     println!(
         "{:<20} {:<8} {:>9} {:>9} {:>9} {:>9} {:>10}",
@@ -139,19 +135,6 @@ pub fn finish(pending: Pending) -> Vec<Fig10Row> {
     rows
 }
 
-/// Runs the figure across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<Fig10Row> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints Fig. 10.
-pub fn run(effort: Effort) -> Vec<Fig10Row> {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +142,10 @@ mod tests {
     /// The Fig. 10 shape claims on the quick configuration.
     #[test]
     fn fig10_shapes() {
-        let rows = rows(Effort::Quick);
+        let mut batch = Batch::new();
+        let pending = submit(&mut batch, Effort::Quick);
+        batch.run(2);
+        let rows = pending.take();
         for model in ["mixtral-8x7b-e8k2", "mixtral-8x7b-e16k4"] {
             let get = |sys: &str| {
                 rows.iter()

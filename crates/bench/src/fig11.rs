@@ -111,19 +111,6 @@ pub fn finish(pending: Pending) -> Vec<Fig11Point> {
     out
 }
 
-/// Runs the figure across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<Fig11Point> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints Fig. 11.
-pub fn run() -> Vec<Fig11Point> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

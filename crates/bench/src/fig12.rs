@@ -110,19 +110,24 @@ fn average(variant: &str, runs: &[Fig12Bar]) -> Fig12Bar {
     }
 }
 
-/// Runs one ablation variant averaged over [`SEEDS`].
-pub fn run_variant(variant: &str, effort: Effort) -> Fig12Bar {
-    let runs: Vec<Fig12Bar> = SEEDS
-        .iter()
-        .map(|&s| run_variant_seeded(variant, effort, s))
-        .collect();
-    average(variant, &runs)
-}
-
 /// The ablation's cells — one run per (variant, seed) — pending
 /// execution.
 pub struct Pending {
     variants: Vec<(&'static str, Vec<Slot<Fig12Bar>>)>,
+}
+
+impl Pending {
+    /// Redeems the executed cells, averaging each variant's seeded
+    /// runs into its bar.
+    fn take(self) -> Vec<Fig12Bar> {
+        self.variants
+            .into_iter()
+            .map(|(variant, seeds)| {
+                let runs: Vec<Fig12Bar> = seeds.into_iter().map(Slot::take).collect();
+                average(variant, &runs)
+            })
+            .collect()
+    }
 }
 
 /// Submits every (variant, seed) run to the pool.
@@ -149,40 +154,21 @@ pub fn submit(batch: &mut Batch, effort: Effort) -> Pending {
 pub fn finish(pending: Pending) -> Vec<Fig12Bar> {
     println!("Fig. 12: ablation on Mixtral-8x7B e8k2\n");
     println!("{:<14} {:>14} {:>12}", "variant", "tokens/s", "iter (ms)");
-    let bars: Vec<_> = pending
-        .variants
-        .into_iter()
-        .map(|(variant, seeds)| {
-            let runs: Vec<Fig12Bar> = seeds.into_iter().map(Slot::take).collect();
-            let b = average(variant, &runs);
-            println!(
-                "{:<14} {:>14.0} {:>12.1}",
-                b.variant,
-                b.tokens_per_second,
-                b.iteration_time * 1e3
-            );
-            b
-        })
-        .collect();
+    let bars = pending.take();
+    for b in &bars {
+        println!(
+            "{:<14} {:>14.0} {:>12.1}",
+            b.variant,
+            b.tokens_per_second,
+            b.iteration_time * 1e3
+        );
+    }
     println!(
         "\nPaper: single-scheme planners and disabled comm optimisations all lose\n\
          to full LAER-MoE; everything beats static FSDP+EP."
     );
     crate::output::save_json("fig12", &bars);
     bars
-}
-
-/// Runs the ablation across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<Fig12Bar> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the ablation.
-pub fn run(effort: Effort) -> Vec<Fig12Bar> {
-    run_jobs(effort, 1)
 }
 
 #[cfg(test)]
@@ -198,10 +184,10 @@ mod tests {
     /// every variant beats static FSDP+EP.
     #[test]
     fn ablation_ordering() {
-        let bars: Vec<Fig12Bar> = VARIANTS
-            .iter()
-            .map(|v| run_variant(v, Effort::Quick))
-            .collect();
+        let mut batch = Batch::new();
+        let pending = submit(&mut batch, Effort::Quick);
+        batch.run(2);
+        let bars = pending.take();
         let get = |v: &str| {
             bars.iter()
                 .find(|b| b.variant == v)

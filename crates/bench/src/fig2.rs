@@ -76,19 +76,6 @@ pub fn finish(pending: Pending) -> Vec<Fig2Curve> {
     curves
 }
 
-/// Runs the figure across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<Fig2Curve> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Prints the Fig. 2 comparison.
-pub fn run() -> Vec<Fig2Curve> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -203,19 +203,6 @@ pub fn finish(pending: Pending) -> Vec<Fig8Panel> {
     panels
 }
 
-/// Runs the whole figure across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<Fig8Panel> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs the whole figure serially and prints the panels.
-pub fn run(effort: Effort) -> Vec<Fig8Panel> {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

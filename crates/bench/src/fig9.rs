@@ -132,19 +132,6 @@ pub fn finish(pending: Pending) -> Fig9 {
     fig
 }
 
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Fig9 {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints Fig. 9.
-pub fn run(effort: Effort) -> Fig9 {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

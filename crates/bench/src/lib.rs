@@ -1,14 +1,17 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (Sec. 5 and the appendices).
 //!
-//! Each module computes one experiment's data, returns it as a
-//! serializable struct and renders the same rows/series the paper
-//! reports. The `repro` binary dispatches on experiment id:
+//! Each experiment module queues its independent cells on a
+//! [`pool::Batch`] with `submit`, and `finish` renders the same
+//! rows/series the paper reports and returns them as serializable
+//! structs. The `repro` binary keeps one table of targets over these
+//! modules and runs one target, or all of them on one shared pool
+//! (`repro help` lists them):
 //!
 //! ```text
 //! cargo run --release -p laer-bench --bin repro -- tab2
-//! cargo run --release -p laer-bench --bin repro -- fig8 --quick
-//! cargo run --release -p laer-bench --bin repro -- all --quick
+//! cargo run --release -p laer-bench --bin repro -- fig8 --full
+//! cargo run --release -p laer-bench --bin repro -- all --jobs 2
 //! ```
 //!
 //! JSON copies of every result land under `target/repro/`.

@@ -1,8 +1,9 @@
-//! Result persistence: every experiment dumps a JSON copy under
-//! `target/repro/`.
+//! Result persistence: every experiment dumps a JSON copy (and any
+//! trace, journal or metrics export) under `target/repro/`.
 
 use serde::Serialize;
 use std::fs;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// Directory JSON results are written to: `$LAER_REPRO_DIR` when set at
@@ -26,21 +27,30 @@ pub fn repro_dir() -> PathBuf {
 /// directory if needed. I/O failures are reported to stderr but do not
 /// abort the experiment (results are also printed).
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
+    match serde_json::to_string_pretty(value) {
+        Ok(json) => save_text(&format!("{name}.json"), &json),
+        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    }
+}
+
+/// Writes `body` to `target/repro/<file>`; failures only warn, like
+/// [`save_json`].
+pub(crate) fn save_text(file: &str, body: &str) {
+    save_with(file, |mut f| f.write_all(body.as_bytes()));
+}
+
+/// Creates `target/repro/<file>` and hands it to `write` (a Chrome
+/// trace writer, say); failures only warn, like [`save_json`].
+pub(crate) fn save_with(file: &str, write: impl FnOnce(fs::File) -> io::Result<()>) {
     let dir = repro_dir();
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    let path = dir.join(file);
+    match fs::File::create(&path).and_then(write) {
+        Ok(()) => eprintln!("[saved {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }
 

@@ -88,16 +88,6 @@ impl Batch {
         Self::default()
     }
 
-    /// Number of submitted cells.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no cells have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
     /// Queues one cell; the returned [`Slot`] yields its value after
     /// [`Batch::run`]. Labels should read `target/cell` so per-target
     /// timing can aggregate on the prefix.

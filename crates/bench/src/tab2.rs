@@ -80,19 +80,6 @@ pub fn finish(pending: Pending) -> Vec<Tab2Row> {
     rows
 }
 
-/// Runs the table across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<Tab2Row> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Prints the table in the paper's format, with ours-vs-paper columns.
-pub fn run() -> Vec<Tab2Row> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

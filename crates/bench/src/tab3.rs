@@ -119,19 +119,6 @@ pub fn finish(pending: Pending) -> Vec<Tab3Row> {
     rows
 }
 
-/// Runs the table across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<Tab3Row> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints Tab. 3.
-pub fn run(effort: Effort) -> Vec<Tab3Row> {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

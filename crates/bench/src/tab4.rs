@@ -107,19 +107,6 @@ pub fn finish(pending: Pending) -> Vec<Tab4Row> {
     rows
 }
 
-/// Runs the table across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<Tab4Row> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints Tab. 4.
-pub fn run() -> Vec<Tab4Row> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

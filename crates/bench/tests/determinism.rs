@@ -35,23 +35,42 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
         .unwrap_or_else(|e| panic!("read {name} from {}: {e}", dir.display()))
 }
 
+/// Runs `repro <args>` at `--jobs 1` and at `--jobs {jobs}`, asserts
+/// the same exit code, byte-identical stdout and byte-identical
+/// `artifacts`, and returns the serial run's output.
+fn assert_identical_across_jobs(
+    test: &str,
+    jobs: usize,
+    args: &[&str],
+    artifacts: &[&str],
+) -> Output {
+    let (serial, serial_dir) = repro(test, 1, args);
+    let (pooled, pooled_dir) = repro(test, jobs, args);
+    assert_eq!(
+        serial.status.code(),
+        pooled.status.code(),
+        "{test}: exit code (gate verdict) must match across job counts"
+    );
+    assert_eq!(
+        serial.stdout, pooled.stdout,
+        "{test}: stdout must be byte-identical across job counts"
+    );
+    for artifact in artifacts {
+        assert_eq!(
+            read(&serial_dir, artifact),
+            read(&pooled_dir, artifact),
+            "{artifact} must be byte-identical across job counts"
+        );
+    }
+    serial
+}
+
 /// `fig8 --quick` renders and saves identically at `--jobs 1` and
 /// `--jobs 8`.
 #[test]
 fn fig8_is_byte_identical_across_job_counts() {
-    let (serial, serial_dir) = repro("fig8", 1, &["fig8", "--quick"]);
-    let (pooled, pooled_dir) = repro("fig8", 8, &["fig8", "--quick"]);
-    assert!(serial.status.success(), "serial run failed");
-    assert!(pooled.status.success(), "pooled run failed");
-    assert_eq!(
-        serial.stdout, pooled.stdout,
-        "fig8 stdout must be byte-identical across job counts"
-    );
-    assert_eq!(
-        read(&serial_dir, "fig8.json"),
-        read(&pooled_dir, "fig8.json"),
-        "fig8.json must be byte-identical across job counts"
-    );
+    let out = assert_identical_across_jobs("fig8", 8, &["fig8", "--quick"], &["fig8.json"]);
+    assert!(out.status.success(), "fig8 failed");
 }
 
 /// The pooled `ext-pipeline` sweep reproduces its stdout and all three
@@ -59,25 +78,13 @@ fn fig8_is_byte_identical_across_job_counts() {
 /// Chrome trace — byte for byte at any job count.
 #[test]
 fn ext_pipeline_is_byte_identical_across_job_counts() {
-    let (serial, serial_dir) = repro("pipeline", 1, &["ext-pipeline"]);
-    let (pooled, pooled_dir) = repro("pipeline", 2, &["ext-pipeline"]);
-    assert!(serial.status.success(), "serial run failed");
-    assert!(pooled.status.success(), "pooled run failed");
-    assert_eq!(
-        serial.stdout, pooled.stdout,
-        "ext-pipeline stdout must be byte-identical across job counts"
-    );
-    for artifact in [
+    let artifacts = [
         "ext_pipeline.json",
         "ext_pipeline_journal.jsonl",
         "ext_pipeline_trace.json",
-    ] {
-        assert_eq!(
-            read(&serial_dir, artifact),
-            read(&pooled_dir, artifact),
-            "{artifact} must be byte-identical across job counts"
-        );
-    }
+    ];
+    let out = assert_identical_across_jobs("pipeline", 2, &["ext-pipeline"], &artifacts);
+    assert!(out.status.success(), "ext-pipeline failed");
 }
 
 /// The pooled `ext-replay` sweep — RL rollout→train epochs under both
@@ -87,26 +94,15 @@ fn ext_pipeline_is_byte_identical_across_job_counts() {
 /// job count.
 #[test]
 fn ext_replay_is_byte_identical_across_job_counts() {
-    let (serial, serial_dir) = repro("replay", 1, &["ext-replay", "--quick"]);
-    let (pooled, pooled_dir) = repro("replay", 2, &["ext-replay", "--quick"]);
-    assert!(serial.status.success(), "serial run failed");
-    assert!(pooled.status.success(), "pooled run failed");
-    assert_eq!(
-        serial.stdout, pooled.stdout,
-        "ext-replay stdout must be byte-identical across job counts"
-    );
-    for artifact in [
+    let artifacts = [
         "ext_replay.json",
         "ext_replay_journal.jsonl",
         "ext_replay_metrics.txt",
         "ext_replay_trace.json",
-    ] {
-        assert_eq!(
-            read(&serial_dir, artifact),
-            read(&pooled_dir, artifact),
-            "{artifact} must be byte-identical across job counts"
-        );
-    }
+    ];
+    let args = ["ext-replay", "--quick"];
+    let out = assert_identical_across_jobs("replay", 2, &args, &artifacts);
+    assert!(out.status.success(), "ext-replay failed");
 }
 
 /// The chaos sweep — fault injection, retries, brownout, elastic
@@ -115,27 +111,16 @@ fn ext_replay_is_byte_identical_across_job_counts() {
 /// resilience journal/metrics exports) byte for byte at any job count.
 #[test]
 fn ext_chaos_is_byte_identical_across_job_counts() {
-    let (serial, serial_dir) = repro("chaos", 1, &["ext-chaos", "--iters", "40"]);
-    let (pooled, pooled_dir) = repro("chaos", 2, &["ext-chaos", "--iters", "40"]);
-    assert!(serial.status.success(), "serial run failed");
-    assert!(pooled.status.success(), "pooled run failed");
-    assert_eq!(
-        serial.stdout, pooled.stdout,
-        "ext-chaos stdout must be byte-identical across job counts"
-    );
-    for artifact in [
+    let artifacts = [
         "ext_chaos.json",
         "ext_chaos_plans.json",
         "ext_chaos_trace.json",
         "ext_chaos_metrics.txt",
         "ext_chaos_journal.jsonl",
-    ] {
-        assert_eq!(
-            read(&serial_dir, artifact),
-            read(&pooled_dir, artifact),
-            "{artifact} must be byte-identical across job counts"
-        );
-    }
+    ];
+    let args = ["ext-chaos", "--iters", "40"];
+    let out = assert_identical_across_jobs("chaos", 2, &args, &artifacts);
+    assert!(out.status.success(), "ext-chaos failed");
 }
 
 /// The diagnosis sweep — dependency-recorded training runs with
@@ -145,26 +130,15 @@ fn ext_chaos_is_byte_identical_across_job_counts() {
 /// byte for byte at any job count.
 #[test]
 fn ext_diagnose_is_byte_identical_across_job_counts() {
-    let (serial, serial_dir) = repro("diagnose", 1, &["ext-diagnose", "--quick", "--iters", "40"]);
-    let (pooled, pooled_dir) = repro("diagnose", 2, &["ext-diagnose", "--quick", "--iters", "40"]);
-    assert!(serial.status.success(), "serial run failed");
-    assert!(pooled.status.success(), "pooled run failed");
-    assert_eq!(
-        serial.stdout, pooled.stdout,
-        "ext-diagnose stdout must be byte-identical across job counts"
-    );
-    for artifact in [
+    let artifacts = [
         "ext_diagnose.json",
         "ext_diagnose_trace.json",
         "ext_diagnose_metrics.txt",
         "ext_diagnose_journal.jsonl",
-    ] {
-        assert_eq!(
-            read(&serial_dir, artifact),
-            read(&pooled_dir, artifact),
-            "{artifact} must be byte-identical across job counts"
-        );
-    }
+    ];
+    let args = ["ext-diagnose", "--quick", "--iters", "40"];
+    let out = assert_identical_across_jobs("diagnose", 2, &args, &artifacts);
+    assert!(out.status.success(), "ext-diagnose failed");
 }
 
 /// The pooled `ext-obs` run reproduces every artifact byte for byte
@@ -176,28 +150,13 @@ fn ext_obs_is_byte_identical_across_job_counts() {
     baseline.pop(); // repo root
     baseline.push("BENCH_obs.json");
     let baseline = baseline.to_str().expect("utf-8 path");
-    let (serial, serial_dir) = repro("obs", 1, &["ext-obs", "--baseline", baseline]);
-    let (pooled, pooled_dir) = repro("obs", 8, &["ext-obs", "--baseline", baseline]);
-    assert_eq!(
-        serial.status.code(),
-        pooled.status.code(),
-        "gate verdict must match across job counts"
-    );
-    assert_eq!(
-        serial.stdout, pooled.stdout,
-        "ext-obs stdout must be byte-identical across job counts"
-    );
-    for artifact in [
+    let artifacts = [
         "ext_obs.json",
         "ext_obs_metrics.txt",
         "ext_obs_journal.jsonl",
-    ] {
-        assert_eq!(
-            read(&serial_dir, artifact),
-            read(&pooled_dir, artifact),
-            "{artifact} must be byte-identical across job counts"
-        );
-    }
+    ];
+    let args = ["ext-obs", "--baseline", baseline];
+    assert_identical_across_jobs("obs", 8, &args, &artifacts);
 }
 
 /// The ext-scale candidate fan-out picks the identical winning
