@@ -1,17 +1,18 @@
 //! Criterion bench for the expert layout solver (Fig. 11's quantity):
-//! full Alg. 2 plans across cluster sizes and capacities, plus the
-//! fleet-scale hot paths — lite routing with reused scratch and refine
-//! probes through the incremental vs from-scratch evaluator.
+//! full Alg. 2 plans across cluster sizes and capacities and at the
+//! `fleet-plan` benchmark's N1024 shape, plus the fleet-scale hot paths
+//! — lite routing and refine probes through the incremental vs
+//! from-scratch evaluator.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laer_cluster::Topology;
+use laer_model::{GpuSpec, ModelPreset};
 use laer_planner::{
-    lite_route, lite_route_with, refine_layout, refine_layout_scratch, CostParams, Planner,
-    PlannerConfig, RouteScratch,
+    lite_route, refine_layout, refine_layout_scratch, CostParams, Planner, PlannerConfig,
 };
-use laer_routing::{RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
+use laer_routing::{DatasetProfile, RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
 
 /// The ext-scale sweep's shape at cluster size `gpus`: 8-GPU nodes, 16
 /// experts, capacity 2, seeded Wikitext-profile demand.
@@ -48,12 +49,33 @@ fn bench_plan(c: &mut Criterion) {
             |b, demand| b.iter(|| planner.plan(demand)),
         );
     }
+    // The `fleet-plan` benchmark's planner: 128 nodes × 8 GPUs, 16
+    // experts, C = 2, ε = 8, the latency-aware E16k4/A100 Eq. 2 and a
+    // Wikitext-profile demand.
+    let topo = Topology::new(128, 8).expect("cluster");
+    let params = CostParams::from_model(
+        &ModelPreset::Mixtral8x7bE16k4.config(),
+        GpuSpec::a100(),
+        false,
+    )
+    .with_latency_aware(true);
+    let planner = Planner::new(PlannerConfig::new(2).with_epsilon(8), params, topo);
+    let demand = RoutingGenerator::new(
+        RoutingGeneratorConfig::new(1024, 16, 16 * 1024)
+            .with_profile(DatasetProfile::Wikitext)
+            .with_seed(1),
+    )
+    .next_iteration();
+    group.sample_size(20);
+    group.bench_with_input(
+        BenchmarkId::from_parameter("fleet_N1024_C2_eps8"),
+        &demand,
+        |b, demand| b.iter(|| planner.plan(demand)),
+    );
     group.finish();
 }
 
-/// Lite routing (Alg. 3) across fleet sizes: the allocating entry point
-/// vs the scratch-reusing one — the per-call allocation overhead is the
-/// quantity the flat-array refactor removes from the refiner's loop.
+/// Lite routing (Alg. 3) across fleet sizes.
 fn bench_lite_route(c: &mut Criterion) {
     let mut group = c.benchmark_group("lite_route");
     for &gpus in &[64usize, 256, 1024] {
@@ -63,17 +85,9 @@ fn bench_lite_route(c: &mut Criterion) {
         let (topo, demand, planner) = scale_instance(gpus);
         let layout = planner.plan(&demand).layout;
         group.bench_with_input(
-            BenchmarkId::new("fresh", format!("N{gpus}")),
+            BenchmarkId::from_parameter(format!("N{gpus}")),
             &demand,
             |b, demand| b.iter(|| lite_route(&topo, demand, &layout)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("scratch", format!("N{gpus}")),
-            &demand,
-            |b, demand| {
-                let mut scratch = RouteScratch::new();
-                b.iter(|| lite_route_with(&topo, demand, &layout, &mut scratch))
-            },
         );
     }
     group.finish();

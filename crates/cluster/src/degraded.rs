@@ -150,6 +150,12 @@ impl Interconnect for DegradedView {
     fn latency(&self, a: DeviceId, b: DeviceId) -> f64 {
         self.base.latency(a, b)
     }
+
+    /// Failed devices leave link prices alone; a degraded link makes
+    /// them pair-specific.
+    fn prices_by_kind(&self) -> bool {
+        self.link_factors.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -189,6 +195,16 @@ mod tests {
             view.base().bandwidth(d(0), d(10))
         );
         assert!(!view.is_nominal());
+    }
+
+    #[test]
+    fn only_degraded_links_make_prices_pair_specific() {
+        let mut view = DegradedView::new(Topology::paper_cluster());
+        assert!(view.prices_by_kind());
+        view.fail_device(d(4));
+        assert!(view.prices_by_kind(), "a failure changes membership only");
+        view.degrade_link(d(0), d(9), 0.5);
+        assert!(!view.prices_by_kind());
     }
 
     #[test]

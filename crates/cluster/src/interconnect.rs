@@ -43,6 +43,15 @@ pub trait Interconnect {
     fn same_node(&self, a: DeviceId, b: DeviceId) -> bool {
         self.node_of(a) == self.node_of(b)
     }
+
+    /// Whether a link's bandwidth and latency depend only on its
+    /// [`LinkKind`]. Every other sender on one node sees the same kind
+    /// of link to a given device, so cost models may then resolve its
+    /// price once per node instead of once per sender. `false` unless
+    /// the network guarantees it.
+    fn prices_by_kind(&self) -> bool {
+        false
+    }
 }
 
 impl Interconnect for Topology {
@@ -72,6 +81,10 @@ impl Interconnect for Topology {
 
     fn latency(&self, a: DeviceId, b: DeviceId) -> f64 {
         Topology::latency(self, a, b)
+    }
+
+    fn prices_by_kind(&self) -> bool {
+        true
     }
 }
 

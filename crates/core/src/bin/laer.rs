@@ -143,6 +143,11 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
         }
         .to_string());
     }
+    if capacity > experts {
+        // Each slot restores one expert; more slots than experts would
+        // only duplicate replicas (and a huge C never finishes planning).
+        return Err(format!("--capacity {capacity} exceeds --experts {experts}"));
+    }
     let demand = RoutingGenerator::new(
         RoutingGeneratorConfig::new(devices, experts, 16 * 1024).with_seed(seed),
     )

@@ -151,6 +151,34 @@ pub(crate) fn effective_bw<I: Interconnect + ?Sized>(
     }
 }
 
+/// Eq. 2's pairwise term: `tokens` crossing a link of effective
+/// bandwidth `bw`, plus its latency `lat` when the model charges it.
+#[inline]
+pub(crate) fn pair_term(tokens: u64, bw: f64, lat: f64, params: &CostParams) -> f64 {
+    let mut t = tokens as f64 * params.v_comm / bw;
+    if params.latency_aware {
+        t += lat;
+    }
+    t
+}
+
+/// Eq. 2 from per-device sums: `T_comm` is four A2A passes of the
+/// straggler's `max(send, recv)`, where `send` and `recv` sum each
+/// device's pairwise terms; `T_comp` is the straggler's forward time
+/// `max_load · V_comp / B_comp` times `(3 + F_ckpt)`. The sums are
+/// float, so they depend on their order: every evaluator that must
+/// match [`time_cost`] bit for bit adds its terms in routing order.
+pub(crate) fn eq2(send: &[f64], recv: &[f64], max_load: u64, params: &CostParams) -> CostBreakdown {
+    let straggler = send
+        .iter()
+        .zip(recv)
+        .map(|(&s, &r)| s.max(r))
+        .fold(0.0, f64::max);
+    let comm = 4.0 * straggler;
+    let comp = params.compute_multiplier() * max_load as f64 * params.v_comp / params.b_comp;
+    CostBreakdown { comm, comp }
+}
+
 /// Evaluates the objective `T = T_comm + T_comp` for a routing strategy.
 pub fn time_cost<I: Interconnect + ?Sized>(
     net: &I,
@@ -158,35 +186,27 @@ pub fn time_cost<I: Interconnect + ?Sized>(
     params: &CostParams,
 ) -> CostBreakdown {
     let n = net.num_devices();
-    // T_comm: per-device send/receive times from the pairwise terms of
-    // Eq. 2, straggler max, over the four A2A passes of one layer.
     let mut send = vec![0.0f64; n];
     let mut recv = vec![0.0f64; n];
     for &(src, _, dst, tokens) in routing.entries() {
         if src == dst {
             continue;
         }
-        let mut t = tokens as f64 * params.v_comm / effective_bw(net, src, dst);
-        if params.latency_aware {
-            t += net.latency(src, dst);
-        }
+        let lat = if params.latency_aware {
+            net.latency(src, dst)
+        } else {
+            0.0
+        };
+        let t = pair_term(tokens, effective_bw(net, src, dst), lat, params);
         send[src.index()] += t;
         recv[dst.index()] += t;
     }
-    let straggler = send
-        .iter()
-        .zip(&recv)
-        .map(|(&s, &r)| s.max(r))
-        .fold(0.0, f64::max);
-    let comm = 4.0 * straggler;
-    // T_comp: the straggler device's forward time, times (3 + F_ckpt).
     let max_load = routing
         .device_compute_loads()
         .into_iter()
         .max()
-        .unwrap_or(0) as f64;
-    let comp = params.compute_multiplier() * max_load * params.v_comp / params.b_comp;
-    CostBreakdown { comm, comp }
+        .unwrap_or(0);
+    eq2(&send, &recv, max_load, params)
 }
 
 #[cfg(test)]

@@ -5,171 +5,87 @@
 //! state of the exhaustive enumerator ([`crate::exact`]) differs from its
 //! predecessor by the placement of one or two experts. Rebuilding the
 //! whole `lite_route` + `time_cost` pipeline per probe is `O(n·e)` cells
-//! of routing work (each with a sort and several allocations) when only
-//! the affected experts' columns can change: lite routing decides each
-//! `(source, expert)` cell *only* from that expert's replica placement,
-//! so a move touching experts `{a, b}` invalidates exactly the `2n`
-//! cells of those two columns.
+//! of routing work when only the affected experts' columns can change:
+//! lite routing decides each `(source, expert)` cell *only* from that
+//! expert's replica placement, so a move touching experts `{a, b}`
+//! invalidates at most the `2n` cells of those two columns — and within
+//! a column only the senders whose Alg. 3 target list changed: those on
+//! the nodes where the expert's replicas moved, and those on nodes that
+//! hold none of it (they route to its full replica list, which moved).
 //!
 //! [`IncrementalCost`] exploits this. It caches, per `(source, expert)`
 //! cell, the routed rows `(destination, tokens, t_comm)` — the inner
 //! terms of Eq. 2's per-device max-aggregation — and re-routes only the
-//! columns marked dirty by [`IncrementalCost::apply_retarget`] /
-//! [`IncrementalCost::apply_swap`]. Because Eq. 2 aggregates with `max`
-//! over per-device *sums*, the final fold cannot be maintained by
+//! cells marked stale by [`IncrementalCost::apply_retarget`] /
+//! [`IncrementalCost::apply_swap`], through the routing core shared with
+//! [`crate::lite_routing::lite_route`]. Because Eq. 2 aggregates with
+//! `max` over per-device *sums*, the final fold cannot be maintained by
 //! subtract-and-add (floating-point sums are not reversible and the max
 //! is not decomposable); instead [`IncrementalCost::cost`] re-folds the
 //! cached rows in **exactly** the entry order of
 //! [`crate::lite_routing::lite_route`] + [`crate::cost::time_cost`]
 //! (sources ascending, experts ascending, targets in emission order).
-//! Same addends, same order, same accumulators — the result is
-//! bit-identical to the from-scratch oracle, which the property tests
-//! in `tests/proptests.rs` enforce. The fold is a cheap linear pass of
-//! pre-priced adds; the expensive per-cell work (target selection,
-//! largest-remainder sort, pricing) happens only for dirty columns.
+//! Same addends, same order — the result is bit-identical to the
+//! from-scratch oracle, which the property tests in `tests/proptests.rs`
+//! enforce. The fold is a cheap linear pass of pre-priced adds; the
+//! expensive per-cell work (target selection, splitting, pricing)
+//! happens only for stale cells.
 //!
 //! Rows are stored per expert as one contiguous CSR-style column
-//! (`starts` offsets + a flat entry array): re-routing a column is a
-//! linear rebuild with no per-cell allocation, and the fold streams
-//! `e` contiguous cursors instead of chasing `n·e` heap pointers.
+//! (`starts` offsets + a flat entry array). A node's senders have
+//! consecutive ids, so its cells are one run of the column: re-routing
+//! a few nodes splices their runs in place, and a column stale on many
+//! nodes is rebuilt linearly, with no per-cell allocation either way.
+//! The fold streams `e` contiguous cursors instead of chasing `n·e` heap
+//! pointers.
 //!
 //! [`IncrementalCost::apply_retarget`] / [`IncrementalCost::apply_swap`]
 //! snapshot the two affected columns (a pair of flat-array clones), so
 //! [`IncrementalCost::revert`] restores them by swap-back instead of
-//! re-routing — a rejected probe costs two column rebuilds total, not
-//! four. Routing stays a pure function of the layout either way; the
-//! snapshot is purely an optimisation.
+//! re-routing. Routing stays a pure function of the layout either way;
+//! the snapshot is purely an optimisation.
 
-use crate::cost::{effective_bw, CostBreakdown, CostParams};
+use crate::cost::{eq2, pair_term, CostBreakdown, CostParams};
 use crate::layout::ExpertLayout;
-use crate::lite_routing::{distribute_evenly_into, RouteScratch};
+use crate::lite_routing::{KindPrices, ReplicaIndex, Router};
 use crate::token_routing::TokenRouting;
 use laer_cluster::{DeviceId, ExpertId, NodeId, Topology};
 use laer_routing::RoutingMatrix;
 
-/// Flat-array replica index: row-major `devices × experts` counts plus a
-/// per-expert device list kept sorted by device id, so both the refiner's
-/// guards (`replica_count`, `expert_replicas`) and lite routing's global
-/// fallback read without scanning or allocating.
-#[derive(Debug, Clone)]
-struct LayoutIndex {
-    devices: usize,
-    experts: usize,
-    capacity: usize,
-    counts: Vec<u32>,
-    /// Per expert: `(device, count)` with count > 0, ascending device id
-    /// — the exact output order of [`ExpertLayout::replica_devices`].
-    per_expert: Vec<Vec<(DeviceId, u32)>>,
-    totals: Vec<usize>,
-}
-
-impl LayoutIndex {
-    fn from_layout(layout: &ExpertLayout) -> Self {
-        let devices = layout.num_devices();
-        let experts = layout.num_experts();
-        let counts = layout.replica_counts().to_vec();
-        let mut per_expert = vec![Vec::new(); experts];
-        let mut totals = vec![0usize; experts];
-        for d in 0..devices {
-            for (j, (pe, total)) in per_expert.iter_mut().zip(totals.iter_mut()).enumerate() {
-                let c = counts[d * experts + j];
-                if c > 0 {
-                    pe.push((DeviceId::new(d), c));
-                    *total += c as usize;
-                }
-            }
-        }
-        Self {
-            devices,
-            experts,
-            capacity: layout.capacity(),
-            counts,
-            per_expert,
-            totals,
-        }
-    }
-
-    fn replica_count(&self, device: DeviceId, expert: ExpertId) -> u32 {
-        self.counts[device.index() * self.experts + expert.index()]
-    }
-
-    fn add_replica(&mut self, device: DeviceId, expert: ExpertId) {
-        self.counts[device.index() * self.experts + expert.index()] += 1;
-        self.totals[expert.index()] += 1;
-        let list = &mut self.per_expert[expert.index()];
-        match list.binary_search_by(|&(d, _)| d.cmp(&device)) {
-            Ok(pos) => list[pos].1 += 1,
-            Err(pos) => list.insert(pos, (device, 1)),
-        }
-    }
-
-    fn remove_replica(&mut self, device: DeviceId, expert: ExpertId) {
-        let cell = device.index() * self.experts + expert.index();
-        assert!(self.counts[cell] > 0, "removing absent replica");
-        self.counts[cell] -= 1;
-        self.totals[expert.index()] -= 1;
-        let list = &mut self.per_expert[expert.index()];
-        let pos = list
-            .binary_search_by(|&(d, _)| d.cmp(&device))
-            .unwrap_or_else(|_| unreachable!("count was positive"));
-        if list[pos].1 == 1 {
-            list.remove(pos);
-        } else {
-            list[pos].1 -= 1;
-        }
-    }
-
-    /// The Alg. 3 target list: intra-node replicas first, all replicas
-    /// globally otherwise — identical output (order and counts) to
-    /// [`crate::lite_routing`]'s `ExpertLayout`-based variant.
-    fn fill_targets(
-        &self,
-        topo: &Topology,
-        expert: ExpertId,
-        node: NodeId,
-        out: &mut Vec<(DeviceId, u32)>,
-    ) {
-        out.clear();
-        for dev in topo.devices_on(node) {
-            let c = self.counts[dev.index() * self.experts + expert.index()];
-            if c > 0 {
-                out.push((dev, c));
-            }
-        }
-        if out.is_empty() {
-            out.extend_from_slice(&self.per_expert[expert.index()]);
-        }
-    }
-
-    fn to_layout(&self) -> ExpertLayout {
-        ExpertLayout::from_counts(
-            self.devices,
-            self.experts,
-            self.capacity,
-            self.counts.clone(),
-        )
-        .unwrap_or_else(|_| unreachable!("index shape came from a constructed layout"))
-    }
-}
+/// One routed row: `(destination, tokens, t_comm)`, where `t_comm` is
+/// the pre-priced pairwise term of Eq. 2 (`0` for local traffic, which
+/// the fold skips as `time_cost` does).
+type Row = (DeviceId, u64, f64);
 
 /// One expert's routed rows for every source device, CSR-style:
 /// `entries[starts[src]..starts[src + 1]]` is source `src`'s cell in
 /// lite routing's emission order. A re-route is a linear rebuild into
-/// the retained buffers — no per-cell allocation — and a snapshot is a
+/// the retained buffers — no per-cell allocation — or, when only a few
+/// nodes' cells changed, a splice of those nodes' runs; a snapshot is a
 /// pair of flat-array clones.
 #[derive(Debug, Clone, Default)]
 struct Column {
     /// Prefix offsets into `entries`; length `devices + 1` once routed.
     starts: Vec<u32>,
-    /// `(destination, tokens, t_comm)` rows, sources ascending;
-    /// `t_comm` is the pre-priced pairwise term of Eq. 2 (`0` for local
-    /// traffic, which the fold skips as `time_cost` does).
-    entries: Vec<(DeviceId, u64, f64)>,
+    /// Rows, sources ascending.
+    entries: Vec<Row>,
+}
+
+/// Which of a column's rows may no longer match the layout.
+#[derive(Debug, Clone)]
+enum Stale {
+    /// Every row matches.
+    Fresh,
+    /// The expert's replicas changed on these nodes (unsorted, may
+    /// repeat).
+    Nodes(Vec<usize>),
+    /// Nothing is routed yet: the whole column is routed.
+    All,
 }
 
 /// A move recorded for [`IncrementalCost::revert`]. Undo applies the
 /// inverse index update and restores the two affected columns (and
-/// their dirty flags) from the snapshots taken at apply time — routing
+/// their staleness) from the snapshots taken at apply time — routing
 /// is a pure function of the layout, so the snapshot rows are exactly
 /// what a re-route would reproduce.
 #[derive(Debug, Clone, Copy)]
@@ -190,9 +106,58 @@ enum Move {
 #[derive(Debug)]
 struct UndoEntry {
     mv: Move,
-    /// `(expert, column snapshot, was-dirty)` for the two experts the
+    /// `(expert, column snapshot, staleness)` for the two experts the
     /// move touches, captured before the index update.
-    snaps: [(usize, Column, bool); 2],
+    snaps: [(usize, Column, Stale); 2],
+}
+
+/// What routing a column's cells needs besides the layout: the
+/// problem's inputs and the shared routing core with its link prices.
+#[derive(Debug)]
+struct CellRouter<'a> {
+    topo: &'a Topology,
+    demand: &'a RoutingMatrix,
+    params: CostParams,
+    router: Router,
+    prices: KindPrices<'a, Topology>,
+}
+
+impl CellRouter<'_> {
+    /// Routes expert `j`'s cells for the senders on `node` through the
+    /// shared core (which resolves the node's targets and their link
+    /// prices once), appending rows pre-priced with `time_cost`'s
+    /// pairwise term to `rows` and their tokens to `device_loads`, and
+    /// calling `end(rows.len())` after each sender.
+    fn route_node(
+        &mut self,
+        index: &ReplicaIndex,
+        j: usize,
+        node: NodeId,
+        device_loads: &mut [u64],
+        rows: &mut Vec<Row>,
+        mut end: impl FnMut(usize),
+    ) {
+        let expert = ExpertId::new(j);
+        let params = &self.params;
+        self.router
+            .resolve(self.topo, index, node, j..j + 1, Some(&mut self.prices));
+        for src in self.topo.devices_on(node) {
+            let tokens = self.demand.get(src, expert);
+            if tokens > 0 {
+                self.router
+                    .split(src, expert, tokens, 0, |dst, count, link| {
+                        let t = match link {
+                            _ if dst == src => 0.0,
+                            Some((bw, lat)) => pair_term(count, bw, lat, params),
+                            None => unreachable!("a topology prices links by kind"),
+                        };
+                        device_loads[dst.index()] += count;
+                        rows.push((dst, count, t));
+                    });
+            }
+            end(rows.len());
+        }
+    }
 }
 
 /// Incrementally-maintained Eq. 2 evaluation state: the current layout
@@ -200,23 +165,24 @@ struct UndoEntry {
 /// per-device aggregation fold. See the module docs for the design.
 #[derive(Debug)]
 pub struct IncrementalCost<'a> {
-    topo: &'a Topology,
-    demand: &'a RoutingMatrix,
-    params: CostParams,
-    index: LayoutIndex,
+    cells: CellRouter<'a>,
+    index: ReplicaIndex,
     /// One CSR column per expert (see [`Column`]).
     columns: Vec<Column>,
-    dirty: Vec<bool>,
-    any_dirty: bool,
+    stale: Vec<Stale>,
     undo: Vec<UndoEntry>,
-    scratch: RouteScratch,
+    /// Scratch of a node splice: the new rows, their senders' ends and
+    /// which nodes hold the expert.
+    rows: Vec<Row>,
+    ends: Vec<usize>,
+    holds: Vec<bool>,
     send: Vec<f64>,
     recv: Vec<f64>,
     /// Per-device compute loads, maintained incrementally as columns are
     /// rebuilt or restored. Integer sums are exact and order-free, so
     /// unlike the float send/recv aggregates they need no re-fold —
     /// the invariant is `device_loads == Σ tokens per destination over
-    /// every column's current entries`, dirty or not.
+    /// every column's current entries`, stale or not.
     device_loads: Vec<u64>,
 }
 
@@ -236,22 +202,26 @@ impl<'a> IncrementalCost<'a> {
         layout: &ExpertLayout,
         params: &CostParams,
     ) -> Self {
-        assert_eq!(demand.num_devices(), topo.num_devices(), "device count");
-        assert_eq!(layout.num_devices(), topo.num_devices(), "layout devices");
-        assert_eq!(layout.num_experts(), demand.num_experts(), "expert count");
-        let index = LayoutIndex::from_layout(layout);
-        let n = index.devices;
-        let e = index.experts;
+        let index = ReplicaIndex::from_layout(layout);
+        index.assert_shapes(topo, demand);
+        let n = index.num_devices();
+        let e = index.num_experts();
         Self {
-            topo,
-            demand,
-            params: *params,
+            cells: CellRouter {
+                topo,
+                demand,
+                params: *params,
+                router: Router::default(),
+                prices: KindPrices::of(topo)
+                    .unwrap_or_else(|| unreachable!("a topology prices links by kind")),
+            },
             index,
             columns: vec![Column::default(); e],
-            dirty: vec![true; e],
-            any_dirty: true,
+            stale: vec![Stale::All; e],
             undo: Vec::new(),
-            scratch: RouteScratch::new(),
+            rows: Vec::new(),
+            ends: Vec::new(),
+            holds: Vec::new(),
             send: vec![0.0; n],
             recv: vec![0.0; n],
             device_loads: vec![0; n],
@@ -265,14 +235,14 @@ impl<'a> IncrementalCost<'a> {
 
     /// Total replicas of `expert` in the current state.
     pub fn expert_replicas(&self, expert: ExpertId) -> usize {
-        self.index.totals[expert.index()]
+        self.index.expert_replicas(expert)
     }
 
     /// Whether every expert currently has at least one replica (the
     /// routability constraint — evaluation panics without it for experts
     /// with demand).
     pub fn all_experts_covered(&self) -> bool {
-        self.index.totals.iter().all(|&t| t > 0)
+        self.index.all_experts_covered()
     }
 
     /// Moves one replica on `device` from expert `from` to expert `to`
@@ -280,7 +250,10 @@ impl<'a> IncrementalCost<'a> {
     /// Only the two experts' routing columns are invalidated.
     pub fn apply_retarget(&mut self, device: DeviceId, from: ExpertId, to: ExpertId) {
         let snaps = self.snapshot_pair(from.index(), to.index());
-        self.raw_retarget(device, from, to);
+        self.index.remove_replica(device, from);
+        self.index.add_replica(device, to);
+        self.mark_stale(from.index(), device);
+        self.mark_stale(to.index(), device);
         self.undo.push(UndoEntry {
             mv: Move::Retarget { device, from, to },
             snaps,
@@ -292,17 +265,24 @@ impl<'a> IncrementalCost<'a> {
     /// two experts' routing columns are invalidated.
     pub fn apply_swap(&mut self, d1: DeviceId, a: ExpertId, d2: DeviceId, b: ExpertId) {
         let snaps = self.snapshot_pair(a.index(), b.index());
-        self.raw_swap(d1, a, d2, b);
+        self.index.remove_replica(d1, a);
+        self.index.remove_replica(d2, b);
+        self.index.add_replica(d1, b);
+        self.index.add_replica(d2, a);
+        for expert in [a, b] {
+            self.mark_stale(expert.index(), d1);
+            self.mark_stale(expert.index(), d2);
+        }
         self.undo.push(UndoEntry {
             mv: Move::Swap { d1, a, d2, b },
             snaps,
         });
     }
 
-    fn snapshot_pair(&self, x: usize, y: usize) -> [(usize, Column, bool); 2] {
+    fn snapshot_pair(&self, x: usize, y: usize) -> [(usize, Column, Stale); 2] {
         [
-            (x, self.columns[x].clone(), self.dirty[x]),
-            (y, self.columns[y].clone(), self.dirty[y]),
+            (x, self.columns[x].clone(), self.stale[x].clone()),
+            (y, self.columns[y].clone(), self.stale[y].clone()),
         ]
     }
 
@@ -328,7 +308,7 @@ impl<'a> IncrementalCost<'a> {
                 self.index.add_replica(d2, b);
             }
         }
-        for (j, col, was_dirty) in entry.snaps {
+        for (j, col, stale) in entry.snaps {
             for &(dst, tokens, _) in &self.columns[j].entries {
                 self.device_loads[dst.index()] -= tokens;
             }
@@ -336,9 +316,8 @@ impl<'a> IncrementalCost<'a> {
                 self.device_loads[dst.index()] += tokens;
             }
             self.columns[j] = col;
-            self.dirty[j] = was_dirty;
+            self.stale[j] = stale;
         }
-        self.any_dirty = self.dirty.iter().any(|&d| d);
         true
     }
 
@@ -351,138 +330,109 @@ impl<'a> IncrementalCost<'a> {
     pub fn set_device_experts(&mut self, device: DeviceId, remove: &[usize], add: &[usize]) {
         for &j in remove {
             self.index.remove_replica(device, ExpertId::new(j));
-            self.mark_dirty(j);
+            self.mark_stale(j, device);
         }
         for &j in add {
             self.index.add_replica(device, ExpertId::new(j));
-            self.mark_dirty(j);
+            self.mark_stale(j, device);
         }
         self.undo.clear();
     }
 
-    fn raw_retarget(&mut self, device: DeviceId, from: ExpertId, to: ExpertId) {
-        self.index.remove_replica(device, from);
-        self.index.add_replica(device, to);
-        self.mark_dirty(from.index());
-        self.mark_dirty(to.index());
-    }
-
-    fn raw_swap(&mut self, d1: DeviceId, a: ExpertId, d2: DeviceId, b: ExpertId) {
-        self.index.remove_replica(d1, a);
-        self.index.remove_replica(d2, b);
-        self.index.add_replica(d1, b);
-        self.index.add_replica(d2, a);
-        self.mark_dirty(a.index());
-        self.mark_dirty(b.index());
-    }
-
-    fn mark_dirty(&mut self, expert: usize) {
-        self.dirty[expert] = true;
-        self.any_dirty = true;
-    }
-
-    /// Re-routes dirty columns.
-    fn flush(&mut self) {
-        if !self.any_dirty {
-            return;
+    /// Records that `expert`'s replicas changed on `device`'s node.
+    fn mark_stale(&mut self, expert: usize, device: DeviceId) {
+        let node = self.cells.topo.node_of(device).index();
+        match &mut self.stale[expert] {
+            Stale::All => {}
+            Stale::Nodes(nodes) => nodes.push(node),
+            fresh @ Stale::Fresh => *fresh = Stale::Nodes(vec![node]),
         }
-        for j in 0..self.index.experts {
-            if self.dirty[j] {
-                self.dirty[j] = false;
-                self.reroute_expert(j);
+    }
+
+    /// Re-routes stale columns.
+    fn flush(&mut self) {
+        for j in 0..self.columns.len() {
+            match std::mem::replace(&mut self.stale[j], Stale::Fresh) {
+                Stale::Fresh => {}
+                Stale::Nodes(nodes) => self.reroute_nodes(j, nodes),
+                Stale::All => self.reroute_expert(j),
             }
         }
-        self.any_dirty = false;
     }
 
-    /// Routes expert `j`'s column — one Alg. 3 cell per source device —
-    /// with the exact arithmetic of `lite_route`, pre-pricing each row
-    /// with `time_cost`'s pairwise term.
+    /// Routes expert `j`'s whole column — one Alg. 3 cell per source
+    /// device — node by node.
     fn reroute_expert(&mut self, j: usize) {
-        let expert = ExpertId::new(j);
-        let v_comm = self.params.v_comm;
-        let latency_aware = self.params.latency_aware;
-        let topo = self.topo;
-        let col = &mut self.columns[j];
-        for &(dst, tokens, _) in &col.entries {
+        let Column { starts, entries } = &mut self.columns[j];
+        for &(dst, tokens, _) in entries.iter() {
             self.device_loads[dst.index()] -= tokens;
         }
-        col.starts.clear();
-        col.entries.clear();
-        col.starts.push(0);
-        let device_loads = &mut self.device_loads;
-        for node in topo.node_ids() {
-            // Alg. 3's target list depends only on `(expert, node)` —
-            // every source in the node shares it — so resolve it once
-            // per node instead of once per source.
-            self.index
-                .fill_targets(topo, expert, node, &mut self.scratch.targets);
-            // Single-target fast path, also hoisted per node: the whole
-            // cell goes to one destination — identical output to
-            // `distribute_evenly_into` (the share is exact, the
-            // remainder zero) — and the link kind from every non-local
-            // source in the node to that destination is the same, so
-            // the bandwidth/latency terms are resolved once. This is
-            // the common case at fleet scale, where layouts cover every
-            // node.
-            let single = if let [(only, _)] = self.scratch.targets[..] {
-                let rep = topo.devices_on(node).find(|&d| d != only);
-                let (bw, lat) = rep.map_or((f64::INFINITY, 0.0), |rep| {
-                    (effective_bw(topo, rep, only), topo.latency(rep, only))
-                });
-                Some((only, bw, lat))
-            } else {
-                None
-            };
-            for src in topo.devices_on(node) {
-                let tokens = self.demand.get(src, expert);
-                if tokens == 0 {
-                    col.starts.push(col.entries.len() as u32);
-                    continue;
-                }
-                assert!(
-                    !self.scratch.targets.is_empty(),
-                    "layout hosts no replica of {expert}; evaluate covering layouts only"
-                );
-                if let Some((only, bw, lat)) = single {
-                    let t = if only == src {
-                        0.0
-                    } else {
-                        // Same expression order as `time_cost`'s fold
-                        // (and the same bandwidth/latency values — link
-                        // kind is uniform within the node), so the
-                        // pre-priced term is bit-identical.
-                        let mut t = tokens as f64 * v_comm / bw;
-                        if latency_aware {
-                            t += lat;
-                        }
-                        t
-                    };
-                    device_loads[only.index()] += tokens;
-                    col.entries.push((only, tokens, t));
-                } else {
-                    let entries = &mut col.entries;
-                    let emit = |dst: DeviceId, count: u64| {
-                        let t = if dst == src {
-                            0.0
-                        } else {
-                            let mut t = count as f64 * v_comm / effective_bw(topo, src, dst);
-                            if latency_aware {
-                                t += topo.latency(src, dst);
-                            }
-                            t
-                        };
-                        device_loads[dst.index()] += count;
-                        entries.push((dst, count, t));
-                    };
-                    let (targets, shares, order) = (
-                        &self.scratch.targets,
-                        &mut self.scratch.shares,
-                        &mut self.scratch.order,
-                    );
-                    distribute_evenly_into(src, tokens, targets, shares, order, emit);
-                }
-                col.starts.push(col.entries.len() as u32);
+        starts.clear();
+        entries.clear();
+        starts.push(0);
+        for node in self.cells.topo.node_ids() {
+            self.cells.route_node(
+                &self.index,
+                j,
+                node,
+                &mut self.device_loads,
+                entries,
+                |len| {
+                    starts.push(len as u32);
+                },
+            );
+        }
+    }
+
+    /// Re-routes the cells of expert `j` whose targets may have changed:
+    /// the senders on `nodes`, where its replicas changed, and on every
+    /// node holding none of it, which route to its (changed) full
+    /// replica list. Every other node keeps its own replicas and so its
+    /// rows. A node's senders have consecutive ids, so its cells are one
+    /// run of the column, spliced in place; a column that changed on
+    /// many nodes is rebuilt instead.
+    fn reroute_nodes(&mut self, j: usize, mut nodes: Vec<usize>) {
+        let topo = self.cells.topo;
+        let num_nodes = topo.num_nodes();
+        self.holds.clear();
+        self.holds.resize(num_nodes, false);
+        for &(d, _) in self.index.replicas(ExpertId::new(j)) {
+            self.holds[topo.node_of(d).index()] = true;
+        }
+        nodes.extend((0..num_nodes).filter(|&m| !self.holds[m]));
+        nodes.sort_unstable();
+        nodes.dedup();
+        // A splice moves the column's tail; past a sixteenth of the
+        // nodes, one linear rebuild is cheaper.
+        if nodes.len() * 16 > num_nodes {
+            return self.reroute_expert(j);
+        }
+        let dpn = topo.devices_per_node();
+        let Column { starts, entries } = &mut self.columns[j];
+        for m in nodes {
+            let (first, end) = (m * dpn, (m + 1) * dpn);
+            let (lo, hi) = (starts[first] as usize, starts[end] as usize);
+            for &(dst, tokens, _) in &entries[lo..hi] {
+                self.device_loads[dst.index()] -= tokens;
+            }
+            let (rows, ends) = (&mut self.rows, &mut self.ends);
+            rows.clear();
+            ends.clear();
+            self.cells.route_node(
+                &self.index,
+                j,
+                NodeId::new(m),
+                &mut self.device_loads,
+                rows,
+                |len| ends.push(lo + len),
+            );
+            let (old_end, new_end) = (hi as u32, (lo + rows.len()) as u32);
+            entries.splice(lo..hi, rows.drain(..));
+            for (s, &e) in starts[first + 1..=end].iter_mut().zip(ends.iter()) {
+                *s = e as u32;
+            }
+            for s in &mut starts[end + 1..] {
+                *s = *s - old_end + new_end;
             }
         }
     }
@@ -500,30 +450,24 @@ impl<'a> IncrementalCost<'a> {
     pub fn cost(&mut self) -> CostBreakdown {
         self.flush();
         let (send, recv) = (&mut self.send, &mut self.recv);
-        send.fill(0.0);
         recv.fill(0.0);
         for (src, send_src) in send.iter_mut().enumerate() {
+            // A sender's rows are contiguous in the oracle's order, so its
+            // sum runs in a local.
+            let mut sent = 0.0;
             for col in &self.columns {
                 let (lo, hi) = (col.starts[src] as usize, col.starts[src + 1] as usize);
                 for &(dst, _, t) in &col.entries[lo..hi] {
                     if dst.index() != src {
-                        *send_src += t;
+                        sent += t;
                         recv[dst.index()] += t;
                     }
                 }
             }
+            *send_src = sent;
         }
-        let straggler = self
-            .send
-            .iter()
-            .zip(&self.recv)
-            .map(|(&s, &r)| s.max(r))
-            .fold(0.0, f64::max);
-        let comm = 4.0 * straggler;
-        let max_load = self.device_loads.iter().copied().max().unwrap_or(0) as f64;
-        let comp =
-            self.params.compute_multiplier() * max_load * self.params.v_comp / self.params.b_comp;
-        CostBreakdown { comm, comp }
+        let max_load = self.device_loads.iter().copied().max().unwrap_or(0);
+        eq2(&self.send, &self.recv, max_load, &self.cells.params)
     }
 
     /// Materialises the current layout.
@@ -535,9 +479,8 @@ impl<'a> IncrementalCost<'a> {
     /// `lite_route(topo, demand, &self.layout())`.
     pub fn routing(&mut self) -> TokenRouting {
         self.flush();
-        let n = self.index.devices;
-        let e = self.index.experts;
-        let mut out = TokenRouting::new(n, e);
+        let n = self.index.num_devices();
+        let mut out = TokenRouting::new(n, self.index.num_experts());
         for src in 0..n {
             for (j, col) in self.columns.iter().enumerate() {
                 let (lo, hi) = (col.starts[src] as usize, col.starts[src + 1] as usize);

@@ -7,7 +7,7 @@
 //! `N · C` replicas in total, and every expert keeps at least one replica
 //! so constraint 4 (all tokens routable) stays satisfiable.
 
-use laer_cluster::{DeviceId, ExpertId, NodeId, Topology};
+use laer_cluster::{DeviceId, ExpertId, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -193,21 +193,6 @@ impl ExpertLayout {
             .filter_map(|i| {
                 let c = self.replicas[i * self.experts + expert.index()];
                 (c > 0).then(|| (DeviceId::new(i), c))
-            })
-            .collect()
-    }
-
-    /// Replicas of `expert` within `node` (used by lite routing, Alg. 3).
-    pub fn replicas_in_node(
-        &self,
-        topo: &Topology,
-        expert: ExpertId,
-        node: NodeId,
-    ) -> Vec<(DeviceId, u32)> {
-        topo.devices_on(node)
-            .filter_map(|dev| {
-                let c = self.replica_count(dev, expert);
-                (c > 0).then_some((dev, c))
             })
             .collect()
     }
@@ -423,10 +408,6 @@ mod tests {
         l.add_replica(DeviceId::new(2), ExpertId::new(1));
         l.add_replica(DeviceId::new(3), ExpertId::new(0));
         assert_eq!(l.node_replica_counts(&topo, ExpertId::new(0)), vec![2, 1]);
-        assert_eq!(
-            l.replicas_in_node(&topo, ExpertId::new(0), NodeId::new(1)),
-            vec![(DeviceId::new(3), 1)]
-        );
     }
 
     #[test]

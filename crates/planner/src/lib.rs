@@ -22,8 +22,9 @@
 //! * [`exact`] — a brute-force layout enumerator for tiny instances, used
 //!   by tests to bound the greedy optimality gap;
 //! * [`delta`] — incremental Eq. 2 evaluation for the refine/exact hot
-//!   paths: a move re-routes only the affected experts' columns, with
-//!   results bit-identical to `lite_route` + `time_cost` from scratch.
+//!   paths: a move re-routes only the cells of the affected experts
+//!   whose targets changed, with results bit-identical to
+//!   `lite_route` + `time_cost` from scratch.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@ pub use cost::{time_cost, CostBreakdown, CostParams};
 pub use delta::IncrementalCost;
 pub use exact::exhaustive_best_layout;
 pub use layout::{ExpertLayout, LayoutError};
-pub use lite_routing::{lite_route, lite_route_with, RouteScratch};
+pub use lite_routing::lite_route;
 pub use predictor::{
     AnyPredictor, LoadPredictor, PredictError, Predictor, PredictorKind, ReplayPredictor,
 };

@@ -7,34 +7,28 @@
 //! exist, and evenly over all replicas otherwise — minimising inter-node
 //! transfers, the paper's consideration (1).
 //!
-//! Two entry points share one implementation: [`lite_route`] allocates
-//! fresh buffers per call, [`lite_route_with`] reuses a caller-held
-//! [`RouteScratch`] so hot paths (the tuner's candidate loop, the
-//! delta evaluator in [`crate::delta`]) route without per-cell
-//! allocation. Both produce identical output — entry for entry, bit for
-//! bit — because they run the same code.
+//! A cell's target list depends only on the sender's node and the
+//! expert, so one routing core (`Router`) works node by node: it
+//! resolves each `(node, expert)` target list once, from per-expert
+//! replica lists built once per layout (`ReplicaIndex`), and then
+//! splits every sender's cell against it. A cell with one target, or
+//! with equal replica counts, is split in closed form; the others take
+//! a select-nth of the largest remainders instead of a full sort. Three
+//! callers share the core: [`lite_route`] materialises the entries, the
+//! tuner prices them as they are emitted (`crate::tuner`), and the delta
+//! evaluator re-routes the stale nodes of one expert's column
+//! (`crate::delta`). The two pricing callers get each target's link
+//! price once per node when the network prices links by kind. All
+//! three emit Alg. 3's entries in one order — sources ascending,
+//! experts ascending, targets by device id — which is what keeps their
+//! costs bit-identical.
 
+use crate::cost::effective_bw;
 use crate::layout::ExpertLayout;
 use crate::token_routing::TokenRouting;
-use laer_cluster::{DeviceId, ExpertId, NodeId, Topology};
+use laer_cluster::{DeviceId, ExpertId, Interconnect, LinkKind, NodeId, Topology};
 use laer_routing::RoutingMatrix;
-
-/// Reusable buffers for allocation-free routing: the per-cell target
-/// list and the largest-remainder working set. One scratch serves any
-/// shape — buffers grow to the largest cell seen and stay allocated.
-#[derive(Debug, Default)]
-pub struct RouteScratch {
-    pub(crate) targets: Vec<(DeviceId, u32)>,
-    pub(crate) shares: Vec<(usize, u64, f64)>,
-    pub(crate) order: Vec<usize>,
-}
-
-impl RouteScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+use std::ops::Range;
 
 /// Runs lite routing for every source device, producing the full
 /// `S[i][j][k]` strategy.
@@ -48,138 +42,337 @@ impl RouteScratch {
 /// some expert in demand has zero replicas (an invalid layout — validate
 /// layouts first).
 pub fn lite_route(topo: &Topology, demand: &RoutingMatrix, layout: &ExpertLayout) -> TokenRouting {
-    lite_route_with(topo, demand, layout, &mut RouteScratch::new())
-}
-
-/// [`lite_route`] with caller-provided scratch buffers — the hot-path
-/// variant that performs no per-cell allocation (only the returned
-/// routing's entry vector is allocated).
-///
-/// # Panics
-///
-/// As [`lite_route`].
-pub fn lite_route_with(
-    topo: &Topology,
-    demand: &RoutingMatrix,
-    layout: &ExpertLayout,
-    scratch: &mut RouteScratch,
-) -> TokenRouting {
-    assert_eq!(demand.num_devices(), topo.num_devices(), "device count");
-    assert_eq!(layout.num_devices(), topo.num_devices(), "layout devices");
-    assert_eq!(layout.num_experts(), demand.num_experts(), "expert count");
+    let index = ReplicaIndex::from_layout(layout);
+    index.assert_shapes(topo, demand);
+    let mut router = Router::default();
     let mut out = TokenRouting::new(demand.num_devices(), demand.num_experts());
-    for rank in topo.devices() {
-        route_one_rank(topo, demand, layout, rank, scratch, &mut out);
+    for node in topo.node_ids() {
+        router.resolve::<Topology>(topo, &index, node, 0..index.num_experts(), None);
+        for src in topo.devices_on(node) {
+            for (j, &tokens) in demand.row(src).iter().enumerate() {
+                if tokens > 0 {
+                    let expert = ExpertId::new(j);
+                    router.split(src, expert, tokens, j, |dst, count, _| {
+                        out.push(src, expert, dst, count);
+                    });
+                }
+            }
+        }
     }
     out
 }
 
-/// Alg. 3 for a single rank.
-fn route_one_rank(
-    topo: &Topology,
-    demand: &RoutingMatrix,
-    layout: &ExpertLayout,
-    rank: DeviceId,
-    scratch: &mut RouteScratch,
-    out: &mut TokenRouting,
-) {
-    let node = topo.node_of(rank);
-    for j in 0..demand.num_experts() {
-        let expert = ExpertId::new(j);
-        let tokens = demand.get(rank, expert);
-        if tokens == 0 {
-            continue;
-        }
-        fill_targets(topo, layout, expert, node, &mut scratch.targets);
-        assert!(
-            !scratch.targets.is_empty(),
-            "layout hosts no replica of {expert}; validate layouts before routing"
-        );
-        let (targets, shares, order) = (&scratch.targets, &mut scratch.shares, &mut scratch.order);
-        distribute_evenly_into(rank, tokens, targets, shares, order, |dst, count| {
-            out.push(rank, expert, dst, count);
-        });
-    }
+/// A layout's replica placement as Alg. 3 reads it: row-major
+/// `devices × experts` counts, plus each expert's `(device, count)`
+/// list in ascending device id — the output of
+/// [`ExpertLayout::replica_devices`], kept so a global fallback reads
+/// its targets without a device scan. Mutable, so the delta evaluator
+/// keeps one current through its moves.
+#[derive(Debug, Clone)]
+pub(crate) struct ReplicaIndex {
+    devices: usize,
+    experts: usize,
+    capacity: usize,
+    counts: Vec<u32>,
+    lists: Vec<Vec<(DeviceId, u32)>>,
+    totals: Vec<usize>,
 }
 
-/// Fills `out` with the Alg. 3 target list for one `(sender-node,
-/// expert)` cell: intra-node replicas first (lines 5-6), all replicas
-/// globally otherwise (lines 8-9). Targets are in ascending device-id
-/// order, matching [`ExpertLayout::replicas_in_node`] /
-/// [`ExpertLayout::replica_devices`].
-pub(crate) fn fill_targets(
-    topo: &Topology,
-    layout: &ExpertLayout,
-    expert: ExpertId,
-    node: NodeId,
-    out: &mut Vec<(DeviceId, u32)>,
-) {
-    out.clear();
-    for dev in topo.devices_on(node) {
-        let c = layout.replica_count(dev, expert);
-        if c > 0 {
-            out.push((dev, c));
-        }
-    }
-    if out.is_empty() {
-        for i in 0..layout.num_devices() {
-            let c = layout.replica_count(DeviceId::new(i), expert);
-            if c > 0 {
-                out.push((DeviceId::new(i), c));
+impl ReplicaIndex {
+    pub(crate) fn from_layout(layout: &ExpertLayout) -> Self {
+        let devices = layout.num_devices();
+        let experts = layout.num_experts();
+        let counts = layout.replica_counts().to_vec();
+        let mut lists = vec![Vec::new(); experts];
+        let mut totals = vec![0usize; experts];
+        for (d, row) in counts.chunks_exact(experts).enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                if c > 0 {
+                    lists[j].push((DeviceId::new(d), c));
+                    totals[j] += c as usize;
+                }
             }
         }
+        Self {
+            devices,
+            experts,
+            capacity: layout.capacity(),
+            counts,
+            lists,
+            totals,
+        }
+    }
+
+    /// Asserts that `topo`, `demand` and this index describe one shape.
+    pub(crate) fn assert_shapes(&self, topo: &Topology, demand: &RoutingMatrix) {
+        assert_eq!(demand.num_devices(), topo.num_devices(), "device count");
+        assert_eq!(self.devices, topo.num_devices(), "layout devices");
+        assert_eq!(self.experts, demand.num_experts(), "expert count");
+    }
+
+    pub(crate) fn num_devices(&self) -> usize {
+        self.devices
+    }
+
+    pub(crate) fn num_experts(&self) -> usize {
+        self.experts
+    }
+
+    pub(crate) fn replica_count(&self, device: DeviceId, expert: ExpertId) -> u32 {
+        self.counts[device.index() * self.experts + expert.index()]
+    }
+
+    /// `expert`'s `(device, count)` list, ascending device id.
+    pub(crate) fn replicas(&self, expert: ExpertId) -> &[(DeviceId, u32)] {
+        &self.lists[expert.index()]
+    }
+
+    /// Total replicas of `expert`.
+    pub(crate) fn expert_replicas(&self, expert: ExpertId) -> usize {
+        self.totals[expert.index()]
+    }
+
+    pub(crate) fn all_experts_covered(&self) -> bool {
+        self.totals.iter().all(|&t| t > 0)
+    }
+
+    pub(crate) fn add_replica(&mut self, device: DeviceId, expert: ExpertId) {
+        self.counts[device.index() * self.experts + expert.index()] += 1;
+        self.totals[expert.index()] += 1;
+        let list = &mut self.lists[expert.index()];
+        match list.binary_search_by(|&(d, _)| d.cmp(&device)) {
+            Ok(pos) => list[pos].1 += 1,
+            Err(pos) => list.insert(pos, (device, 1)),
+        }
+    }
+
+    pub(crate) fn remove_replica(&mut self, device: DeviceId, expert: ExpertId) {
+        let cell = device.index() * self.experts + expert.index();
+        assert!(self.counts[cell] > 0, "removing absent replica");
+        self.counts[cell] -= 1;
+        self.totals[expert.index()] -= 1;
+        let list = &mut self.lists[expert.index()];
+        let pos = list
+            .binary_search_by(|&(d, _)| d.cmp(&device))
+            .unwrap_or_else(|_| unreachable!("count was positive"));
+        if list[pos].1 == 1 {
+            list.remove(pos);
+        } else {
+            list[pos].1 -= 1;
+        }
+    }
+
+    pub(crate) fn to_layout(&self) -> ExpertLayout {
+        ExpertLayout::from_counts(
+            self.devices,
+            self.experts,
+            self.capacity,
+            self.counts.clone(),
+        )
+        .unwrap_or_else(|_| unreachable!("index shape came from a constructed layout"))
     }
 }
 
-/// Splits `tokens` across `targets` proportionally to their replica
-/// counts ("evenly distributed among all replicas"), with deterministic
-/// largest-remainder rounding. Ties prefer the sender itself, then lower
-/// device ids, keeping traffic local when possible.
-///
-/// Emits `(destination, tokens)` pairs in `targets` order, skipping
-/// zero-token shares — the exact entry order and values of the original
-/// allocating implementation, which the delta evaluator's bit-exactness
-/// contract depends on.
-pub(crate) fn distribute_evenly_into(
-    src: DeviceId,
-    tokens: u64,
-    targets: &[(DeviceId, u32)],
-    shares: &mut Vec<(usize, u64, f64)>,
-    order: &mut Vec<usize>,
-    mut emit: impl FnMut(DeviceId, u64),
-) {
-    let total_replicas: u64 = targets.iter().map(|&(_, c)| c as u64).sum();
-    let mut assigned = 0u64;
-    shares.clear();
-    for (idx, &(_, count)) in targets.iter().enumerate() {
-        let exact = tokens as f64 * count as f64 / total_replicas as f64;
-        let floor = exact.floor() as u64;
-        assigned += floor;
-        shares.push((idx, floor, exact - floor as f64));
-    }
-    order.clear();
-    order.extend(0..shares.len());
-    order.sort_by(|&a, &b| {
-        let (ia, _, ra) = shares[a];
-        let (ib, _, rb) = shares[b];
-        rb.total_cmp(&ra).then_with(|| {
-            // Prefer the sender itself, then lower device ids.
-            let la = targets[ia].0 == src;
-            let lb = targets[ib].0 == src;
-            lb.cmp(&la).then(targets[ia].0.cmp(&targets[ib].0))
+/// The routing core's reusable buffers: one node's resolved target
+/// lists (and their link prices), plus the largest-remainder working
+/// set. Buffers grow to the largest node seen and stay allocated.
+#[derive(Debug, Default)]
+pub(crate) struct Router {
+    /// Resolved targets, flat; `lists[k]` spans the `k`-th resolved
+    /// expert's.
+    targets: Vec<(DeviceId, u32)>,
+    lists: Vec<TargetList>,
+    /// Per target, when priced per node: `(effective bandwidth,
+    /// latency)` from the node's other senders.
+    links: Vec<(f64, f64)>,
+    shares: Vec<(u64, f64)>,
+    order: Vec<usize>,
+}
+
+/// The link prices of a network that [prices links by
+/// kind](Interconnect::prices_by_kind): one `(effective bandwidth,
+/// latency)` per [`LinkKind`], each resolved on first use.
+#[derive(Debug)]
+pub(crate) struct KindPrices<'a, I: ?Sized> {
+    net: &'a I,
+    by_kind: [Option<(f64, f64)>; 4],
+}
+
+impl<'a, I: Interconnect + ?Sized> KindPrices<'a, I> {
+    /// `None` unless `net` prices links by kind.
+    pub(crate) fn of(net: &'a I) -> Option<Self> {
+        net.prices_by_kind().then_some(Self {
+            net,
+            by_kind: [None; 4],
         })
-    });
-    let mut left = tokens - assigned;
-    let mut cursor = 0;
-    while left > 0 {
-        let slot = order[cursor % order.len()];
-        shares[slot].1 += 1;
-        left -= 1;
-        cursor += 1;
     }
-    for &(idx, count, _) in shares.iter() {
-        if count > 0 {
-            emit(targets[idx].0, count);
+
+    fn get(&mut self, src: DeviceId, dst: DeviceId) -> (f64, f64) {
+        let net = self.net;
+        let slot = match net.link_kind(src, dst) {
+            LinkKind::Local => 0,
+            LinkKind::IntraNode => 1,
+            LinkKind::InterNode => 2,
+            LinkKind::InterRack => 3,
+        };
+        *self.by_kind[slot]
+            .get_or_insert_with(|| (effective_bw(net, src, dst), net.latency(src, dst)))
+    }
+}
+
+/// One resolved target list: its span of [`Router`]'s targets, their
+/// replica total, and whether every target holds the same count.
+#[derive(Debug, Clone, Copy)]
+struct TargetList {
+    start: usize,
+    end: usize,
+    total: u64,
+    equal: bool,
+}
+
+impl Router {
+    /// Alg. 3 lines 4-9 for senders on `node`: resolves the target list
+    /// of every expert in `experts` — its replicas on `node` (line 6),
+    /// or all of its replicas when the node holds none (line 9) — in
+    /// ascending device id. With `prices`, each target also gets the
+    /// link price every other sender on the node reaches it over, which
+    /// [`Self::split`] hands out with its entries.
+    pub(crate) fn resolve<I: Interconnect + ?Sized>(
+        &mut self,
+        topo: &Topology,
+        index: &ReplicaIndex,
+        node: NodeId,
+        experts: Range<usize>,
+        prices: Option<&mut KindPrices<'_, I>>,
+    ) {
+        self.targets.clear();
+        self.lists.clear();
+        for j in experts {
+            let start = self.targets.len();
+            for dev in topo.devices_on(node) {
+                let c = index.replica_count(dev, ExpertId::new(j));
+                if c > 0 {
+                    self.targets.push((dev, c));
+                }
+            }
+            if self.targets.len() == start {
+                self.targets.extend_from_slice(&index.lists[j]);
+            }
+            let list = &self.targets[start..];
+            self.lists.push(TargetList {
+                start,
+                end: self.targets.len(),
+                total: list.iter().map(|&(_, c)| u64::from(c)).sum(),
+                equal: list.iter().all(|&(_, c)| c == list[0].1),
+            });
+        }
+        self.links.clear();
+        if let Some(prices) = prices {
+            self.links.extend(self.targets.iter().map(|&(dst, _)| {
+                // Local traffic is free; every other sender on the node
+                // reaches `dst` over one kind of link.
+                topo.devices_on(node)
+                    .find(|&src| src != dst)
+                    .map_or((f64::INFINITY, 0.0), |src| prices.get(src, dst))
+            }));
+        }
+    }
+
+    /// Splits `src`'s `tokens` for `expert` over the `k`-th resolved
+    /// target list, calling `emit(dst, count, link)` per entry.
+    ///
+    /// The split is proportional to replica counts ("evenly distributed
+    /// among all replicas") with deterministic largest-remainder
+    /// rounding: remainders descending, ties to the sender itself, then
+    /// to lower device ids, which keeps traffic local when possible.
+    /// Entries come in target order and skip zero-token shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list is empty (the layout hosts no replica of
+    /// `expert`).
+    pub(crate) fn split(
+        &mut self,
+        src: DeviceId,
+        expert: ExpertId,
+        tokens: u64,
+        k: usize,
+        mut emit: impl FnMut(DeviceId, u64, Option<(f64, f64)>),
+    ) {
+        let TargetList {
+            start,
+            end,
+            total,
+            equal,
+        } = self.lists[k];
+        let targets = &self.targets[start..end];
+        let links = self.links.get(start..end);
+        let mut out = |i: usize, count: u64| {
+            if count > 0 {
+                emit(targets[i].0, count, links.map(|l| l[i]));
+            }
+        };
+        assert!(
+            !targets.is_empty(),
+            "layout hosts no replica of {expert}; validate layouts before routing"
+        );
+        let m = targets.len();
+        if m == 1 {
+            // The one share is the whole cell: its remainder, if any,
+            // rounds back onto the same target.
+            out(0, tokens);
+            return;
+        }
+        if equal {
+            // Equal counts: every target has the same share, floor and
+            // remainder, so the remainder order is the sender first, then
+            // ascending device id — the targets' own order.
+            let exact = tokens as f64 * targets[0].1 as f64 / total as f64;
+            let floor = exact.floor() as u64;
+            let left = tokens - floor * m as u64;
+            let (base, extra) = (left / m as u64, (left % m as u64) as usize);
+            let sender = targets.iter().position(|&(d, _)| d == src);
+            for i in 0..m {
+                let rank = match sender {
+                    Some(s) if i == s => 0,
+                    Some(s) if i < s => i + 1,
+                    _ => i,
+                };
+                out(i, floor + base + u64::from(rank < extra));
+            }
+            return;
+        }
+        let shares = &mut self.shares;
+        shares.clear();
+        let mut assigned = 0u64;
+        for &(_, count) in targets {
+            let exact = tokens as f64 * count as f64 / total as f64;
+            let floor = exact.floor() as u64;
+            assigned += floor;
+            shares.push((floor, exact - floor as f64));
+        }
+        let left = tokens - assigned;
+        let (base, extra) = (left / m as u64, (left % m as u64) as usize);
+        if extra > 0 {
+            // The `extra` largest remainders each take one more token.
+            let order = &mut self.order;
+            order.clear();
+            order.extend(0..m);
+            let rank = |&a: &usize, &b: &usize| {
+                let (da, db) = (targets[a].0, targets[b].0);
+                shares[b]
+                    .1
+                    .total_cmp(&shares[a].1)
+                    .then_with(|| (db == src).cmp(&(da == src)))
+                    .then(da.cmp(&db))
+            };
+            order.select_nth_unstable_by(extra - 1, rank);
+            for &i in &order[..extra] {
+                shares[i].0 += 1;
+            }
+        }
+        for (i, &(floor, _)) in shares.iter().enumerate() {
+            out(i, floor + base);
         }
     }
 }
@@ -307,21 +500,38 @@ mod tests {
         let _ = l;
     }
 
-    /// The scratch-reusing entry point reproduces the allocating path
-    /// entry for entry across repeated solves.
+    /// A router reused across layouts and demands (as the tuner reuses
+    /// one across candidates) reproduces a fresh `lite_route` entry for
+    /// entry.
     #[test]
     fn scratch_reuse_is_bit_identical() {
         let topo = Topology::new(2, 4).unwrap();
-        let l = ExpertLayout::classic_ep(8, 8, 2).unwrap();
         let mut gen = laer_routing::RoutingGenerator::new(
             laer_routing::RoutingGeneratorConfig::new(8, 8, 4096).with_seed(9),
         );
-        let mut scratch = RouteScratch::new();
-        for _ in 0..4 {
+        let mut router = Router::default();
+        for capacity in [2usize, 4, 2, 1] {
             let r = gen.next_iteration();
+            let l = ExpertLayout::classic_ep(8, 8, capacity).unwrap();
             let fresh = lite_route(&topo, &r, &l);
-            let with = lite_route_with(&topo, &r, &l, &mut scratch);
-            assert_eq!(fresh.entries(), with.entries());
+            let mut reused = TokenRouting::new(8, 8);
+            let index = ReplicaIndex::from_layout(&l);
+            for node in topo.node_ids() {
+                let mut prices = KindPrices::of(&topo);
+                router.resolve(&topo, &index, node, 0..8, prices.as_mut());
+                for src in topo.devices_on(node) {
+                    for (j, &tokens) in r.row(src).iter().enumerate() {
+                        if tokens > 0 {
+                            let expert = ExpertId::new(j);
+                            router.split(src, expert, tokens, j, |dst, n, link| {
+                                assert!(link.is_some(), "a topology is priced per node");
+                                reused.push(src, expert, dst, n);
+                            });
+                        }
+                    }
+                }
+            }
+            assert_eq!(fresh.entries(), reused.entries());
         }
     }
 }

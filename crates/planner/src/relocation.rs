@@ -5,9 +5,20 @@
 //! of the same expert spread across nodes (so lite routing's intra-node
 //! preference stays balanced) and packing each replica onto the
 //! least-loaded eligible device.
+//!
+//! The paper's group scan — sort the nodes by how many replicas of the
+//! expert they hold, then scan the lowest group's devices — costs
+//! `O(N)` per replica. An expert's replicas are placed back to back and
+//! every node climbs one level per replica it takes, so the lowest group
+//! is exactly the nodes of the current level that still have room: a
+//! heap of those nodes, keyed by each one's least-loaded eligible device
+//! `(load, device id)`, yields the device the scan picks, with the same
+//! tie-breaks, in `O(log nodes + devices per node)` per replica.
 
 use crate::layout::ExpertLayout;
-use laer_cluster::{DeviceId, ExpertId, Topology};
+use laer_cluster::{DeviceId, ExpertId, NodeId, Topology};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Alg. 1: builds an [`ExpertLayout`] from per-expert replica counts and
 /// loads.
@@ -66,65 +77,95 @@ pub fn expert_relocation_on(
     );
 
     // Lines 3-5: one list entry per replica, carrying the average load,
-    // sorted descending (ties toward lower expert index for determinism).
-    let mut list: Vec<(usize, f64)> = Vec::with_capacity(n * capacity);
-    for j in 0..e {
-        let avg = expert_loads[j] as f64 / expert_rep[j] as f64;
-        for _ in 0..expert_rep[j] {
-            list.push((j, avg));
-        }
-    }
-    list.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    // sorted descending (ties toward lower expert index). An expert's
+    // replicas share one average, so they are contiguous in the list:
+    // sorting the experts orders it.
+    let avg: Vec<f64> = (0..e)
+        .map(|j| expert_loads[j] as f64 / expert_rep[j] as f64)
+        .collect();
+    let mut order: Vec<usize> = (0..e).collect();
+    order.sort_by(|&a, &b| avg[b].total_cmp(&avg[a]).then(a.cmp(&b)));
 
     let mut layout = ExpertLayout::empty(n, e, capacity)
         .unwrap_or_else(|_| unreachable!("caller-provided shape is consistent"));
     let mut expert_count = vec![0usize; n]; // slots used per device
     let mut device_loads = vec![0.0f64; n];
-
-    for (expert_idx, load) in list {
-        let expert = ExpertId::new(expert_idx);
-        // Lines 7-9: nodes with the fewest replicas of this expert that
-        // still have a device with free capacity.
-        let node_cnt = layout.node_replica_counts(topo, expert);
-        let mut candidate_nodes: Vec<usize> = (0..topo.num_nodes()).collect();
-        candidate_nodes.sort_by_key(|&nid| node_cnt[nid]);
-        let mut placed = false;
-        let mut group_start = 0;
-        while group_start < candidate_nodes.len() {
-            let level = node_cnt[candidate_nodes[group_start]];
-            let group: Vec<usize> = candidate_nodes[group_start..]
-                .iter()
-                .copied()
-                .take_while(|&nid| node_cnt[nid] == level)
-                .collect();
-            // Lines 10-13: least-loaded device with spare capacity inside
-            // the chosen node group.
-            let best = group
-                .iter()
-                .flat_map(|&nid| topo.devices_on(laer_cluster::NodeId::new(nid)))
-                .filter(|d| is_active[d.index()] && expert_count[d.index()] < capacity)
-                .min_by(|a, b| {
-                    device_loads[a.index()]
-                        .total_cmp(&device_loads[b.index()])
-                        .then(a.index().cmp(&b.index()))
-                });
-            if let Some(device) = best {
-                layout.add_replica(device, expert);
-                device_loads[device.index()] += load;
-                expert_count[device.index()] += 1;
-                placed = true;
-                break;
+    // Lines 10-13 per node: its least-loaded device with spare capacity,
+    // `None` once the node is full. Only placing on a node changes it.
+    let least_loaded = |nid: NodeId, expert_count: &[usize], device_loads: &[f64]| {
+        topo.devices_on(nid)
+            .filter(|d| is_active[d.index()] && expert_count[d.index()] < capacity)
+            .map(|d| Slot {
+                load: device_loads[d.index()],
+                device: d.index(),
+            })
+            .min()
+    };
+    let mut node_best: Vec<Option<Slot>> = topo
+        .node_ids()
+        .map(|nid| least_loaded(nid, &expert_count, &device_loads))
+        .collect();
+    // Lines 7-9: the nodes holding the fewest replicas of the expert
+    // form the candidate group. Every node starts an expert at zero and
+    // moves up one level per replica it takes, so the group is a heap
+    // of the current level's nodes keyed by their least-loaded device:
+    // its minimum is the device the group scan picks.
+    let mut level: BinaryHeap<Reverse<Slot>> = BinaryHeap::with_capacity(topo.num_nodes());
+    let mut next_level: Vec<Reverse<Slot>> = Vec::with_capacity(topo.num_nodes());
+    for j in order {
+        let expert = ExpertId::new(j);
+        level.clear();
+        level.extend(node_best.iter().flatten().copied().map(Reverse));
+        next_level.clear();
+        for _ in 0..expert_rep[j] {
+            if level.is_empty() {
+                level.extend(next_level.drain(..));
             }
-            group_start += group.len();
+            let Some(Reverse(slot)) = level.pop() else {
+                panic!("replica total equals slot total, placement must succeed");
+            };
+            let device = DeviceId::new(slot.device);
+            layout.add_replica(device, expert);
+            device_loads[slot.device] += avg[j];
+            expert_count[slot.device] += 1;
+            let nid = topo.node_of(device);
+            node_best[nid.index()] = least_loaded(nid, &expert_count, &device_loads);
+            next_level.extend(node_best[nid.index()].map(Reverse));
         }
-        assert!(
-            placed,
-            "replica total equals slot total, placement must succeed"
-        );
     }
     debug_assert!(layout.validate_on(active).is_ok());
     layout
 }
+
+/// A candidate device in Alg. 1's search, ordered by `(load, device
+/// id)` — the group scan's tie-break.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    load: f64,
+    device: usize,
+}
+
+impl Ord for Slot {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.load
+            .total_cmp(&other.load)
+            .then(self.device.cmp(&other.device))
+    }
+}
+
+impl PartialOrd for Slot {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Slot {}
 
 /// One expert-weight transfer implied by switching layouts: `dst` must
 /// fetch `expert`'s parameters from `src` before it can serve them.

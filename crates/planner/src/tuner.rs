@@ -4,17 +4,18 @@
 //! proportional allocation, even allocation, and random perturbations of
 //! members already in the set), solves each with the greedy relocation
 //! (Alg. 1), routes under lite routing (Alg. 3), scores with the time
-//! model (Eq. 2) and keeps the best.
+//! model (Eq. 2) and keeps the best. Candidates are priced while they
+//! are routed, so only the winner's routing is ever materialised; the
+//! result is bit-identical to pricing `lite_route`'s output with
+//! `time_cost`.
 
-use crate::cost::{time_cost, CostBreakdown, CostParams};
+use crate::cost::{effective_bw, eq2, pair_term, time_cost, CostBreakdown, CostParams};
 use crate::layout::ExpertLayout;
-#[cfg(test)]
-use crate::lite_routing::lite_route;
-use crate::lite_routing::{lite_route_with, RouteScratch};
-use crate::relocation::expert_relocation_on;
+use crate::lite_routing::{lite_route, KindPrices, ReplicaIndex, Router};
+use crate::relocation::{expert_relocation, expert_relocation_on};
 use crate::replica::{even_replicas, replica_allocation};
 use crate::token_routing::TokenRouting;
-use laer_cluster::{DegradedView, DeviceId, Interconnect, Topology};
+use laer_cluster::{DegradedView, DeviceId, ExpertId, Interconnect, Topology};
 use laer_routing::RoutingMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -281,15 +282,20 @@ impl Planner {
     /// # Panics
     ///
     /// Panics if `demand`'s shapes disagree with the planner topology or
-    /// `view` wraps a different topology.
+    /// `view` wraps a topology of another device, node or rack shape.
     pub fn plan_degraded(
         &self,
         demand: &RoutingMatrix,
         view: &DegradedView,
     ) -> Result<Plan, PlanError> {
-        assert_eq!(
-            view.base().num_devices(),
-            self.topo.num_devices(),
+        // The same device, node and rack shape: candidates are placed
+        // and routed by node on the planner's topology and priced on the
+        // view.
+        let (base, topo) = (view.base(), &self.topo);
+        assert!(
+            base.num_devices() == topo.num_devices()
+                && base.devices_per_node() == topo.devices_per_node()
+                && base.devices_per_rack() == topo.devices_per_rack(),
             "degraded view topology mismatch"
         );
         let survivors = view.survivors();
@@ -314,22 +320,21 @@ impl Planner {
         expert_loads: &[u64],
         demand: &RoutingMatrix,
     ) -> Plan {
-        let all: Vec<DeviceId> = self.topo.devices().collect();
-        let mut scratch = RouteScratch::new();
-        self.evaluate_on(
-            replicas,
-            expert_loads,
-            demand,
-            &all,
-            &self.topo,
-            &mut scratch,
-        )
+        let layout = expert_relocation(replicas, expert_loads, &self.topo, self.cfg.capacity);
+        let routing = lite_route(&self.topo, demand, &layout);
+        let predicted = time_cost(&self.topo, &routing, &self.cost).pipelined(self.cfg.num_chunks);
+        Plan {
+            layout,
+            routing,
+            predicted,
+        }
     }
 
     /// The Alg. 2 loop shared by [`Self::plan`] and
     /// [`Self::plan_degraded`]: every deduplicated candidate is placed
-    /// on the `active` devices and priced on `net`, and the first
-    /// strictly cheapest one wins.
+    /// on the `active` devices (Alg. 1), priced on `net` while Alg. 3
+    /// routes it, and the first strictly cheapest one wins. Only the
+    /// winner's routing is materialised.
     fn solve<I: Interconnect>(&self, demand: &RoutingMatrix, active: &[DeviceId], net: &I) -> Plan {
         let loads = demand.expert_loads();
         let mut schemes = self.unique_schemes(self.candidate_schemes_for(active.len(), demand));
@@ -338,47 +343,87 @@ impl Planner {
             // proportional scheme so planning stays total.
             schemes.push(replica_allocation(&loads, active.len(), self.cfg.capacity));
         }
-        let mut scratch = RouteScratch::new();
-        schemes
-            .iter()
-            .map(|replicas| self.evaluate_on(replicas, &loads, demand, active, net, &mut scratch))
-            .reduce(|best, candidate| {
-                if candidate.predicted.total() < best.predicted.total() {
-                    candidate
-                } else {
-                    best
-                }
-            })
-            .unwrap_or_else(|| unreachable!("the candidate set is never empty"))
-    }
-
-    /// One candidate of Alg. 2: relocation onto `active` (Alg. 1) → lite
-    /// routing (Alg. 3) → Eq. 2 cost priced on `net`.
-    fn evaluate_on<I: Interconnect>(
-        &self,
-        replicas: &[usize],
-        expert_loads: &[u64],
-        demand: &RoutingMatrix,
-        active: &[DeviceId],
-        net: &I,
-        scratch: &mut RouteScratch,
-    ) -> Plan {
-        #[cfg(test)]
-        EVAL_COUNT.with(|c| c.set(c.get() + 1));
-        let layout = expert_relocation_on(
-            replicas,
-            expert_loads,
-            &self.topo,
-            self.cfg.capacity,
-            active,
-        );
-        let routing = lite_route_with(&self.topo, demand, &layout, scratch);
-        let predicted = time_cost(net, &routing, &self.cost).pipelined(self.cfg.num_chunks);
+        let mut scratch = CostScratch::default();
+        let mut best: Option<(ExpertLayout, CostBreakdown)> = None;
+        for replicas in &schemes {
+            #[cfg(test)]
+            EVAL_COUNT.with(|c| c.set(c.get() + 1));
+            let layout =
+                expert_relocation_on(replicas, &loads, &self.topo, self.cfg.capacity, active);
+            let predicted = self
+                .route_cost(&mut scratch, demand, &layout, net)
+                .pipelined(self.cfg.num_chunks);
+            if best
+                .as_ref()
+                .is_none_or(|(_, b)| predicted.total() < b.total())
+            {
+                best = Some((layout, predicted));
+            }
+        }
+        let Some((layout, predicted)) = best else {
+            unreachable!("the candidate set is never empty")
+        };
         Plan {
+            routing: lite_route(&self.topo, demand, &layout),
             layout,
-            routing,
             predicted,
         }
+    }
+
+    /// Eq. 2 of `layout` on `net`, priced as Alg. 3 emits each entry —
+    /// bit-identical to `time_cost(net, &lite_route(..), ..)`, which adds
+    /// the same terms in the same order (a sender's entries are
+    /// contiguous, so its send sum runs in a local). A link price comes
+    /// from the router once per node when `net` prices links by kind,
+    /// and is looked up per entry otherwise.
+    fn route_cost<I: Interconnect>(
+        &self,
+        scratch: &mut CostScratch,
+        demand: &RoutingMatrix,
+        layout: &ExpertLayout,
+        net: &I,
+    ) -> CostBreakdown {
+        let (topo, params) = (&self.topo, &self.cost);
+        let index = ReplicaIndex::from_layout(layout);
+        index.assert_shapes(topo, demand);
+        let CostScratch {
+            router,
+            send,
+            recv,
+            loads,
+        } = scratch;
+        let n = topo.num_devices();
+        send.clear();
+        send.resize(n, 0.0);
+        recv.clear();
+        recv.resize(n, 0.0);
+        loads.clear();
+        loads.resize(n, 0);
+        let mut prices = KindPrices::of(net);
+        for node in topo.node_ids() {
+            router.resolve(topo, &index, node, 0..index.num_experts(), prices.as_mut());
+            for src in topo.devices_on(node) {
+                let mut sent = 0.0;
+                for (j, &tokens) in demand.row(src).iter().enumerate() {
+                    if tokens == 0 {
+                        continue;
+                    }
+                    router.split(src, ExpertId::new(j), tokens, j, |dst, count, link| {
+                        loads[dst.index()] += count;
+                        if dst != src {
+                            let (bw, lat) = link.unwrap_or_else(|| {
+                                (effective_bw(net, src, dst), net.latency(src, dst))
+                            });
+                            let t = pair_term(count, bw, lat, params);
+                            sent += t;
+                            recv[dst.index()] += t;
+                        }
+                    });
+                }
+                send[src.index()] = sent;
+            }
+        }
+        eq2(send, recv, loads.iter().copied().max().unwrap_or(0), params)
     }
 
     /// Returns this planner re-priced for a different executor chunk
@@ -395,6 +440,16 @@ impl Planner {
         self.cfg.predictor = predictor;
         self
     }
+}
+
+/// Reusable buffers of [`Planner::route_cost`]: the routing core and
+/// Eq. 2's per-device send, receive and compute sums.
+#[derive(Debug, Default)]
+struct CostScratch {
+    router: Router,
+    send: Vec<f64>,
+    recv: Vec<f64>,
+    loads: Vec<u64>,
 }
 
 /// Random perturbation of a replica scheme: move one replica from an

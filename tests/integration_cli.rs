@@ -40,6 +40,20 @@ fn plan_rejects_capacity_that_cannot_host_every_expert() {
     );
 }
 
+/// A capacity above the expert count is rejected up front: a huge one
+/// would plan `N · C` replicas without end.
+#[test]
+fn plan_rejects_capacity_above_expert_count() {
+    assert_eq!(
+        rejects(&["plan", "--capacity", "18446744073709551615"]),
+        "error: --capacity 18446744073709551615 exceeds --experts 8"
+    );
+    assert_eq!(
+        rejects(&["plan", "--experts", "4", "--capacity", "5"]),
+        "error: --capacity 5 exceeds --experts 4"
+    );
+}
+
 #[test]
 fn zero_counts_are_rejected() {
     for (cmd, flag) in [
