@@ -5,17 +5,17 @@
 //!
 //! * [`PlanningMode::Async`] (default) — faithful to the Fig. 7
 //!   workflow: the layout tuner runs asynchronously on the CPU using the
-//!   routing information of *previous* iterations (bridged by a
-//!   [`Predictor`]), so the layout a layer executes is one iteration
-//!   stale; the synchronous lite-routing dispatcher then routes the
-//!   actual demand on that layout.
+//!   routing information of *previous* iterations (bridged by the
+//!   [`LayoutPolicy`]'s per-layer demand history), so the layout a layer
+//!   executes is one iteration stale; the synchronous lite-routing
+//!   dispatcher then routes the actual demand on that layout.
 //! * [`PlanningMode::Oracle`] — plans with the current iteration's
 //!   demand; an upper bound useful for measuring the staleness cost.
 //!
-//! Under async planning the demand predictor is pluggable
-//! ([`PredictorKind`]): the paper's EMA by default, or recorded-trace
-//! replay foresight ([`LaerSystem::install_replay`]) for RL
-//! post-training workloads whose train phases re-visit rollout prompts.
+//! Demand history (the EMA, or replay foresight for RL via
+//! [`LaerSystem::install_replay`]) and the network, outage and capacity
+//! rules belong to the [`LayoutPolicy`] serving's LAER loop drives too;
+//! this system keeps one prepared layout per layer and its fallbacks.
 
 use crate::context::SystemContext;
 use crate::system::{audit_belief, LayerPlan, MoeSystem, SystemError};
@@ -23,8 +23,8 @@ use laer_cluster::DegradedView;
 use laer_fsep::ScheduleOptions;
 use laer_obs::PlanAudit;
 use laer_planner::{
-    lite_route, AnyPredictor, CostParams, ExpertLayout, Plan, PlanError, Planner, PlannerConfig,
-    Predictor, PredictorKind, ReplayPredictor, ReplicaScheme,
+    lite_route, AnyPredictor, CapacityResponse, ExpertLayout, LayoutPolicy, Plan, PlannerConfig,
+    Proposal, ReplicaScheme,
 };
 use laer_routing::{RoutingMatrix, RoutingTrace};
 use serde::{Deserialize, Serialize};
@@ -65,66 +65,53 @@ impl Belief {
     }
 }
 
-/// Per-layer asynchronous-tuner state (serializable: this is exactly
-/// what a training checkpoint must capture to resume bit-identically).
+/// A layout the CPU tuner prepared for a layer's next iteration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct LayerState {
-    predictor: AnyPredictor,
-    next_layout: Option<ExpertLayout>,
-    /// Belief attached to `next_layout`, consumed with it.
-    next_belief: Option<Belief>,
-    /// Whether `next_layout` was planned from recorded-trace foresight
-    /// (audited with trigger "replay" instead of "periodic").
-    #[serde(default)]
-    next_from_replay: bool,
-    /// The layout executed by the most recent iteration — the staleness
-    /// fallback while the planner process is unreachable.
-    last_layout: Option<ExpertLayout>,
-    /// Belief attached to `last_layout`.
-    last_belief: Option<Belief>,
+struct Prepared {
+    layout: ExpertLayout,
+    belief: Belief,
+    /// Whether recorded-trace foresight predicted the demand (audited
+    /// with trigger "replay" instead of "periodic").
+    from_replay: bool,
 }
 
-impl LayerState {
-    fn fresh(predictor: AnyPredictor) -> Self {
+impl Prepared {
+    fn of(proposal: Proposal) -> Self {
         Self {
-            predictor,
-            next_layout: None,
-            next_belief: None,
-            next_from_replay: false,
-            last_layout: None,
-            last_belief: None,
+            belief: Belief::of(&proposal.plan),
+            layout: proposal.plan.layout,
+            from_replay: proposal.from_replay,
         }
     }
 }
 
-/// Recorded-trace replay setup shared by all layers: one trace per
-/// layer, a mismatch-noise knob and the seed of the noise stream.
-#[derive(Debug, Clone)]
-struct ReplaySetup {
-    traces: Vec<RoutingTrace>,
-    noise: f64,
-    seed: u64,
+/// Per-layer asynchronous-tuner state (serializable: with the policy's
+/// demand histories, this is what a training checkpoint must capture to
+/// resume bit-identically).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct LayerState {
+    next: Option<Prepared>,
+    /// The layout executed by the most recent iteration and its belief
+    /// (none for the boot layout) — the fallback while nothing can be
+    /// planned.
+    last: Option<(ExpertLayout, Option<Belief>)>,
 }
 
 /// Serialized form of [`LaerSystem`]'s mutable state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct LaerCheckpoint {
     layers: Vec<LayerState>,
+    histories: Vec<AnyPredictor>,
 }
 
 /// The full LAER-MoE system (FSEP + planner).
 #[derive(Debug, Clone)]
 pub struct LaerSystem {
     ctx: SystemContext,
-    planner: Planner,
+    policy: LayoutPolicy,
     schedule: ScheduleOptions,
     mode: PlanningMode,
     layers: Vec<LayerState>,
-    /// Installed replay traces (RL train phases); `None` means the
-    /// configured predictor kind falls back to EMA.
-    replay: Option<ReplaySetup>,
-    /// Whether the asynchronous CPU planner process is reachable.
-    planner_available: bool,
 }
 
 impl LaerSystem {
@@ -142,22 +129,20 @@ impl LaerSystem {
         scheme: ReplicaScheme,
         schedule: ScheduleOptions,
     ) -> Self {
-        let cost = CostParams::from_model(ctx.model(), ctx.cost().gpu(), false);
-        let planner = Planner::new(
+        let policy = LayoutPolicy::new(
             PlannerConfig::new(ctx.capacity())
                 .with_scheme(scheme)
                 .with_epsilon(4),
-            cost,
+            ctx.model(),
+            ctx.cost().gpu(),
             ctx.topology().clone(),
         );
         Self {
             ctx,
-            planner,
+            policy,
             schedule,
             mode: PlanningMode::Async,
             layers: Vec::new(),
-            replay: None,
-            planner_available: true,
         }
     }
 
@@ -174,75 +159,26 @@ impl LaerSystem {
     /// execution agree on what "exposed communication" means.
     pub fn with_num_chunks(mut self, num_chunks: usize) -> Self {
         self.schedule = self.schedule.with_num_chunks(num_chunks);
-        self.planner = self.planner.clone().with_num_chunks(num_chunks);
+        self.policy = self.policy.with_num_chunks(num_chunks);
         self
     }
 
-    /// Switches the tuner to recorded-trace replay foresight
-    /// ([`PredictorKind::Replay`]): builder form of
-    /// [`Self::install_replay`].
-    pub fn with_replay(mut self, traces: Vec<RoutingTrace>, noise: f64, seed: u64) -> Self {
-        self.install_replay(traces, noise, seed);
-        self
-    }
-
-    /// Installs (or replaces) per-layer replay traces: `traces[l]`
-    /// serves layer `l`'s demand foresight, perturbed by `noise` (0 =
-    /// verbatim) with a deterministic stream keyed on `seed`.
-    ///
-    /// Every covered layer's predictor restarts at its new trace's
-    /// first iteration — this is what an RL train phase calls at each
-    /// epoch boundary with that epoch's rollout recording. Because the
-    /// new trace supersedes whatever history the tuner planned from, any
-    /// already-prepared layout is re-planned from the trace's first
-    /// iteration (while the planner process is reachable), so foresight
-    /// applies from the very first replayed step. Layers without a
-    /// trace keep EMA behaviour, as does any layer once its trace is
-    /// exhausted (the replay predictor's built-in fallback).
+    /// Installs per-layer replay traces ([`LayoutPolicy::install_replay`])
+    /// — what an RL train phase calls at each epoch boundary — and
+    /// re-plans every prepared layout from its trace's first iteration,
+    /// so foresight applies from the very first replayed step.
     ///
     /// # Panics
     ///
     /// Panics if a trace's matrix shapes disagree with the cluster
     /// topology (the planner's documented preconditions).
     pub fn install_replay(&mut self, traces: Vec<RoutingTrace>, noise: f64, seed: u64) {
-        self.planner = self.planner.clone().with_predictor(PredictorKind::Replay);
-        self.replay = Some(ReplaySetup {
-            traces,
-            noise,
-            seed,
-        });
-        for layer in 0..self.layers.len() {
-            self.layers[layer].predictor = self.fresh_predictor(layer);
-            if !self.planner_available {
-                continue;
-            }
-            let Some(predicted) = self.layers[layer].predictor.predict() else {
-                continue;
-            };
-            let from_replay = self.layers[layer].predictor.serving_trace();
-            if let Some(next) = self.plan_on_network(&predicted) {
-                self.layers[layer].next_belief = Some(Belief::of(&next));
-                self.layers[layer].next_layout = Some(next.layout);
-                self.layers[layer].next_from_replay = from_replay;
+        self.policy.install_replay(traces, noise, seed);
+        for (layer, state) in self.layers.iter_mut().enumerate() {
+            if let Some(proposal) = self.policy.propose(layer, self.ctx.fault_view()) {
+                state.next = Some(Prepared::of(proposal));
             }
         }
-    }
-
-    /// The predictor a freshly materialized layer starts with, per the
-    /// planner configuration's [`PredictorKind`].
-    fn fresh_predictor(&self, layer: usize) -> AnyPredictor {
-        if self.planner.config().predictor == PredictorKind::Replay {
-            if let Some(setup) = &self.replay {
-                if let Some(trace) = setup.traces.get(layer) {
-                    return AnyPredictor::Replay(ReplayPredictor::new(
-                        trace.clone(),
-                        setup.noise,
-                        setup.seed.wrapping_add(layer as u64),
-                    ));
-                }
-            }
-        }
-        AnyPredictor::default_ema()
     }
 
     /// The planning mode in use.
@@ -250,67 +186,33 @@ impl LaerSystem {
         self.mode
     }
 
-    /// The planner in use.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    fn layer_state(&mut self, layer: usize) -> &mut LayerState {
-        while self.layers.len() <= layer {
-            let predictor = self.fresh_predictor(self.layers.len());
-            self.layers.push(LayerState::fresh(predictor));
-        }
-        &mut self.layers[layer]
-    }
-
-    /// Plans a layout against the current network: nominal topology
-    /// normally, survivors-only with degraded pricing when a fault view
-    /// is installed. Returns `None` when the degraded instance is
-    /// unsatisfiable (callers fall back to a previous layout;
-    /// [`MoeSystem::handle_device_failures`] has already rejected
-    /// genuinely unrecoverable clusters).
-    fn plan_on_network(&self, demand: &RoutingMatrix) -> Option<Plan> {
-        match self.ctx.fault_view() {
-            Some(view) if !view.is_nominal() => self.planner.plan_degraded(demand, view).ok(),
-            _ => Some(self.planner.plan(demand)),
-        }
-    }
-
     /// The layout executed this iteration under async planning, plus the
     /// audit trigger and the belief the layout was planned with: the
-    /// layout the CPU tuner prepared from history; while the planner is
-    /// unreachable, the previous iteration's layout (one extra step of
-    /// staleness); on a cold start, a synchronous plan from the current
-    /// demand.
+    /// layout the CPU tuner prepared; else a synchronous plan from the
+    /// current demand (cold start, or the first iteration after an
+    /// outage); else, while nothing can be planned, the previous
+    /// iteration's layout or, on a cold start, the boot layout.
     fn async_layout(
         &mut self,
         layer: usize,
         demand: &RoutingMatrix,
     ) -> (ExpertLayout, &'static str, Option<Belief>) {
-        let planner_available = self.planner_available;
-        let state = self.layer_state(layer);
-        if let Some(layout) = state.next_layout.take() {
-            let belief = state.next_belief.take();
-            let trigger = if state.next_from_replay {
+        if self.layers.len() <= layer {
+            self.layers.resize_with(layer + 1, LayerState::default);
+        }
+        if let Some(next) = self.layers[layer].next.take() {
+            let trigger = if next.from_replay {
                 "replay"
             } else {
                 "periodic"
             };
-            return (layout, trigger, belief);
+            return (next.layout, trigger, Some(next.belief));
         }
-        if !planner_available {
-            if let Some(last) = state.last_layout.clone() {
-                let belief = state.last_belief.clone();
-                return (last, "outage-fallback", belief);
-            }
-        }
-        if let Some(plan) = self.plan_on_network(demand) {
+        if let Some(plan) = self.policy.plan(demand, self.ctx.fault_view()) {
             let belief = Belief::of(&plan);
             return (plan.layout, "cold-start", Some(belief));
         }
-        let state = self.layer_state(layer);
-        if let Some(last) = state.last_layout.clone() {
-            let belief = state.last_belief.clone();
+        if let Some((last, belief)) = self.layers[layer].last.clone() {
             return (last, "outage-fallback", belief);
         }
         // Cold start with the planner down: the initial static layout
@@ -338,7 +240,7 @@ impl MoeSystem for LaerSystem {
     fn plan_layer(&mut self, layer: usize, _iteration: u64, demand: &RoutingMatrix) -> LayerPlan {
         let (layout, routing, audit) = match self.mode {
             PlanningMode::Oracle => {
-                let plan = self.planner.plan(demand);
+                let plan = self.policy.planner().plan(demand);
                 let audit = Belief::of(&plan).audit("oracle");
                 (plan.layout, plan.routing, audit)
             }
@@ -355,40 +257,14 @@ impl MoeSystem for LaerSystem {
                     None => audit_belief(&self.ctx, trigger, &routing),
                 };
                 // CPU side: fold this iteration's routing info into the
-                // history and prepare the next iteration's layout — but
-                // only while the planner process is reachable; during an
-                // outage the system keeps re-executing `last_layout`.
-                let state = self.layer_state(layer);
-                if state.predictor.observe(demand).is_err() {
-                    // Demand re-shaped mid-run: the accumulated history
-                    // (and any installed trace) no longer describes
-                    // this cluster. Restart from a fresh EMA — the
-                    // first observation of which cannot fail — rather
-                    // than poisoning the old state.
-                    state.predictor = AnyPredictor::default_ema();
-                    let _ = state.predictor.observe(demand);
-                }
-                state.last_layout = Some(layout.clone());
-                state.last_belief = belief;
-                if self.planner_available {
-                    let from_replay = self.layers[layer].predictor.serving_trace();
-                    let predicted = self.layers[layer]
-                        .predictor
-                        .predict()
-                        .unwrap_or_else(|| demand.clone());
-                    match self.plan_on_network(&predicted) {
-                        Some(next) => {
-                            self.layers[layer].next_belief = Some(Belief::of(&next));
-                            self.layers[layer].next_layout = Some(next.layout);
-                            self.layers[layer].next_from_replay = from_replay;
-                        }
-                        None => {
-                            self.layers[layer].next_layout = Some(layout.clone());
-                            self.layers[layer].next_belief = None;
-                            self.layers[layer].next_from_replay = false;
-                        }
-                    }
-                }
+                // history and prepare the next iteration's layout — which
+                // the policy declines while the planner process is down,
+                // so the system keeps re-executing `last`.
+                self.policy.observe(layer, demand);
+                let next = self.policy.propose(layer, self.ctx.fault_view());
+                let state = &mut self.layers[layer];
+                state.next = next.map(Prepared::of);
+                state.last = Some((layout.clone(), belief));
                 (layout, routing, audit)
             }
         };
@@ -414,40 +290,28 @@ impl MoeSystem for LaerSystem {
         &mut self.ctx
     }
 
-    fn handle_device_failures(&mut self, view: &DegradedView) -> Result<bool, SystemError> {
-        let survivors = view.survivors();
-        if survivors.is_empty() {
-            return Err(PlanError::NoSurvivors.into());
+    fn handle_device_failures(
+        &mut self,
+        view: &DegradedView,
+    ) -> Result<CapacityResponse, SystemError> {
+        let response = self.policy.capacity_change(view)?;
+        if response == CapacityResponse::Replan {
+            // Prepared layouts may place replicas on the failed devices;
+            // drop them so every layer re-plans onto the survivors.
+            self.layers.fill_with(LayerState::default);
+            self.ctx.set_fault_view(Some(view.clone()));
         }
-        let (capacity, experts) = (self.ctx.capacity(), self.ctx.model().experts());
-        if survivors.len() * capacity < experts {
-            return Err(PlanError::InsufficientCapacity {
-                survivors: survivors.len(),
-                capacity,
-                experts,
-            }
-            .into());
-        }
-        // Prepared layouts may place replicas on the failed devices;
-        // drop them so every layer re-plans onto the survivors.
-        for state in &mut self.layers {
-            state.next_layout = None;
-            state.next_belief = None;
-            state.next_from_replay = false;
-            state.last_layout = None;
-            state.last_belief = None;
-        }
-        self.ctx.set_fault_view(Some(view.clone()));
-        Ok(true)
+        Ok(response)
     }
 
     fn set_planner_available(&mut self, available: bool) {
-        self.planner_available = available;
+        self.policy.set_available(available);
     }
 
     fn snapshot(&self) -> serde::Value {
         LaerCheckpoint {
             layers: self.layers.clone(),
+            histories: self.policy.histories().to_vec(),
         }
         .serialize_value()
     }
@@ -456,6 +320,7 @@ impl MoeSystem for LaerSystem {
         let ckpt = LaerCheckpoint::deserialize_value(snapshot)
             .map_err(|e| SystemError::Restore(e.to_string()))?;
         self.layers = ckpt.layers;
+        self.policy.restore_histories(ckpt.histories);
         Ok(())
     }
 }
@@ -540,7 +405,10 @@ mod tests {
         let mut view = DegradedView::new(Topology::paper_cluster());
         let dead = DeviceId::new(13);
         view.fail_device(dead);
-        assert!(laer.handle_device_failures(&view).unwrap());
+        assert_eq!(
+            laer.handle_device_failures(&view),
+            Ok(CapacityResponse::Replan)
+        );
         for it in 3..6 {
             let mut demand = gen.next_iteration();
             for j in 0..8 {
@@ -607,6 +475,32 @@ mod tests {
         assert!(changed, "planning must resume after the outage");
     }
 
+    /// A cold start while the planner is down runs the boot layout, and
+    /// a failure while it is down cannot be planned around: `Restart`,
+    /// with the prepared state and network left as they were.
+    #[test]
+    fn outage_boots_classic_ep_and_restarts_on_failure() {
+        use laer_cluster::{DegradedView, DeviceId};
+        let mut laer = LaerSystem::new(ctx());
+        laer.set_planner_available(false);
+        let mut gen =
+            RoutingGenerator::new(RoutingGeneratorConfig::new(32, 8, 32 * 1024).with_seed(16));
+        let plan = laer.plan_layer(0, 0, &gen.next_iteration());
+        let boot = ExpertLayout::classic_ep(32, 8, laer.context().capacity()).unwrap();
+        assert_eq!(plan.layout, boot);
+        assert_eq!(plan.audit.trigger, "cold-start");
+        let mut view = DegradedView::new(Topology::paper_cluster());
+        view.fail_device(DeviceId::new(13));
+        assert_eq!(
+            laer.handle_device_failures(&view),
+            Ok(CapacityResponse::Restart)
+        );
+        assert!(laer.context().fault_view().is_none());
+        let next = laer.plan_layer(0, 1, &gen.next_iteration());
+        assert_eq!(next.layout, boot);
+        assert_eq!(next.audit.trigger, "outage-fallback");
+    }
+
     /// Snapshot/restore captures the full mutable state: a restored
     /// system continues bit-identically to the original.
     #[test]
@@ -642,7 +536,8 @@ mod tests {
     fn replay_foresight_matches_oracle() {
         let cfg = RoutingGeneratorConfig::new(32, 8, 32 * 1024).with_seed(77);
         let trace = laer_routing::RoutingTrace::record(cfg, 10);
-        let mut replay = LaerSystem::new(ctx()).with_replay(vec![trace.clone()], 0.0, 0);
+        let mut replay = LaerSystem::new(ctx());
+        replay.install_replay(vec![trace.clone()], 0.0, 0);
         let mut oracle = LaerSystem::new(ctx()).with_mode(PlanningMode::Oracle);
         for (it, demand) in trace.iter().enumerate() {
             let pr = replay.plan_layer(0, it as u64, demand);
@@ -662,7 +557,8 @@ mod tests {
     fn replay_trace_end_falls_back_then_reinstall_restores() {
         let cfg = RoutingGeneratorConfig::new(32, 8, 32 * 1024).with_seed(78);
         let trace = laer_routing::RoutingTrace::record(cfg.clone(), 3);
-        let mut laer = LaerSystem::new(ctx()).with_replay(vec![trace.clone()], 0.0, 0);
+        let mut laer = LaerSystem::new(ctx());
+        laer.install_replay(vec![trace.clone()], 0.0, 0);
         let mut gen = RoutingGenerator::new(cfg);
         for it in 0..6u64 {
             let demand = gen.next_iteration();

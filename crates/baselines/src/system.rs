@@ -4,7 +4,7 @@ use crate::context::SystemContext;
 use laer_cluster::DegradedView;
 use laer_fsep::{LayerTimings, ScheduleOptions};
 use laer_obs::PlanAudit;
-use laer_planner::{ExpertLayout, PlanError, TokenRouting};
+use laer_planner::{CapacityResponse, ExpertLayout, PlanError, TokenRouting};
 use laer_routing::RoutingMatrix;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -132,18 +132,22 @@ pub trait MoeSystem {
 
     /// Reacts to device failures described by `view`.
     ///
-    /// Returns `Ok(true)` if the system re-planned onto the survivors
-    /// and can continue elastically, `Ok(false)` if it has a static
-    /// layout and must restart from a checkpoint (the default — classic
-    /// EP groups cannot be re-formed on an irregular survivor set).
+    /// Returns [`CapacityResponse::Replan`] if the system re-planned
+    /// onto the survivors and can continue elastically, and
+    /// [`CapacityResponse::Restart`] if it must restart from a
+    /// checkpoint (the default — classic EP groups cannot be re-formed
+    /// on an irregular survivor set).
     ///
     /// # Errors
     ///
     /// [`SystemError::Plan`] when even an elastic system cannot place
     /// every expert on the survivors.
-    fn handle_device_failures(&mut self, view: &DegradedView) -> Result<bool, SystemError> {
+    fn handle_device_failures(
+        &mut self,
+        view: &DegradedView,
+    ) -> Result<CapacityResponse, SystemError> {
         let _ = view;
-        Ok(false)
+        Ok(CapacityResponse::Restart)
     }
 
     /// Signals whether the asynchronous planner process is reachable

@@ -24,7 +24,11 @@
 //! * [`delta`] — incremental Eq. 2 evaluation for the refine/exact hot
 //!   paths: a move re-routes only the cells of the affected experts
 //!   whose targets changed, with results bit-identical to
-//!   `lite_route` + `time_cost` from scratch.
+//!   `lite_route` + `time_cost` from scratch;
+//! * [`policy`] — the layout policy both LAER loops (training and
+//!   serving) drive: per-layer demand history, planning on the network
+//!   the executor sees, the planner-outage rule and the
+//!   [`CapacityResponse`] to a capacity change.
 //!
 //! # Example
 //!
@@ -51,6 +55,7 @@ pub mod delta;
 pub mod exact;
 pub mod layout;
 pub mod lite_routing;
+pub mod policy;
 pub mod predictor;
 pub mod refine;
 pub mod relocation;
@@ -64,6 +69,7 @@ pub use delta::IncrementalCost;
 pub use exact::exhaustive_best_layout;
 pub use layout::{ExpertLayout, LayoutError};
 pub use lite_routing::lite_route;
+pub use policy::{CapacityResponse, LayoutPolicy, Proposal};
 pub use predictor::{
     AnyPredictor, LoadPredictor, PredictError, Predictor, PredictorKind, ReplayPredictor,
 };

@@ -14,8 +14,9 @@
 //!   post-training re-visits the same prompts across rollout→train
 //!   epochs, so a recorded [`RoutingTrace`] is near-perfect foresight
 //!   (ReLibra / "Harnessing Routing Foresight");
-//! * [`AnyPredictor`] is the serializable closed sum the LAER system
-//!   checkpoints, selected by [`PredictorKind`] in `PlannerConfig`.
+//! * [`AnyPredictor`] is the serializable closed sum the
+//!   [`crate::LayoutPolicy`] keeps per layer (and the LAER system
+//!   checkpoints), selected by [`PredictorKind`] in `PlannerConfig`.
 
 use laer_cluster::{DeviceId, ExpertId};
 use laer_routing::{RoutingMatrix, RoutingTrace};
@@ -212,11 +213,6 @@ impl ReplayPredictor {
         }
     }
 
-    /// Iterations of the recorded trace still ahead of the cursor.
-    pub fn remaining(&self) -> usize {
-        self.trace.len().saturating_sub(self.cursor)
-    }
-
     /// Whether the next prediction comes from the recorded trace (vs
     /// the EMA fallback past the trace end).
     pub fn serving_trace(&self) -> bool {
@@ -287,14 +283,6 @@ impl AnyPredictor {
         AnyPredictor::Ema(LoadPredictor::default_ema())
     }
 
-    /// Which [`PredictorKind`] this predictor is.
-    pub fn kind(&self) -> PredictorKind {
-        match self {
-            AnyPredictor::Ema(_) => PredictorKind::Ema,
-            AnyPredictor::Replay(_) => PredictorKind::Replay,
-        }
-    }
-
     /// Whether the next prediction is served from a recorded trace.
     pub fn serving_trace(&self) -> bool {
         match self {
@@ -329,9 +317,9 @@ impl Predictor for AnyPredictor {
 
 /// Which demand predictor the planner configuration selects.
 ///
-/// `Replay` additionally needs a recorded trace installed on the
-/// consuming system (`LaerSystem::with_replay`); until one is, systems
-/// fall back to EMA behaviour.
+/// `Replay` additionally needs recorded traces installed on the layout
+/// policy ([`crate::LayoutPolicy::install_replay`]); until they are,
+/// every layer falls back to EMA behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PredictorKind {
     /// Exponential moving average of observed demand (the paper).
@@ -533,7 +521,7 @@ mod tests {
         p.observe(trace.get(0).unwrap()).unwrap();
         let json = serde_json::to_string(&p).unwrap();
         let back: AnyPredictor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.kind(), PredictorKind::Replay);
+        assert!(matches!(back, AnyPredictor::Replay(_)));
         assert_eq!(p.predict(), back.predict());
     }
 

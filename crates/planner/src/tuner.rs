@@ -274,10 +274,7 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// * [`PlanError::NoSurvivors`] if every device failed;
-    /// * [`PlanError::InsufficientCapacity`] if the surviving slots
-    ///   cannot give every expert at least one replica — the typed
-    ///   "abort the run" condition.
+    /// Those of [`Self::survivors`].
     ///
     /// # Panics
     ///
@@ -298,11 +295,28 @@ impl Planner {
                 && base.devices_per_rack() == topo.devices_per_rack(),
             "degraded view topology mismatch"
         );
+        let survivors = self.survivors(view, demand.num_experts())?;
+        Ok(self.solve(demand, &survivors, view))
+    }
+
+    /// The survivors of `view`, once they can host `experts` experts —
+    /// the precondition of [`Self::plan_degraded`].
+    ///
+    /// # Errors
+    ///
+    /// * [`PlanError::NoSurvivors`] if every device failed;
+    /// * [`PlanError::InsufficientCapacity`] if the surviving slots
+    ///   cannot give every expert at least one replica — the typed
+    ///   "abort the run" condition.
+    pub fn survivors(
+        &self,
+        view: &DegradedView,
+        experts: usize,
+    ) -> Result<Vec<DeviceId>, PlanError> {
         let survivors = view.survivors();
         if survivors.is_empty() {
             return Err(PlanError::NoSurvivors);
         }
-        let experts = demand.num_experts();
         if survivors.len() * self.cfg.capacity < experts {
             return Err(PlanError::InsufficientCapacity {
                 survivors: survivors.len(),
@@ -310,7 +324,7 @@ impl Planner {
                 experts,
             });
         }
-        Ok(self.solve(demand, &survivors, view))
+        Ok(survivors)
     }
 
     /// Evaluates one replica scheme: relocation → lite routing → cost.

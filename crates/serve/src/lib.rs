@@ -17,7 +17,8 @@
 //!   percentiles, goodput under an SLO);
 //! * [`systems`] — the [`ServingSystem`] trait with `static-ep`,
 //!   `replicate-hot` (FasterMoE-style reactive replication) and `laer`
-//!   (EMA predictor + the full planner of Alg. 1–4) implementations;
+//!   (the [`laer_planner::LayoutPolicy`] training's LAER drives too: EMA
+//!   predictor + the full planner of Alg. 1–4) implementations;
 //! * [`sla`] — SLO configuration and latency summaries;
 //! * [`resilience`] — the fault-tolerance building blocks: retry
 //!   buffering with exponential backoff, shed-cause accounting, the
@@ -60,5 +61,5 @@ pub use serving::{
     record_observability, run_serving, step_records, ServeConfig, ServeReport, ServingOutcome,
 };
 pub use sla::{LatencySummary, SlaConfig};
-pub use systems::{FailureResponse, ServingSystem, ServingSystemKind};
+pub use systems::{ServingSystem, ServingSystemKind};
 pub use workload::{generate_requests, Request, TopicMix, WorkloadConfig};

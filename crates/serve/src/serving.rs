@@ -22,7 +22,7 @@ use laer_model::{CostModel, GpuSpec, ModelPreset, BF16_BYTES};
 use laer_obs::{
     Histogram, HistogramSnapshot, Observer, ResilienceRecord, ServeStepRecord, ServingRecord,
 };
-use laer_planner::{lite_route, relocation_moves, ExpertLayout};
+use laer_planner::{lite_route, relocation_moves, CapacityResponse, ExpertLayout};
 use laer_sim::{
     all_to_all_time, record_timed_fault_spans, A2aMatrix, ActiveFaults, Engine, FaultPlan, Span,
     SpanHandle, SpanLabel, StreamKind, Timeline,
@@ -35,7 +35,7 @@ use crate::resilience::{
     DEFAULT_RETRY_BACKOFF, SERVE_DETECTION_DELAY, SERVE_FAILOVER_TIMEOUT, SERVE_RELOAD_TIME,
 };
 use crate::sla::{LatencySummary, SlaConfig};
-use crate::systems::{FailureResponse, ServingSystemKind};
+use crate::systems::ServingSystemKind;
 use crate::workload::{generate_requests, Request, TopicMix, WorkloadConfig};
 
 /// Configuration of one serving run.
@@ -505,7 +505,7 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
                 live_trace.push((clock, trial.iter().filter(|&&l| l).count()));
                 let view = capacity_view(&topo, &active, &trial);
                 match system.handle_capacity_change(&view) {
-                    FailureResponse::Replan => {
+                    CapacityResponse::Replan => {
                         live_mask = trial;
                         // In-flight requests homed on a dead device are
                         // interrupted: re-enqueued with backoff, or shed
@@ -566,7 +566,7 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
                             recovery_spans.push((d.index(), detected, clock));
                         }
                     }
-                    FailureResponse::Restart => {
+                    CapacityResponse::Restart => {
                         // Non-elastic: every in-flight request dies with
                         // the job; the cluster waits out the collective
                         // timeout and reloads onto replacement hardware
@@ -593,7 +593,7 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
                         let _ = system
                             .handle_capacity_change(&capacity_view(&topo, &active, &live_mask));
                     }
-                    FailureResponse::Unchanged => {}
+                    CapacityResponse::Unchanged => {}
                 }
                 engine.barrier_at(clock);
             }

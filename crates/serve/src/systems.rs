@@ -6,34 +6,20 @@
 //! the served routing statistics via [`ServingSystem::observe`]; when it
 //! returns a new layout the scheduler charges the relocation traffic
 //! before using it (see [`laer_planner::relocation_moves`]).
+//!
+//! `laer` drives the [`LayoutPolicy`] training's `LaerSystem` drives,
+//! adding only windows, hysteresis and the eager survivor re-plan.
 
 use std::collections::VecDeque;
 use std::str::FromStr;
 
-use laer_cluster::{DegradedView, Topology};
+use laer_cluster::{DegradedView, DeviceId, ExpertId, Topology};
 use laer_model::{GpuSpec, ModelConfig};
 use laer_planner::{
     even_replicas, expert_relocation, expert_relocation_on, lite_route, replica_allocation,
-    time_cost, CostParams, ExpertLayout, LoadPredictor, Planner, PlannerConfig,
+    time_cost, CapacityResponse, ExpertLayout, LayoutPolicy, PlannerConfig, Proposal,
 };
 use laer_routing::RoutingMatrix;
-
-/// How a [`ServingSystem`] responds to a change in serving capacity —
-/// a device failing, rejoining, or the link profile shifting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureResponse {
-    /// The system re-planned its desired layout for the new capacity;
-    /// the scheduler should charge the relocation and continue serving
-    /// (elastically on the survivors when devices failed).
-    Replan,
-    /// The system cannot adapt its layout (static placement, planner
-    /// down, or too few surviving slots): the scheduler must pay the
-    /// full failover path — collective timeout, weight reload onto
-    /// replacement hardware, and redo of every in-flight request.
-    Restart,
-    /// The current desired layout already fits the new capacity.
-    Unchanged,
-}
 
 /// An online expert-placement policy.
 pub trait ServingSystem {
@@ -58,8 +44,8 @@ pub trait ServingSystem {
     /// (it is nominal when everything recovered). The system updates its
     /// desired layout for the new capacity and reports how the
     /// scheduler should proceed.
-    fn handle_capacity_change(&mut self, _view: &DegradedView) -> FailureResponse {
-        FailureResponse::Unchanged
+    fn handle_capacity_change(&mut self, _view: &DegradedView) -> CapacityResponse {
+        CapacityResponse::Unchanged
     }
 }
 
@@ -72,7 +58,8 @@ pub enum ServingSystemKind {
     /// FasterMoE-style reactive replication: re-replicates by the raw
     /// windowed load, no prediction and no cost-model tuning.
     ReplicateHot,
-    /// LAER: EMA load prediction feeding the full planner (Alg. 1–4).
+    /// LAER: the layout policy's EMA load prediction feeding the full
+    /// planner (Alg. 1–4).
     Laer,
 }
 
@@ -177,11 +164,11 @@ impl ServingSystem for StaticEp {
     /// Static EP cannot re-form its placement on survivors: a failure
     /// always costs the full restart path. Recoveries are no-ops (the
     /// restart already moved serving onto replacement hardware).
-    fn handle_capacity_change(&mut self, view: &DegradedView) -> FailureResponse {
+    fn handle_capacity_change(&mut self, view: &DegradedView) -> CapacityResponse {
         if view.failed_devices().is_empty() {
-            FailureResponse::Unchanged
+            CapacityResponse::Unchanged
         } else {
-            FailureResponse::Restart
+            CapacityResponse::Restart
         }
     }
 }
@@ -198,9 +185,9 @@ struct ReplicateHot {
     window: VecDeque<Vec<u64>>,
     window_cap: usize,
     layout: ExpertLayout,
-    /// Survivor subset to place on while devices are failed; `None`
-    /// when the cluster is whole.
-    survivors: Option<Vec<laer_cluster::DeviceId>>,
+    /// Devices to place on: every device while the cluster is whole,
+    /// the survivors while devices are failed.
+    active: Vec<DeviceId>,
 }
 
 impl ReplicateHot {
@@ -218,30 +205,32 @@ impl ReplicateHot {
             window: VecDeque::new(),
             window_cap: window_cap.max(1),
             layout: even_layout(topo, experts, capacity),
-            survivors: None,
+            active: topo.devices().collect(),
         }
     }
 
-    /// Windowed expert loads, falling back to uniform when the window
-    /// is empty or quiet (a re-layout forced by a failure cannot wait
-    /// for traffic).
-    fn windowed_loads(&self, experts: usize) -> Vec<u64> {
-        let mut loads = vec![0u64; experts];
+    /// Expert loads summed over the window; `None` when the window is
+    /// empty or quiet.
+    fn windowed_loads(&self) -> Option<Vec<u64>> {
+        let mut loads = vec![0u64; self.layout.num_experts()];
         for sample in &self.window {
             for (acc, &l) in loads.iter_mut().zip(sample) {
                 *acc += l;
             }
         }
-        if loads.iter().all(|&l| l == 0) {
-            loads.fill(1);
-        }
-        loads
+        loads.iter().any(|&l| l > 0).then_some(loads)
     }
 
-    /// Replicate-by-load placement on `active` devices.
-    fn place_on(&self, loads: &[u64], active: &[laer_cluster::DeviceId]) -> ExpertLayout {
-        let rep = replica_allocation(loads, active.len(), self.capacity);
-        expert_relocation_on(&rep, loads, &self.topo, self.capacity, active)
+    /// Replicate-by-load placement on the active devices; returns
+    /// whether the layout changed.
+    fn place(&mut self, loads: &[u64]) -> bool {
+        let rep = replica_allocation(loads, self.active.len(), self.capacity);
+        let next = expert_relocation_on(&rep, loads, &self.topo, self.capacity, &self.active);
+        if next == self.layout {
+            return false;
+        }
+        self.layout = next;
+        true
     }
 }
 
@@ -262,57 +251,30 @@ impl ServingSystem for ReplicateHot {
         if !(step + 1).is_multiple_of(self.period) {
             return false;
         }
-        let experts = served.num_experts();
-        let mut loads = vec![0u64; experts];
-        for sample in &self.window {
-            for (acc, &l) in loads.iter_mut().zip(sample) {
-                *acc += l;
-            }
-        }
-        if loads.iter().all(|&l| l == 0) {
-            return false;
-        }
-        let next = match &self.survivors {
-            Some(active) => self.place_on(&loads, active),
-            None => {
-                let rep = replica_allocation(&loads, self.topo.num_devices(), self.capacity);
-                expert_relocation(&rep, &loads, &self.topo, self.capacity)
-            }
-        };
-        if next == self.layout {
-            return false;
-        }
-        self.layout = next;
-        true
+        self.windowed_loads()
+            .is_some_and(|loads| self.place(&loads))
     }
 
     /// Reactive replication adapts to capacity the same way it adapts
-    /// to load: re-allocate replicas over whatever devices remain. Only
-    /// when the surviving slots cannot host every expert does it fall
-    /// back to the restart path.
-    fn handle_capacity_change(&mut self, view: &DegradedView) -> FailureResponse {
+    /// to load: re-allocate replicas over whatever devices remain,
+    /// from uniform loads when the window is quiet (a re-layout forced
+    /// by a failure cannot wait for traffic). Only when the surviving
+    /// slots cannot host every expert does it fall back to the restart
+    /// path.
+    fn handle_capacity_change(&mut self, view: &DegradedView) -> CapacityResponse {
         let experts = self.layout.num_experts();
         let survivors = view.survivors();
         if survivors.len() * self.capacity < experts {
-            self.survivors = None;
-            return FailureResponse::Restart;
+            self.active = self.topo.devices().collect();
+            return CapacityResponse::Restart;
         }
-        let whole = view.failed_devices().is_empty();
-        let loads = self.windowed_loads(experts);
-        let next = if whole {
-            self.survivors = None;
-            let rep = replica_allocation(&loads, self.topo.num_devices(), self.capacity);
-            expert_relocation(&rep, &loads, &self.topo, self.capacity)
+        self.active = survivors;
+        let loads = self.windowed_loads().unwrap_or_else(|| vec![1; experts]);
+        if self.place(&loads) {
+            CapacityResponse::Replan
         } else {
-            let next = self.place_on(&loads, &survivors);
-            self.survivors = Some(survivors);
-            next
-        };
-        if next == self.layout {
-            return FailureResponse::Unchanged;
+            CapacityResponse::Unchanged
         }
-        self.layout = next;
-        FailureResponse::Replan
     }
 }
 
@@ -324,23 +286,20 @@ impl ServingSystem for ReplicateHot {
 const HYSTERESIS_MARGIN: f64 = 0.05;
 
 /// LAER's serving controller: a sliding window of served routing
-/// statistics feeds the EMA [`LoadPredictor`]; every `period` steps the
-/// predicted demand goes through the full planner (candidate tuner +
-/// Alg. 1/3/4 under the cost model) and the cheapest layout wins —
-/// but only if it beats *keeping the current layout* by
+/// statistics feeds the [`LayoutPolicy`]'s demand history; every
+/// `period` steps the policy plans the predicted demand with the full
+/// planner (candidate tuner + Alg. 1/3/4 under the cost model) — and
+/// the plan is adopted only if it beats *keeping the current layout* by
 /// [`HYSTERESIS_MARGIN`] under the same predicted demand.
 struct LaerServing {
-    planner: Planner,
-    predictor: LoadPredictor,
+    policy: LayoutPolicy,
     period: u64,
     window: VecDeque<RoutingMatrix>,
     window_cap: usize,
     layout: ExpertLayout,
-    experts: usize,
     /// Degraded network view to plan against while faults are active;
     /// `None` when the cluster is nominal.
     view: Option<DegradedView>,
-    planner_available: bool,
 }
 
 impl LaerServing {
@@ -352,42 +311,31 @@ impl LaerServing {
         period: u64,
         window_cap: usize,
     ) -> Self {
-        let planner = Planner::new(
-            PlannerConfig::new(capacity).with_epsilon(4),
-            CostParams::from_model(model, gpu, false),
-            topo.clone(),
-        );
         Self {
-            planner,
-            predictor: LoadPredictor::default_ema(),
+            policy: LayoutPolicy::new(
+                PlannerConfig::new(capacity).with_epsilon(4),
+                model,
+                gpu,
+                topo.clone(),
+            ),
             period: period.max(1),
             window: VecDeque::new(),
             window_cap: window_cap.max(1),
             layout: even_layout(topo, model.experts(), capacity),
-            experts: model.experts(),
             view: None,
-            planner_available: true,
         }
     }
 
-    /// Demand to re-plan against when a capacity change forces an
-    /// immediate decision: the predictor's view of traffic, or uniform
-    /// loads before any traffic has been observed.
-    fn planning_demand(&self) -> RoutingMatrix {
-        if let Some(predicted) = self.predictor.predict() {
-            return predicted;
-        }
-        let n = self.planner.topology().num_devices();
-        let mut uniform = match RoutingMatrix::zeros(n, self.experts) {
+    /// Uniform demand to re-plan against when a capacity change forces
+    /// a decision before any traffic has been observed.
+    fn uniform_demand(&self) -> RoutingMatrix {
+        let (n, experts) = (self.layout.num_devices(), self.layout.num_experts());
+        let mut uniform = match RoutingMatrix::zeros(n, experts) {
             Ok(m) => m,
             Err(err) => panic!("planner shapes fixed at construction: {err}"),
         };
-        for j in 0..self.experts {
-            uniform.set(
-                laer_cluster::DeviceId::new(0),
-                laer_cluster::ExpertId::new(j),
-                1,
-            );
+        for j in 0..experts {
+            uniform.set(DeviceId::new(0), ExpertId::new(j), 1);
         }
         uniform
     }
@@ -433,30 +381,11 @@ impl ServingSystem for LaerServing {
         if total.total() == 0 {
             return false;
         }
-        if self.predictor.observe(&total).is_err() {
-            // The served demand re-shaped (fleet reconfiguration): the
-            // accumulated traffic history no longer applies. Restart it
-            // and skip this re-plan window rather than planning on a
-            // stale mixture of shapes.
-            self.predictor = LoadPredictor::default_ema();
-            let _ = self.predictor.observe(&total);
+        self.policy.observe(0, &total);
+        // Nothing is proposed while the planner host is down: keep
+        // serving on the stale layout.
+        let Some(Proposal { demand, plan, .. }) = self.policy.propose(0, self.view.as_ref()) else {
             return false;
-        }
-        // Planner host down: keep serving on the stale layout.
-        if !self.planner_available {
-            return false;
-        }
-        let Some(predicted) = self.predictor.predict() else {
-            return false;
-        };
-        // While faults are active, plan on the survivors and price
-        // against the degraded network; otherwise the nominal path.
-        let plan = match &self.view {
-            Some(view) => match self.planner.plan_degraded(&predicted, view) {
-                Ok(plan) => plan,
-                Err(_) => return false,
-            },
-            None => self.planner.plan(&predicted),
         };
         if plan.layout == self.layout {
             return false;
@@ -464,11 +393,11 @@ impl ServingSystem for LaerServing {
         // Cost-aware hysteresis: price *keeping* the current layout
         // under the same predicted demand; only move when the planner's
         // candidate clears the margin.
-        let topo = self.planner.topology();
-        let keep = lite_route(topo, &predicted, &self.layout);
+        let planner = self.policy.planner();
+        let keep = lite_route(planner.topology(), &demand, &self.layout);
         let keep_cost = match &self.view {
-            Some(view) => time_cost(view, &keep, self.planner.cost_params()).total(),
-            None => time_cost(topo, &keep, self.planner.cost_params()).total(),
+            Some(view) => time_cost(view, &keep, planner.cost_params()).total(),
+            None => time_cost(planner.topology(), &keep, planner.cost_params()).total(),
         };
         if plan.predicted.total() >= keep_cost * (1.0 - HYSTERESIS_MARGIN) {
             return false;
@@ -478,47 +407,31 @@ impl ServingSystem for LaerServing {
     }
 
     fn set_planner_available(&mut self, available: bool) {
-        self.planner_available = available;
+        self.policy.set_available(available);
     }
 
-    /// LAER's failure path *is* its load path: re-run the planner on
-    /// the survivor subset (Alg. 1–4 priced on the degraded view). Only
-    /// an unreachable planner host or an unsatisfiable survivor set
-    /// falls back to the restart path.
-    fn handle_capacity_change(&mut self, view: &DegradedView) -> FailureResponse {
-        let failed = !view.failed_devices().is_empty();
-        if !self.planner_available {
-            // Without the planner no survivor layout can be computed;
-            // a failure forces the restart path, a recovery waits.
-            self.view = if view.is_nominal() {
-                None
-            } else {
-                Some(view.clone())
-            };
-            return if failed {
-                FailureResponse::Restart
-            } else {
-                FailureResponse::Unchanged
-            };
+    /// LAER's failure path *is* its load path: the policy's capacity
+    /// rule, then an eager re-plan of the predicted (or, before any
+    /// traffic, uniform) demand on the new network. An unsatisfiable
+    /// survivor set or a failure while the planner host is down takes
+    /// the restart path; a recovery while it is down waits.
+    fn handle_capacity_change(&mut self, view: &DegradedView) -> CapacityResponse {
+        self.view = (!view.is_nominal()).then(|| view.clone());
+        match self.policy.capacity_change(view) {
+            Ok(CapacityResponse::Replan) => {}
+            Ok(response) => return response,
+            Err(_) => return CapacityResponse::Restart,
         }
-        let demand = self.planning_demand();
-        let plan = if view.is_nominal() {
-            self.view = None;
-            Ok(self.planner.plan(&demand))
-        } else {
-            self.view = Some(view.clone());
-            self.planner.plan_degraded(&demand, view)
-        };
-        match plan {
-            Ok(plan) => {
-                if plan.layout == self.layout {
-                    FailureResponse::Unchanged
-                } else {
-                    self.layout = plan.layout;
-                    FailureResponse::Replan
-                }
+        let demand = self
+            .policy
+            .predict(0)
+            .unwrap_or_else(|| self.uniform_demand());
+        match self.policy.plan(&demand, self.view.as_ref()) {
+            Some(plan) if plan.layout != self.layout => {
+                self.layout = plan.layout;
+                CapacityResponse::Replan
             }
-            Err(_) => FailureResponse::Restart,
+            _ => CapacityResponse::Unchanged,
         }
     }
 }
@@ -605,17 +518,17 @@ mod tests {
         failed.fail_device(DeviceId::new(1));
         assert_eq!(
             sys.handle_capacity_change(&failed),
-            FailureResponse::Restart
+            CapacityResponse::Restart
         );
         let mut slow_link = DegradedView::new(topo.clone());
         slow_link.degrade_link(DeviceId::new(0), DeviceId::new(4), 0.2);
         assert_eq!(
             sys.handle_capacity_change(&slow_link),
-            FailureResponse::Unchanged
+            CapacityResponse::Unchanged
         );
         assert_eq!(
             sys.handle_capacity_change(&DegradedView::new(topo)),
-            FailureResponse::Unchanged
+            CapacityResponse::Unchanged
         );
     }
 
@@ -629,7 +542,7 @@ mod tests {
         }
         let mut view = DegradedView::new(topo.clone());
         view.fail_device(DeviceId::new(2));
-        assert_eq!(sys.handle_capacity_change(&view), FailureResponse::Replan);
+        assert_eq!(sys.handle_capacity_change(&view), CapacityResponse::Replan);
         sys.layout()
             .validate_on(&view.survivors())
             .expect("survivor layout must host every expert off the dead device");
@@ -644,7 +557,7 @@ mod tests {
         // Rejoin: the whole cluster comes back.
         let whole = DegradedView::new(topo.clone());
         let resp = sys.handle_capacity_change(&whole);
-        assert_ne!(resp, FailureResponse::Restart);
+        assert_ne!(resp, CapacityResponse::Restart);
         sys.layout()
             .validate()
             .expect("post-recovery layout must be valid on the full cluster");
@@ -658,7 +571,7 @@ mod tests {
         let mut sys = ServingSystemKind::ReplicateHot.build(&topo, &cfg, GpuSpec::a100(), 2, 4, 4);
         let mut view = DegradedView::new(topo);
         view.fail_device(DeviceId::new(0));
-        assert_eq!(sys.handle_capacity_change(&view), FailureResponse::Restart);
+        assert_eq!(sys.handle_capacity_change(&view), CapacityResponse::Restart);
     }
 
     #[test]
@@ -668,13 +581,13 @@ mod tests {
         let mut sys = ServingSystemKind::Laer.build(&topo, &cfg, GpuSpec::a100(), 2, 4, 4);
         let mut view = DegradedView::new(topo.clone());
         view.fail_device(DeviceId::new(2));
-        assert_eq!(sys.handle_capacity_change(&view), FailureResponse::Replan);
+        assert_eq!(sys.handle_capacity_change(&view), CapacityResponse::Replan);
         sys.layout()
             .validate_on(&view.survivors())
             .expect("degraded plan must live on the survivors");
         // Recovery re-plans for the whole cluster.
         let resp = sys.handle_capacity_change(&DegradedView::new(topo.clone()));
-        assert_ne!(resp, FailureResponse::Restart);
+        assert_ne!(resp, CapacityResponse::Restart);
         sys.layout().validate().unwrap();
         // With the planner host down a failure cannot be planned around.
         sys.set_planner_available(false);
@@ -682,7 +595,7 @@ mod tests {
         second.fail_device(DeviceId::new(5));
         assert_eq!(
             sys.handle_capacity_change(&second),
-            FailureResponse::Restart
+            CapacityResponse::Restart
         );
     }
 

@@ -10,9 +10,10 @@
 //! * **re-plan** — LAER re-runs Alg. 1/2 on the survivors and continues
 //!   *elastically* (the failed device's tokens are dropped, everything
 //!   else keeps training). Static-layout baselines cannot re-form their
-//!   EP groups, so they pay the classic restart path: a collective
-//!   timeout before the failure is even observed, a checkpoint reload,
-//!   and re-execution of every iteration since the last checkpoint;
+//!   EP groups — nor can LAER while its planner process is down — so
+//!   they pay the classic restart path: a collective timeout before the
+//!   failure is even observed, a checkpoint reload, and re-execution of
+//!   every iteration since the last checkpoint;
 //! * **resume** — subsequent iterations run on the degraded cluster
 //!   (elastic) or on replacement hardware (restart) with All-to-Alls
 //!   priced against the degraded network view.
@@ -27,6 +28,7 @@ use crate::runner::ExperimentConfig;
 use laer_baselines::{MoeSystem, SystemError};
 use laer_cluster::{DegradedView, DeviceId, ExpertId, Topology};
 use laer_fsep::{schedule_iteration_on, LayerTimings};
+use laer_planner::CapacityResponse;
 use laer_routing::{CheckpointError, GeneratorCheckpoint, RoutingGenerator};
 use laer_sim::{record_fault_spans, write_chrome_trace, Engine, FaultPlan};
 use serde::{Deserialize, Serialize};
@@ -232,14 +234,12 @@ impl FaultRunner {
         let mut penalty = 0.0;
         if !newly_failed.is_empty() {
             let failure_view = active.degraded_view(&self.topo);
-            if self.system.handle_device_failures(&failure_view)? {
-                // Elastic continuation on the survivors.
-                self.elastic = true;
-                penalty += DETECTION_DELAY + REPLAN_PENALTY;
-            } else {
-                // Static layout: collective timeout, reload the last
-                // checkpoint onto replacement hardware, redo the lost
-                // iterations.
+            if self.system.handle_device_failures(&failure_view)? == CapacityResponse::Restart {
+                // Static layout (or no planner to re-plan with):
+                // collective timeout, reload the last checkpoint onto
+                // replacement hardware, redo the lost iterations. The
+                // restarted job runs on a whole cluster again.
+                self.elastic = false;
                 let redo = self
                     .iteration
                     .saturating_sub(self.last_checkpoint_iteration);
@@ -249,6 +249,10 @@ impl FaultRunner {
                     self.iteration_times.iter().sum::<f64>() / self.iteration_times.len() as f64
                 };
                 penalty += COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD + redo as f64 * avg;
+            } else {
+                // Elastic continuation on the survivors.
+                self.elastic = true;
+                penalty += DETECTION_DELAY + REPLAN_PENALTY;
             }
             for d in newly_failed {
                 self.handled_failures.push(d.index());
@@ -299,7 +303,7 @@ impl FaultRunner {
             }
             layer_timings.push(plan.timings);
         }
-        let opts = self.system.schedule_options();
+        let opts = self.cfg.schedule_options(self.system.as_ref());
         let mut engine = Engine::new(&self.topo);
         let t = schedule_iteration_on(&mut engine, &self.topo, &exec, &layer_timings, opts);
         record_fault_spans(engine.timeline_mut(), &active, 0.0, t.total);
@@ -426,16 +430,47 @@ mod tests {
     }
 
     /// With an empty fault plan the runner reproduces `run_experiment`'s
-    /// iteration times exactly.
+    /// iteration times exactly, for planner-driven and static systems,
+    /// with and without the chunked pipeline.
     #[test]
     fn empty_plan_matches_run_experiment() {
-        let cfg = quick(SystemKind::Laer);
-        let baseline = run_experiment(&cfg);
-        let mut runner = FaultRunner::new(cfg.clone(), FaultPlan::new());
-        let reports = runner.run((cfg.warmup + cfg.iterations) as u64).unwrap();
-        let times: Vec<f64> = reports[cfg.warmup..].iter().map(|r| r.time).collect();
-        assert_eq!(times, baseline.iteration_times);
-        assert!(reports.iter().all(|r| !r.degraded));
+        for system in [SystemKind::Laer, SystemKind::FsdpEp, SystemKind::VanillaEp] {
+            for cfg in [quick(system), quick(system).with_num_chunks(4)] {
+                let baseline = run_experiment(&cfg);
+                let mut runner = FaultRunner::new(cfg.clone(), FaultPlan::new());
+                let reports = runner.run((cfg.warmup + cfg.iterations) as u64).unwrap();
+                let times: Vec<f64> = reports[cfg.warmup..].iter().map(|r| r.time).collect();
+                assert_eq!(
+                    times, baseline.iteration_times,
+                    "{system}, {} chunks",
+                    cfg.num_chunks
+                );
+                assert!(reports.iter().all(|r| !r.degraded));
+            }
+        }
+    }
+
+    /// A device failure inside a planner outage cannot be planned
+    /// around: LAER pays the restart path and keeps training on all 32
+    /// (replacement) devices.
+    #[test]
+    fn failure_during_planner_outage_restarts() {
+        let mut plan = failure_plan(13, 4);
+        plan.push(FaultEvent {
+            kind: FaultKind::PlannerOutage,
+            start: 2,
+            end: 10,
+        })
+        .unwrap();
+        let reports = FaultRunner::new(quick(SystemKind::Laer), plan)
+            .run(12)
+            .unwrap();
+        assert!(
+            reports[4].time > COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD,
+            "iteration 4 took {:.3} s",
+            reports[4].time
+        );
+        assert!(reports.iter().all(|r| r.tokens == 32 * 16 * 1024));
     }
 
     /// Identical `(seed, FaultPlan)` pairs produce bit-identical runs.

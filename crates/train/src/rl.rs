@@ -12,7 +12,8 @@
 //! * the train phase replays the recorded demands, with the layout
 //!   tuner driven either by the paper's stale EMA
 //!   ([`PredictorKind::Ema`]) or by the recorded trace itself
-//!   ([`PredictorKind::Replay`] via [`LaerSystem::install_replay`]);
+//!   ([`PredictorKind::Replay`] via
+//!   [`laer_baselines::LaerSystem::install_replay`]);
 //! * per-epoch journal/audit records make the foresight-vs-EMA
 //!   prediction error visible per predictor mode in
 //!   [`laer_obs::AuditSummary`].
@@ -26,7 +27,7 @@
 //! survives).
 
 use crate::runner::ExperimentConfig;
-use laer_baselines::{LaerSystem, MoeSystem, SystemContext, SystemKind};
+use laer_baselines::{MoeSystem, SystemContext, SystemKind};
 use laer_fsep::{schedule_iteration, LayerTimings};
 use laer_model::ModelPreset;
 use laer_obs::{journal, AuditRecord, Observer, RlEpochRecord};
@@ -172,13 +173,15 @@ impl RlConfig {
     /// and per-layer demand process are shared with the pre-training
     /// driver so RL numbers are comparable).
     fn base(&self) -> ExperimentConfig {
-        ExperimentConfig::new(self.preset, SystemKind::Laer)
+        let mut base = ExperimentConfig::new(self.preset, SystemKind::Laer)
             .with_dataset(self.dataset)
             .with_aux_loss(self.aux_loss_weight)
             .with_cluster(self.nodes, self.devices_per_node)
             .with_layers(self.layers)
             .with_seed(self.seed)
-            .with_iterations(self.epochs * self.rollouts_per_epoch, 0)
+            .with_iterations(self.epochs * self.rollouts_per_epoch, 0);
+        base.num_chunks = self.num_chunks;
+        base
     }
 
     fn context(&self) -> SystemContext {
@@ -274,18 +277,8 @@ pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timelin
     let topo = base.topology();
     let n = topo.num_devices();
     let label = cfg.system_label();
-    let mut system = {
-        let sys = LaerSystem::new(cfg.context());
-        if cfg.num_chunks > 0 {
-            sys.with_num_chunks(cfg.num_chunks)
-        } else {
-            sys
-        }
-    };
-    let mut opts = system.schedule_options();
-    if cfg.num_chunks > 0 {
-        opts = opts.with_num_chunks(cfg.num_chunks);
-    }
+    let mut system = base.laer_system(cfg.context());
+    let opts = base.schedule_options(&system);
     declare_rl_metrics(obs);
 
     let mut gens = base.layer_generators();

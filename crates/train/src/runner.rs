@@ -5,7 +5,7 @@ use laer_baselines::{
     MegatronSystem, MoeSystem, SmartMoeSystem, SystemContext, SystemKind, VanillaEpSystem,
 };
 use laer_cluster::Topology;
-use laer_fsep::{schedule_iteration, LayerTimings};
+use laer_fsep::{schedule_iteration, LayerTimings, ScheduleOptions};
 use laer_model::{GpuSpec, ModelPreset};
 use laer_obs::{
     critpath, journal, AuditRecord, BlameEntry, CritPathRecord, Histogram, Observer, WhatIf,
@@ -163,23 +163,38 @@ impl ExperimentConfig {
     pub(crate) fn build_system(&self) -> Box<dyn MoeSystem> {
         let ctx = self.context();
         match self.system {
-            SystemKind::Laer => {
-                let sys = LaerSystem::new(ctx);
-                // Chunked pipelining reaches the LAER planner's pricing
-                // too; the other systems only chunk their schedules (via
-                // the runner's ScheduleOptions override below).
-                Box::new(if self.num_chunks > 0 {
-                    sys.with_num_chunks(self.num_chunks)
-                } else {
-                    sys
-                })
-            }
+            SystemKind::Laer => Box::new(self.laer_system(ctx)),
             SystemKind::Flex => Box::new(FlexMoeSystem::new(ctx, self.layers)),
             SystemKind::FsdpEp => Box::new(FsdpEpSystem::new(ctx)),
             SystemKind::Megatron => Box::new(MegatronSystem::new(ctx)),
             SystemKind::VanillaEp => Box::new(VanillaEpSystem::new(ctx)),
             SystemKind::SmartMoe => Box::new(SmartMoeSystem::new(ctx, self.layers, 100)),
             SystemKind::FasterMoe => Box::new(FasterMoeSystem::new(ctx, 1)),
+        }
+    }
+
+    /// LAER on `ctx`: chunked pipelining reaches its planner's pricing
+    /// too, where the other systems only chunk their schedules
+    /// ([`Self::schedule_options`]).
+    pub(crate) fn laer_system(&self, ctx: SystemContext) -> LaerSystem {
+        let sys = LaerSystem::new(ctx);
+        if self.num_chunks > 0 {
+            sys.with_num_chunks(self.num_chunks)
+        } else {
+            sys
+        }
+    }
+
+    /// The stream-scheduling options `system` runs under in this
+    /// experiment: its own, with the configured chunk count applied.
+    /// Every training loop (`run_experiment`, `run_rl`, [`crate::FaultRunner`])
+    /// schedules with these.
+    pub(crate) fn schedule_options(&self, system: &dyn MoeSystem) -> ScheduleOptions {
+        let opts = system.schedule_options();
+        if self.num_chunks > 0 {
+            opts.with_num_chunks(self.num_chunks)
+        } else {
+            opts
         }
     }
 
@@ -424,10 +439,7 @@ fn run_with_demands_observed(
     let n = topo.num_devices();
     let mut system = cfg.build_system();
     let name = system.name();
-    let mut opts = system.schedule_options();
-    if cfg.num_chunks > 0 {
-        opts = opts.with_num_chunks(cfg.num_chunks);
-    }
+    let opts = cfg.schedule_options(system.as_ref());
     if let Some(o) = obs.as_deref_mut() {
         declare_train_metrics(o);
         if cfg.record_deps {
