@@ -7,7 +7,7 @@
 
 use crate::pool::{Batch, Slot};
 use laer_baselines::{LaerSystem, MoeSystem, SystemContext};
-use laer_cluster::{DeviceId, Topology};
+use laer_cluster::Topology;
 use laer_fsep::{schedule_iteration, LayerTimings, ScheduleOptions};
 use laer_model::{GpuSpec, ModelPreset};
 use laer_routing::{RoutingGenerator, RoutingGeneratorConfig};
@@ -81,13 +81,9 @@ pub fn rows(layers: usize) -> Vec<OverlapRow> {
             let mut zero_engine = Engine::new(&topo);
             let t0 = schedule_iteration(&mut zero_engine, &topo, &zero_comm, opts);
             let exposed = (t.total - t0.total).max(0.0);
-            let timeline = engine.timeline();
-            let avg_util = |stream| {
-                (0..n)
-                    .map(|d| timeline.stream_utilization(DeviceId::new(d), stream))
-                    .sum::<f64>()
-                    / n as f64
-            };
+            let util = engine.timeline().stream_utilizations(n);
+            let avg_util =
+                |stream: StreamKind| util.iter().map(|u| u[stream.index()]).sum::<f64>() / n as f64;
             OverlapRow {
                 variant: label.to_string(),
                 iteration_time: t.total,

@@ -6,8 +6,7 @@
 //! are virtual (simulator) seconds — never wall-clock — so the journal
 //! of a seeded run is byte-identical across re-runs.
 
-use laer_cluster::DeviceId;
-use laer_sim::{StreamKind, Timeline};
+use laer_sim::{SpanLabel, StreamKind, Timeline};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -312,65 +311,66 @@ pub fn iteration_record(
     num_chunks: usize,
 ) -> IterationRecord {
     let num_chunks = num_chunks.max(1);
-    let streams = (0..n_devices)
-        .map(|d| {
-            let dev = DeviceId::new(d);
-            StreamUtilization {
-                device: d,
-                s1_compute: timeline.stream_utilization(dev, StreamKind::Compute),
-                s2_prefetch: timeline.stream_utilization(dev, StreamKind::Prefetch),
-                s3_a2a: timeline.stream_utilization(dev, StreamKind::A2a),
-                s4_grad_sync: timeline.stream_utilization(dev, StreamKind::GradSync),
-            }
+    let streams = timeline
+        .stream_utilizations(n_devices)
+        .into_iter()
+        .enumerate()
+        .map(|(device, u)| StreamUtilization {
+            device,
+            s1_compute: u[StreamKind::Compute.index()],
+            s2_prefetch: u[StreamKind::Prefetch.index()],
+            s3_a2a: u[StreamKind::A2a.index()],
+            s4_grad_sync: u[StreamKind::GradSync.index()],
         })
         .collect();
 
     // Per-device compute busy intervals, then exposed/overlapped split
     // of every non-compute span against its own device's compute.
-    let mut compute: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
-    for s in timeline.spans() {
-        if s.stream == StreamKind::Compute && !s.label.is_annotation() {
-            compute
-                .entry(s.device.index())
-                .or_default()
-                .push((s.start, s.end));
-        }
+    let real = || timeline.spans().iter().filter(|s| !s.label.is_annotation());
+    let devices = real().map(|s| s.device.index() + 1).max().unwrap_or(0);
+    let mut compute: Vec<Vec<(f64, f64)>> = vec![Vec::new(); devices];
+    for s in real().filter(|s| s.stream == StreamKind::Compute) {
+        compute[s.device.index()].push((s.start, s.end));
     }
-    let compute: BTreeMap<usize, Vec<(f64, f64)>> = compute
-        .into_iter()
-        .map(|(d, iv)| (d, merge_intervals(iv)))
-        .collect();
-    let empty: Vec<(f64, f64)> = Vec::new();
-    let mut comm: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for s in timeline.spans() {
-        if s.stream == StreamKind::Compute || s.label.is_annotation() {
-            continue;
-        }
-        let busy = compute.get(&s.device.index()).unwrap_or(&empty);
-        let overlapped = overlap_with(busy, s.start, s.end);
-        let entry = comm.entry(s.label.to_string()).or_insert((0.0, 0.0));
+    let compute: Vec<Vec<(f64, f64)>> = compute.into_iter().map(merge_intervals).collect();
+    // Each device's A2A-stream spans keep their stream order, for the
+    // per-chunk split below.
+    let mut a2a: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_devices];
+    let mut comm: BTreeMap<SpanLabel, (f64, f64)> = BTreeMap::new();
+    for s in real().filter(|s| s.stream != StreamKind::Compute) {
+        let overlapped = overlap_with(&compute[s.device.index()], s.start, s.end);
+        let exposed = s.duration() - overlapped;
+        let entry = comm.entry(s.label).or_insert((0.0, 0.0));
         entry.0 += overlapped;
-        entry.1 += s.duration() - overlapped;
+        entry.1 += exposed;
+        if s.stream == StreamKind::A2a {
+            if let Some(spans) = a2a.get_mut(s.device.index()) {
+                spans.push((overlapped, exposed));
+            }
+        }
     }
     // Per-chunk attribution of the S3 A2A stream: walk each device's
     // A2A spans in stream (enqueue) order and fold position mod
     // `num_chunks` — valid because the scheduler emits whole blocks of
     // `num_chunks` A2A spans per device per phase.
     let mut chunk_acc: Vec<(f64, f64)> = vec![(0.0, 0.0); num_chunks];
-    for d in 0..n_devices {
-        let dev = DeviceId::new(d);
-        let busy = compute.get(&d).unwrap_or(&empty);
-        for (i, s) in timeline
-            .device_stream_spans(dev, StreamKind::A2a)
-            .filter(|s| !s.label.is_annotation())
-            .enumerate()
-        {
-            let overlapped = overlap_with(busy, s.start, s.end);
+    for spans in &a2a {
+        for (i, &(overlapped, exposed)) in spans.iter().enumerate() {
             let slot = &mut chunk_acc[i % num_chunks];
             slot.0 += overlapped;
-            slot.1 += s.duration() - overlapped;
+            slot.1 += exposed;
         }
     }
+    // The record lists labels by name.
+    let mut comm: Vec<CommOverlap> = comm
+        .into_iter()
+        .map(|(label, (overlapped, exposed))| CommOverlap {
+            label: label.to_string(),
+            overlapped,
+            exposed,
+        })
+        .collect();
+    comm.sort_by(|a, b| a.label.cmp(&b.label));
     IterationRecord {
         system: system.to_string(),
         iteration,
@@ -387,21 +387,15 @@ pub fn iteration_record(
                 exposed,
             })
             .collect(),
-        comm: comm
-            .into_iter()
-            .map(|(label, (overlapped, exposed))| CommOverlap {
-                label,
-                overlapped,
-                exposed,
-            })
-            .collect(),
+        comm,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laer_sim::{Span, SpanLabel};
+    use laer_cluster::DeviceId;
+    use laer_sim::Span;
 
     fn span(device: usize, stream: StreamKind, label: SpanLabel, start: f64, end: f64) -> Span {
         Span {
@@ -497,6 +491,180 @@ mod tests {
         assert_eq!(whole.num_chunks, 1);
         assert_eq!(whole.a2a_chunks.len(), 1);
         assert!((whole.a2a_chunks[0].overlapped - ov).abs() < 1e-12);
+    }
+
+    /// The record as it was computed per device and per stream: four
+    /// `stream_utilization` calls per device, labels keyed by their
+    /// names, and each device's A2A spans re-scanned for the chunk split.
+    fn per_device_record(t: &Timeline, n_devices: usize, num_chunks: usize) -> IterationRecord {
+        let streams = (0..n_devices)
+            .map(|d| {
+                let dev = DeviceId::new(d);
+                StreamUtilization {
+                    device: d,
+                    s1_compute: t.stream_utilization(dev, StreamKind::Compute),
+                    s2_prefetch: t.stream_utilization(dev, StreamKind::Prefetch),
+                    s3_a2a: t.stream_utilization(dev, StreamKind::A2a),
+                    s4_grad_sync: t.stream_utilization(dev, StreamKind::GradSync),
+                }
+            })
+            .collect();
+        let mut compute: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
+        for s in t.spans() {
+            if s.stream == StreamKind::Compute && !s.label.is_annotation() {
+                compute
+                    .entry(s.device.index())
+                    .or_default()
+                    .push((s.start, s.end));
+            }
+        }
+        let compute: BTreeMap<usize, Vec<(f64, f64)>> = compute
+            .into_iter()
+            .map(|(d, iv)| (d, merge_intervals(iv)))
+            .collect();
+        let empty = Vec::new();
+        let mut comm: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+        for s in t.spans() {
+            if s.stream == StreamKind::Compute || s.label.is_annotation() {
+                continue;
+            }
+            let overlapped = overlap_with(
+                compute.get(&s.device.index()).unwrap_or(&empty),
+                s.start,
+                s.end,
+            );
+            let entry = comm.entry(s.label.to_string()).or_insert((0.0, 0.0));
+            entry.0 += overlapped;
+            entry.1 += s.duration() - overlapped;
+        }
+        let mut chunks = vec![(0.0, 0.0); num_chunks];
+        for d in 0..n_devices {
+            let busy = compute.get(&d).unwrap_or(&empty);
+            for (i, s) in t
+                .device_stream_spans(DeviceId::new(d), StreamKind::A2a)
+                .filter(|s| !s.label.is_annotation())
+                .enumerate()
+            {
+                let overlapped = overlap_with(busy, s.start, s.end);
+                chunks[i % num_chunks].0 += overlapped;
+                chunks[i % num_chunks].1 += s.duration() - overlapped;
+            }
+        }
+        IterationRecord {
+            system: "x".into(),
+            iteration: 0,
+            step_time: 1.0,
+            imbalance: 1.0,
+            num_chunks,
+            streams,
+            a2a_chunks: chunks
+                .into_iter()
+                .enumerate()
+                .map(|(chunk, (overlapped, exposed))| ChunkOverlap {
+                    chunk,
+                    overlapped,
+                    exposed,
+                })
+                .collect(),
+            comm: comm
+                .into_iter()
+                .map(|(label, (overlapped, exposed))| CommOverlap {
+                    label,
+                    overlapped,
+                    exposed,
+                })
+                .collect(),
+        }
+    }
+
+    /// The one-pass record equals the per-device computation bit for
+    /// bit: three devices (one idle), two chunks, every stream, and
+    /// fault and recovery annotations that outlast the real spans.
+    #[test]
+    fn one_pass_record_matches_per_device_calls() {
+        let mut t = Timeline::new();
+        let mut at = 0.1f64;
+        for round in 0..3 {
+            for d in 0..2 {
+                let w = 0.3 + 0.07 * (round * 2 + d) as f64;
+                t.push(span(
+                    d,
+                    StreamKind::Compute,
+                    SpanLabel::Attention,
+                    at,
+                    at + w,
+                ));
+                t.push(span(
+                    d,
+                    StreamKind::A2a,
+                    SpanLabel::AllToAll,
+                    at + 0.1,
+                    at + 0.4,
+                ));
+                t.push(span(
+                    d,
+                    StreamKind::A2a,
+                    SpanLabel::AllToAll,
+                    at + 0.4,
+                    at + 0.9,
+                ));
+                t.push(span(
+                    d,
+                    StreamKind::Compute,
+                    SpanLabel::ExpertCompute,
+                    at + 0.5,
+                    at + 1.1,
+                ));
+                t.push(span(
+                    d,
+                    StreamKind::Prefetch,
+                    SpanLabel::Prefetch,
+                    at,
+                    at + 0.7 * w,
+                ));
+                t.push(span(
+                    d,
+                    StreamKind::GradSync,
+                    SpanLabel::GradSync,
+                    at + 0.9,
+                    at + 1.3,
+                ));
+                t.push(span(
+                    d,
+                    StreamKind::A2a,
+                    SpanLabel::Relayout,
+                    at + 1.0,
+                    at + 1.2,
+                ));
+            }
+            at += 1.37;
+        }
+        t.push(span(1, StreamKind::A2a, SpanLabel::Fault, 0.0, 9.0));
+        t.push(span(0, StreamKind::Compute, SpanLabel::Recovery, 2.0, 11.0));
+        let got = iteration_record("x", 0, 1.0, 1.0, &t, 3, 2);
+        let want = per_device_record(&t, 3, 2);
+        let bits = |r: &IterationRecord| {
+            let mut v: Vec<u64> = Vec::new();
+            for u in &r.streams {
+                v.extend([u.s1_compute, u.s2_prefetch, u.s3_a2a, u.s4_grad_sync].map(f64::to_bits));
+            }
+            for c in &r.a2a_chunks {
+                v.extend([c.overlapped.to_bits(), c.exposed.to_bits()]);
+            }
+            for c in &r.comm {
+                v.extend([c.overlapped.to_bits(), c.exposed.to_bits()]);
+            }
+            v
+        };
+        assert_eq!(bits(&got), bits(&want));
+        let labels =
+            |r: &IterationRecord| r.comm.iter().map(|c| c.label.clone()).collect::<Vec<_>>();
+        assert_eq!(labels(&got), labels(&want));
+        assert_eq!(got.streams.len(), 3);
+        assert!(
+            got.streams[2].s1_compute.is_sign_negative(),
+            "an idle stream reads -0.0"
+        );
     }
 
     #[test]

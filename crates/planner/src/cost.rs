@@ -14,9 +14,19 @@
 //!   quantity the system actually experiences (and what
 //!   `laer_sim::all_to_all_time` charges);
 //! * `T_comp = (3 + F_ckpt) · max_i V_comp · Σ_{j,k} S[k][j][i] / B_comp`.
+//!
+//! Every evaluator counts a routing into the same exact integer sums
+//! (`Eq2Sums`): per device and link price, the tokens and messages it
+//! sends and receives, plus its compute load. One function turns those
+//! sums into seconds, adding each device's price buckets in a fixed
+//! order. [`time_cost`], the tuner's candidate pricing and the delta
+//! evaluator therefore agree bit for bit by construction, whatever order
+//! they count their traffic in — which is what lets the tuner fold a
+//! rack's fallback splits into one histogram and the delta evaluator
+//! keep its sums by subtract-and-add.
 
 use crate::token_routing::TokenRouting;
-use laer_cluster::{Interconnect, LinkKind};
+use laer_cluster::{DeviceId, Interconnect, LinkKind};
 use laer_model::{CostModel, GpuSpec, ModelConfig, ModelPreset};
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +49,10 @@ pub struct CostParams {
     /// devices, but at fleet scale a rare expert's replica receives
     /// from hundreds of distinct peers and the accumulated latency
     /// dominates its A2A time, so fleet-size planning must price it.
-    /// Charged per routing entry (a slight over-count when one peer
-    /// pair carries several experts' traffic — the simulator charges
-    /// per aggregated pair), which is conservative for planning.
+    /// Charged per routing entry, as one message (a slight over-count
+    /// when one peer pair carries several experts' traffic — the
+    /// simulator charges per aggregated pair), which is conservative for
+    /// planning.
     #[serde(default)]
     pub latency_aware: bool,
 }
@@ -137,11 +148,7 @@ impl CostBreakdown {
 /// Effective point-to-point bandwidth used by both the planner and the
 /// simulator: NVLink per device, NIC shared per node. Generic over
 /// [`Interconnect`] so degraded network views price faults directly.
-pub(crate) fn effective_bw<I: Interconnect + ?Sized>(
-    net: &I,
-    a: laer_cluster::DeviceId,
-    b: laer_cluster::DeviceId,
-) -> f64 {
+pub(crate) fn effective_bw<I: Interconnect + ?Sized>(net: &I, a: DeviceId, b: DeviceId) -> f64 {
     match net.link_kind(a, b) {
         LinkKind::Local => f64::INFINITY,
         LinkKind::IntraNode => net.bandwidth(a, b),
@@ -151,62 +158,232 @@ pub(crate) fn effective_bw<I: Interconnect + ?Sized>(
     }
 }
 
-/// Eq. 2's pairwise term: `tokens` crossing a link of effective
-/// bandwidth `bw`, plus its latency `lat` when the model charges it.
-#[inline]
-pub(crate) fn pair_term(tokens: u64, bw: f64, lat: f64, params: &CostParams) -> f64 {
-    let mut t = tokens as f64 * params.v_comm / bw;
-    if params.latency_aware {
-        t += lat;
-    }
-    t
+/// A network's link prices as Eq. 2 buckets: every distinct resolved
+/// price `(effective bandwidth, latency)` gets one bucket, numbered in
+/// first-use order, so traffic over equally priced links adds up in one
+/// exact integer sum. A network that [prices links by
+/// kind](Interconnect::prices_by_kind) resolves each [`LinkKind`] once;
+/// any other network resolves every pair it is asked about, so on a
+/// [`laer_cluster::DegradedView`] each degraded pair lands in a bucket of
+/// its own price.
+#[derive(Debug)]
+pub(crate) struct LinkPrices<'a, I: ?Sized> {
+    net: &'a I,
+    /// Each link kind's bucket once resolved; `None` when the network
+    /// prices pair by pair.
+    kinds: Option<[Option<usize>; 4]>,
+    prices: Vec<(f64, f64)>,
 }
 
-/// Eq. 2 from per-device sums: `T_comm` is four A2A passes of the
-/// straggler's `max(send, recv)`, where `send` and `recv` sum each
-/// device's pairwise terms; `T_comp` is the straggler's forward time
-/// `max_load · V_comp / B_comp` times `(3 + F_ckpt)`. The sums are
-/// float, so they depend on their order: every evaluator that must
-/// match [`time_cost`] bit for bit adds its terms in routing order.
-pub(crate) fn eq2(send: &[f64], recv: &[f64], max_load: u64, params: &CostParams) -> CostBreakdown {
-    let straggler = send
-        .iter()
-        .zip(recv)
-        .map(|(&s, &r)| s.max(r))
-        .fold(0.0, f64::max);
-    let comm = 4.0 * straggler;
-    let comp = params.compute_multiplier() * max_load as f64 * params.v_comp / params.b_comp;
-    CostBreakdown { comm, comp }
+impl<'a, I: Interconnect + ?Sized> LinkPrices<'a, I> {
+    pub(crate) fn new(net: &'a I) -> Self {
+        Self {
+            net,
+            kinds: net.prices_by_kind().then_some([None; 4]),
+            prices: Vec::new(),
+        }
+    }
+
+    /// Whether every link of one kind shares one bucket.
+    pub(crate) fn by_kind(&self) -> bool {
+        self.kinds.is_some()
+    }
+
+    /// The bucket of the `src → dst` link, for `src != dst`.
+    pub(crate) fn bucket(&mut self, src: DeviceId, dst: DeviceId) -> usize {
+        let net = self.net;
+        let prices = &mut self.prices;
+        let mut intern = || {
+            let price = (effective_bw(net, src, dst), net.latency(src, dst));
+            let bits = |(bw, lat): (f64, f64)| (bw.to_bits(), lat.to_bits());
+            prices
+                .iter()
+                .position(|&p| bits(p) == bits(price))
+                .unwrap_or_else(|| {
+                    prices.push(price);
+                    prices.len() - 1
+                })
+        };
+        match &mut self.kinds {
+            Some(kinds) => *kinds[net.link_kind(src, dst) as usize].get_or_insert_with(intern),
+            None => intern(),
+        }
+    }
+
+    /// Each bucket's `(effective bandwidth, latency)`.
+    pub(crate) fn prices(&self) -> &[(f64, f64)] {
+        &self.prices
+    }
+}
+
+/// Exact traffic between one device and its links of one price: the
+/// tokens, and the messages (routing entries) that carry them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Traffic {
+    pub(crate) tokens: u64,
+    pub(crate) messages: u64,
+}
+
+/// Eq. 2's exact inputs: per device and [`LinkPrices`] bucket, the
+/// tokens and messages it sends and receives, plus per device its
+/// compute load. Integer sums are exact, so they do not depend on the
+/// order traffic is counted in, and they can be kept current by
+/// subtract-and-add. [`Self::eq2`] turns them into seconds.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Eq2Sums {
+    devices: usize,
+    /// Bucket-major: `send[b * devices + d]` is what device `d` sends
+    /// over bucket `b`'s links; grown a bucket at a time on first use.
+    send: Vec<Traffic>,
+    recv: Vec<Traffic>,
+    loads: Vec<u64>,
+}
+
+impl Eq2Sums {
+    /// Zeroes the sums for `devices` devices, keeping the buffers.
+    pub(crate) fn reset(&mut self, devices: usize) {
+        self.devices = devices;
+        self.send.clear();
+        self.recv.clear();
+        self.loads.clear();
+        self.loads.resize(devices, 0);
+    }
+
+    #[inline]
+    fn slot(&mut self, bucket: usize, device: DeviceId) -> usize {
+        let n = self.devices;
+        if self.send.len() < (bucket + 1) * n {
+            self.send.resize((bucket + 1) * n, Traffic::default());
+            self.recv.resize((bucket + 1) * n, Traffic::default());
+        }
+        bucket * n + device.index()
+    }
+
+    /// Adds `tokens` to `dst`'s compute load.
+    #[inline]
+    pub(crate) fn load(&mut self, dst: DeviceId, tokens: u64) {
+        self.loads[dst.index()] += tokens;
+    }
+
+    /// Adds `t` to what `src` sends over `bucket`'s links.
+    #[inline]
+    pub(crate) fn send(&mut self, src: DeviceId, bucket: usize, t: Traffic) {
+        let s = self.slot(bucket, src);
+        self.send[s].tokens += t.tokens;
+        self.send[s].messages += t.messages;
+    }
+
+    /// Adds `t` to what `dst` receives over `bucket`'s links.
+    #[inline]
+    pub(crate) fn recv(&mut self, dst: DeviceId, bucket: usize, t: Traffic) {
+        let s = self.slot(bucket, dst);
+        self.recv[s].tokens += t.tokens;
+        self.recv[s].messages += t.messages;
+    }
+
+    /// Counts one routing entry of `tokens` from `src` to `dst` into
+    /// `dst`'s compute load and, unless it is local, as one message over
+    /// `bucket`'s link into both ends' traffic.
+    #[inline]
+    pub(crate) fn add_entry(&mut self, src: DeviceId, dst: DeviceId, tokens: u64, bucket: usize) {
+        self.load(dst, tokens);
+        if src != dst {
+            let t = Traffic {
+                tokens,
+                messages: 1,
+            };
+            self.send(src, bucket, t);
+            self.recv(dst, bucket, t);
+        }
+    }
+
+    /// Takes back one entry counted by [`Self::add_entry`].
+    pub(crate) fn remove_entry(
+        &mut self,
+        src: DeviceId,
+        dst: DeviceId,
+        tokens: u64,
+        bucket: usize,
+    ) {
+        self.loads[dst.index()] -= tokens;
+        if src != dst {
+            let (s, r) = (self.slot(bucket, src), self.slot(bucket, dst));
+            self.send[s].tokens -= tokens;
+            self.send[s].messages -= 1;
+            self.recv[r].tokens -= tokens;
+            self.recv[r].messages -= 1;
+        }
+    }
+
+    /// Eq. 2 from the sums, with `prices` the [`LinkPrices`] they were
+    /// counted against: `T_comm` is four A2A passes of the straggler's
+    /// `max(send, recv)`, where a device's `send` adds
+    /// `tokens · (V_comm / bw) + messages · latency` (latency only when
+    /// the model charges it) over its buckets in ascending price order
+    /// — highest bandwidth first, then lowest latency — and `recv`
+    /// likewise; `T_comp` is the straggler's forward time
+    /// `max_load · V_comp / B_comp` times `(3 + F_ckpt)`. The one
+    /// conversion every evaluator shares: equal sums give equal bits,
+    /// whatever order the traffic was counted in.
+    pub(crate) fn eq2(&self, prices: &[(f64, f64)], params: &CostParams) -> CostBreakdown {
+        let n = self.devices;
+        let mut order: Vec<usize> = (0..self.send.len().checked_div(n).unwrap_or(0)).collect();
+        order.sort_by(|&a, &b| {
+            let ((bw_a, lat_a), (bw_b, lat_b)) = (prices[a], prices[b]);
+            bw_b.total_cmp(&bw_a).then(lat_a.total_cmp(&lat_b))
+        });
+        // Per bucket in that order: its offset, seconds per token and
+        // seconds per message.
+        let rates: Vec<(usize, f64, f64)> = order
+            .iter()
+            .map(|&b| {
+                let (bw, lat) = prices[b];
+                (b * n, params.v_comm / bw, lat)
+            })
+            .collect();
+        let seconds = |sum: f64, t: Traffic, per_token: f64, per_message: f64| {
+            let s = sum + t.tokens as f64 * per_token;
+            if params.latency_aware {
+                s + t.messages as f64 * per_message
+            } else {
+                s
+            }
+        };
+        let mut straggler = 0.0f64;
+        for d in 0..n {
+            let (mut send, mut recv) = (0.0, 0.0);
+            for &(at, per_token, per_message) in &rates {
+                send = seconds(send, self.send[at + d], per_token, per_message);
+                recv = seconds(recv, self.recv[at + d], per_token, per_message);
+            }
+            straggler = straggler.max(send.max(recv));
+        }
+        let max_load = self.loads.iter().copied().max().unwrap_or(0);
+        CostBreakdown {
+            comm: 4.0 * straggler,
+            comp: params.compute_multiplier() * max_load as f64 * params.v_comp / params.b_comp,
+        }
+    }
 }
 
 /// Evaluates the objective `T = T_comm + T_comp` for a routing strategy.
+/// The result depends only on the multiset of entries, not their order.
 pub fn time_cost<I: Interconnect + ?Sized>(
     net: &I,
     routing: &TokenRouting,
     params: &CostParams,
 ) -> CostBreakdown {
-    let n = net.num_devices();
-    let mut send = vec![0.0f64; n];
-    let mut recv = vec![0.0f64; n];
+    let mut prices = LinkPrices::new(net);
+    let mut sums = Eq2Sums::default();
+    sums.reset(net.num_devices());
     for &(src, _, dst, tokens) in routing.entries() {
         if src == dst {
-            continue;
-        }
-        let lat = if params.latency_aware {
-            net.latency(src, dst)
+            sums.load(dst, tokens);
         } else {
-            0.0
-        };
-        let t = pair_term(tokens, effective_bw(net, src, dst), lat, params);
-        send[src.index()] += t;
-        recv[dst.index()] += t;
+            sums.add_entry(src, dst, tokens, prices.bucket(src, dst));
+        }
     }
-    let max_load = routing
-        .device_compute_loads()
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-    eq2(&send, &recv, max_load, params)
+    sums.eq2(prices.prices(), params)
 }
 
 #[cfg(test)]

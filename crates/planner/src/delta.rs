@@ -14,21 +14,19 @@
 //! hold none of it (they route to its full replica list, which moved).
 //!
 //! [`IncrementalCost`] exploits this. It caches, per `(source, expert)`
-//! cell, the routed rows `(destination, tokens, t_comm)` — the inner
-//! terms of Eq. 2's per-device max-aggregation — and re-routes only the
-//! cells marked stale by [`IncrementalCost::apply_retarget`] /
-//! [`IncrementalCost::apply_swap`], through the routing core shared with
-//! [`crate::lite_routing::lite_route`]. Because Eq. 2 aggregates with
-//! `max` over per-device *sums*, the final fold cannot be maintained by
-//! subtract-and-add (floating-point sums are not reversible and the max
-//! is not decomposable); instead [`IncrementalCost::cost`] re-folds the
-//! cached rows in **exactly** the entry order of
-//! [`crate::lite_routing::lite_route`] + [`crate::cost::time_cost`]
-//! (sources ascending, experts ascending, targets in emission order).
-//! Same addends, same order — the result is bit-identical to the
-//! from-scratch oracle, which the property tests in `tests/proptests.rs`
-//! enforce. The fold is a cheap linear pass of pre-priced adds; the
-//! expensive per-cell work (target selection, splitting, pricing)
+//! cell, the routed rows `(destination, tokens, link-price bucket)` and
+//! re-routes only the cells marked stale by
+//! [`IncrementalCost::apply_retarget`] / [`IncrementalCost::apply_swap`],
+//! through the routing core shared with
+//! [`crate::lite_routing::lite_route`]. Eq. 2's inputs are exact integer
+//! sums (`crate::cost::Eq2Sums`: per device and bucket, the tokens and
+//! messages sent and received, plus compute loads), so they are kept
+//! current by subtract-and-add: a re-routed cell takes its old rows out
+//! and counts its new ones in. [`IncrementalCost::cost`] then converts
+//! the sums with the one function [`crate::cost::time_cost`] uses, in
+//! `O(devices · buckets)` — bit-identical to the from-scratch oracle by
+//! construction, which the property tests in `tests/proptests.rs`
+//! enforce. The expensive per-cell work (target selection, splitting)
 //! happens only for stale cells.
 //!
 //! Rows are stored per expert as one contiguous CSR-style column
@@ -36,26 +34,25 @@
 //! consecutive ids, so its cells are one run of the column: re-routing
 //! a few nodes splices their runs in place, and a column stale on many
 //! nodes is rebuilt linearly, with no per-cell allocation either way.
-//! The fold streams `e` contiguous cursors instead of chasing `n·e` heap
-//! pointers.
 //!
 //! [`IncrementalCost::apply_retarget`] / [`IncrementalCost::apply_swap`]
-//! snapshot the two affected columns (a pair of flat-array clones), so
-//! [`IncrementalCost::revert`] restores them by swap-back instead of
-//! re-routing. Routing stays a pure function of the layout either way;
-//! the snapshot is purely an optimisation.
+//! route any stale column first, then snapshot the two affected columns
+//! (a pair of flat-array clones) and the sums, so
+//! [`IncrementalCost::revert`] restores both by swap-back instead of
+//! re-routing and re-counting. Routing stays a pure function of the
+//! layout either way; the snapshot is purely an optimisation.
 
-use crate::cost::{eq2, pair_term, CostBreakdown, CostParams};
+use crate::cost::{CostBreakdown, CostParams, Eq2Sums, LinkPrices};
 use crate::layout::ExpertLayout;
-use crate::lite_routing::{KindPrices, ReplicaIndex, Router};
+use crate::lite_routing::{ReplicaIndex, Router};
 use crate::token_routing::TokenRouting;
 use laer_cluster::{DeviceId, ExpertId, NodeId, Topology};
 use laer_routing::RoutingMatrix;
+use std::ops::Range;
 
-/// One routed row: `(destination, tokens, t_comm)`, where `t_comm` is
-/// the pre-priced pairwise term of Eq. 2 (`0` for local traffic, which
-/// the fold skips as `time_cost` does).
-type Row = (DeviceId, u64, f64);
+/// One routed row: `(destination, tokens, bucket)`, where `bucket` is
+/// the link's [`LinkPrices`] bucket (unread for local traffic).
+type Row = (DeviceId, u64, usize);
 
 /// One expert's routed rows for every source device, CSR-style:
 /// `entries[starts[src]..starts[src + 1]]` is source `src`'s cell in
@@ -71,6 +68,24 @@ struct Column {
     entries: Vec<Row>,
 }
 
+impl Column {
+    /// Every source the column has rows for.
+    fn sources(&self) -> Range<usize> {
+        0..self.starts.len().saturating_sub(1)
+    }
+
+    /// Takes the rows of `sources` back out of `sums`.
+    fn uncount(&self, sources: Range<usize>, sums: &mut Eq2Sums) {
+        for src in sources {
+            let (lo, hi) = (self.starts[src] as usize, self.starts[src + 1] as usize);
+            let src = DeviceId::new(src);
+            for &(dst, tokens, bucket) in &self.entries[lo..hi] {
+                sums.remove_entry(src, dst, tokens, bucket);
+            }
+        }
+    }
+}
+
 /// Which of a column's rows may no longer match the layout.
 #[derive(Debug, Clone)]
 enum Stale {
@@ -84,10 +99,10 @@ enum Stale {
 }
 
 /// A move recorded for [`IncrementalCost::revert`]. Undo applies the
-/// inverse index update and restores the two affected columns (and
-/// their staleness) from the snapshots taken at apply time — routing
-/// is a pure function of the layout, so the snapshot rows are exactly
-/// what a re-route would reproduce.
+/// inverse index update and restores the two affected columns and the
+/// sums from the snapshots taken at apply time — routing is a pure
+/// function of the layout, so the snapshot rows are exactly what a
+/// re-route would reproduce.
 #[derive(Debug, Clone, Copy)]
 enum Move {
     Retarget {
@@ -106,9 +121,11 @@ enum Move {
 #[derive(Debug)]
 struct UndoEntry {
     mv: Move,
-    /// `(expert, column snapshot, staleness)` for the two experts the
-    /// move touches, captured before the index update.
-    snaps: [(usize, Column, Stale); 2],
+    /// `(expert, column snapshot)` for the two experts the move touches,
+    /// and the sums, captured with every column routed, before the
+    /// index update.
+    columns: [(usize, Column); 2],
+    sums: Eq2Sums,
 }
 
 /// What routing a column's cells needs besides the layout: the
@@ -119,40 +136,36 @@ struct CellRouter<'a> {
     demand: &'a RoutingMatrix,
     params: CostParams,
     router: Router,
-    prices: KindPrices<'a, Topology>,
+    prices: LinkPrices<'a, Topology>,
 }
 
 impl CellRouter<'_> {
     /// Routes expert `j`'s cells for the senders on `node` through the
     /// shared core (which resolves the node's targets and their link
-    /// prices once), appending rows pre-priced with `time_cost`'s
-    /// pairwise term to `rows` and their tokens to `device_loads`, and
-    /// calling `end(rows.len())` after each sender.
+    /// buckets once), appending the rows to `rows` and counting them
+    /// into `sums`, and calling `end(rows.len())` after each sender.
     fn route_node(
         &mut self,
         index: &ReplicaIndex,
         j: usize,
         node: NodeId,
-        device_loads: &mut [u64],
+        sums: &mut Eq2Sums,
         rows: &mut Vec<Row>,
         mut end: impl FnMut(usize),
     ) {
         let expert = ExpertId::new(j);
-        let params = &self.params;
+        self.router.resolve(self.topo, index, node, j..j + 1, &[]);
         self.router
-            .resolve(self.topo, index, node, j..j + 1, Some(&mut self.prices));
+            .attach_buckets(self.topo, node, &mut self.prices);
         for src in self.topo.devices_on(node) {
             let tokens = self.demand.get(src, expert);
             if tokens > 0 {
                 self.router
-                    .split(src, expert, tokens, 0, |dst, count, link| {
-                        let t = match link {
-                            _ if dst == src => 0.0,
-                            Some((bw, lat)) => pair_term(count, bw, lat, params),
-                            None => unreachable!("a topology prices links by kind"),
-                        };
-                        device_loads[dst.index()] += count;
-                        rows.push((dst, count, t));
+                    .split(src, expert, tokens, 0, |dst, count, bucket| {
+                        let bucket = bucket
+                            .unwrap_or_else(|| unreachable!("a topology prices links by kind"));
+                        sums.add_entry(src, dst, count, bucket);
+                        rows.push((dst, count, bucket));
                     });
             }
             end(rows.len());
@@ -161,8 +174,8 @@ impl CellRouter<'_> {
 }
 
 /// Incrementally-maintained Eq. 2 evaluation state: the current layout
-/// (as a flat index), the routed rows it implies, and scratch for the
-/// per-device aggregation fold. See the module docs for the design.
+/// (as a flat index), the routed rows it implies, and Eq. 2's integer
+/// sums over them. See the module docs for the design.
 #[derive(Debug)]
 pub struct IncrementalCost<'a> {
     cells: CellRouter<'a>,
@@ -176,14 +189,10 @@ pub struct IncrementalCost<'a> {
     rows: Vec<Row>,
     ends: Vec<usize>,
     holds: Vec<bool>,
-    send: Vec<f64>,
-    recv: Vec<f64>,
-    /// Per-device compute loads, maintained incrementally as columns are
-    /// rebuilt or restored. Integer sums are exact and order-free, so
-    /// unlike the float send/recv aggregates they need no re-fold —
-    /// the invariant is `device_loads == Σ tokens per destination over
-    /// every column's current entries`, stale or not.
-    device_loads: Vec<u64>,
+    /// Eq. 2's sums, maintained as columns are rebuilt or restored: the
+    /// invariant is that they count every column's current rows, stale
+    /// or not.
+    sums: Eq2Sums,
 }
 
 impl<'a> IncrementalCost<'a> {
@@ -204,16 +213,16 @@ impl<'a> IncrementalCost<'a> {
     ) -> Self {
         let index = ReplicaIndex::from_layout(layout);
         index.assert_shapes(topo, demand);
-        let n = index.num_devices();
         let e = index.num_experts();
+        let mut sums = Eq2Sums::default();
+        sums.reset(index.num_devices());
         Self {
             cells: CellRouter {
                 topo,
                 demand,
                 params: *params,
                 router: Router::default(),
-                prices: KindPrices::of(topo)
-                    .unwrap_or_else(|| unreachable!("a topology prices links by kind")),
+                prices: LinkPrices::new(topo),
             },
             index,
             columns: vec![Column::default(); e],
@@ -222,9 +231,7 @@ impl<'a> IncrementalCost<'a> {
             rows: Vec::new(),
             ends: Vec::new(),
             holds: Vec::new(),
-            send: vec![0.0; n],
-            recv: vec![0.0; n],
-            device_loads: vec![0; n],
+            sums,
         }
     }
 
@@ -248,23 +255,28 @@ impl<'a> IncrementalCost<'a> {
     /// Moves one replica on `device` from expert `from` to expert `to`
     /// (the refiner's retarget move), recording it for [`Self::revert`].
     /// Only the two experts' routing columns are invalidated.
+    ///
+    /// # Panics
+    ///
+    /// Routes any stale column first, so panics as [`Self::cost`] does.
     pub fn apply_retarget(&mut self, device: DeviceId, from: ExpertId, to: ExpertId) {
-        let snaps = self.snapshot_pair(from.index(), to.index());
+        let entry = self.checkpoint(Move::Retarget { device, from, to }, from, to);
         self.index.remove_replica(device, from);
         self.index.add_replica(device, to);
         self.mark_stale(from.index(), device);
         self.mark_stale(to.index(), device);
-        self.undo.push(UndoEntry {
-            mv: Move::Retarget { device, from, to },
-            snaps,
-        });
+        self.undo.push(entry);
     }
 
     /// Exchanges `d1`'s replica of `a` with `d2`'s replica of `b` (the
     /// refiner's swap move), recording it for [`Self::revert`]. Only the
     /// two experts' routing columns are invalidated.
+    ///
+    /// # Panics
+    ///
+    /// Routes any stale column first, so panics as [`Self::cost`] does.
     pub fn apply_swap(&mut self, d1: DeviceId, a: ExpertId, d2: DeviceId, b: ExpertId) {
-        let snaps = self.snapshot_pair(a.index(), b.index());
+        let entry = self.checkpoint(Move::Swap { d1, a, d2, b }, a, b);
         self.index.remove_replica(d1, a);
         self.index.remove_replica(d2, b);
         self.index.add_replica(d1, b);
@@ -273,25 +285,27 @@ impl<'a> IncrementalCost<'a> {
             self.mark_stale(expert.index(), d1);
             self.mark_stale(expert.index(), d2);
         }
-        self.undo.push(UndoEntry {
-            mv: Move::Swap { d1, a, d2, b },
-            snaps,
-        });
+        self.undo.push(entry);
     }
 
-    fn snapshot_pair(&self, x: usize, y: usize) -> [(usize, Column, Stale); 2] {
-        [
-            (x, self.columns[x].clone(), self.stale[x].clone()),
-            (y, self.columns[y].clone(), self.stale[y].clone()),
-        ]
+    /// Routes every stale column, then snapshots what [`Self::revert`]
+    /// restores for `mv`: the columns of `x` and `y`, and the sums.
+    fn checkpoint(&mut self, mv: Move, x: ExpertId, y: ExpertId) -> UndoEntry {
+        self.flush();
+        let (x, y) = (x.index(), y.index());
+        UndoEntry {
+            mv,
+            columns: [(x, self.columns[x].clone()), (y, self.columns[y].clone())],
+            sums: self.sums.clone(),
+        }
     }
 
     /// Undoes the most recent un-reverted [`Self::apply_retarget`] /
     /// [`Self::apply_swap`]: applies the inverse index update and
-    /// restores the two columns from their apply-time snapshots (no
-    /// re-route — the snapshot rows are what re-routing the restored
-    /// layout would produce). Returns `false` if there is nothing to
-    /// revert.
+    /// restores the two columns and the sums from their apply-time
+    /// snapshots (no re-route — the snapshot rows are what re-routing
+    /// the restored layout would produce, and every other column is as
+    /// it was then). Returns `false` if there is nothing to revert.
     pub fn revert(&mut self) -> bool {
         let Some(entry) = self.undo.pop() else {
             return false;
@@ -308,16 +322,11 @@ impl<'a> IncrementalCost<'a> {
                 self.index.add_replica(d2, b);
             }
         }
-        for (j, col, stale) in entry.snaps {
-            for &(dst, tokens, _) in &self.columns[j].entries {
-                self.device_loads[dst.index()] -= tokens;
-            }
-            for &(dst, tokens, _) in &col.entries {
-                self.device_loads[dst.index()] += tokens;
-            }
+        for (j, col) in entry.columns {
             self.columns[j] = col;
-            self.stale[j] = stale;
+            self.stale[j] = Stale::Fresh;
         }
+        self.sums = entry.sums;
         true
     }
 
@@ -363,24 +372,17 @@ impl<'a> IncrementalCost<'a> {
     /// Routes expert `j`'s whole column — one Alg. 3 cell per source
     /// device — node by node.
     fn reroute_expert(&mut self, j: usize) {
-        let Column { starts, entries } = &mut self.columns[j];
-        for &(dst, tokens, _) in entries.iter() {
-            self.device_loads[dst.index()] -= tokens;
-        }
+        let column = &mut self.columns[j];
+        column.uncount(column.sources(), &mut self.sums);
+        let Column { starts, entries } = column;
         starts.clear();
         entries.clear();
         starts.push(0);
         for node in self.cells.topo.node_ids() {
-            self.cells.route_node(
-                &self.index,
-                j,
-                node,
-                &mut self.device_loads,
-                entries,
-                |len| {
+            self.cells
+                .route_node(&self.index, j, node, &mut self.sums, entries, |len| {
                     starts.push(len as u32);
-                },
-            );
+                });
         }
     }
 
@@ -408,13 +410,12 @@ impl<'a> IncrementalCost<'a> {
             return self.reroute_expert(j);
         }
         let dpn = topo.devices_per_node();
-        let Column { starts, entries } = &mut self.columns[j];
+        let column = &mut self.columns[j];
         for m in nodes {
             let (first, end) = (m * dpn, (m + 1) * dpn);
+            column.uncount(first..end, &mut self.sums);
+            let Column { starts, entries } = &mut *column;
             let (lo, hi) = (starts[first] as usize, starts[end] as usize);
-            for &(dst, tokens, _) in &entries[lo..hi] {
-                self.device_loads[dst.index()] -= tokens;
-            }
             let (rows, ends) = (&mut self.rows, &mut self.ends);
             rows.clear();
             ends.clear();
@@ -422,7 +423,7 @@ impl<'a> IncrementalCost<'a> {
                 &self.index,
                 j,
                 NodeId::new(m),
-                &mut self.device_loads,
+                &mut self.sums,
                 rows,
                 |len| ends.push(lo + len),
             );
@@ -439,9 +440,9 @@ impl<'a> IncrementalCost<'a> {
 
     /// Evaluates Eq. 2 for the current state, bit-identical to
     /// `time_cost(topo, &lite_route(topo, demand, &self.layout()),
-    /// params)`: the cached rows are folded in the oracle's exact entry
-    /// order into the per-device send/recv/load aggregates, then
-    /// max-aggregated. Dirty columns are re-routed first.
+    /// params)`: dirty columns are re-routed, which keeps the integer
+    /// sums current, and the sums are converted as `time_cost` converts
+    /// its own.
     ///
     /// # Panics
     ///
@@ -449,25 +450,8 @@ impl<'a> IncrementalCost<'a> {
     /// [`Self::all_experts_covered`]).
     pub fn cost(&mut self) -> CostBreakdown {
         self.flush();
-        let (send, recv) = (&mut self.send, &mut self.recv);
-        recv.fill(0.0);
-        for (src, send_src) in send.iter_mut().enumerate() {
-            // A sender's rows are contiguous in the oracle's order, so its
-            // sum runs in a local.
-            let mut sent = 0.0;
-            for col in &self.columns {
-                let (lo, hi) = (col.starts[src] as usize, col.starts[src + 1] as usize);
-                for &(dst, _, t) in &col.entries[lo..hi] {
-                    if dst.index() != src {
-                        sent += t;
-                        recv[dst.index()] += t;
-                    }
-                }
-            }
-            *send_src = sent;
-        }
-        let max_load = self.device_loads.iter().copied().max().unwrap_or(0);
-        eq2(&self.send, &self.recv, max_load, &self.cells.params)
+        self.sums
+            .eq2(self.cells.prices.prices(), &self.cells.params)
     }
 
     /// Materialises the current layout.
@@ -577,6 +561,28 @@ mod tests {
         assert!(inc.revert());
         assert_eq!(inc.layout(), layout);
         assert_bits(inc.cost(), before);
+    }
+
+    /// A move applied before anything is routed routes every column
+    /// first, so its snapshot, and the revert back to it, are exact.
+    #[test]
+    fn moves_before_first_cost_match_oracle_bitwise() {
+        let (topo, demand, layout, params) = setup(6);
+        let mut inc = IncrementalCost::new(&topo, &demand, &layout, &params);
+        let (d, a, b) = (DeviceId::new(0), ExpertId::new(0), ExpertId::new(2));
+        inc.apply_retarget(d, a, b);
+        inc.apply_swap(
+            DeviceId::new(1),
+            ExpertId::new(2),
+            DeviceId::new(2),
+            ExpertId::new(4),
+        );
+        assert!(inc.revert());
+        let moved = inc.layout();
+        assert_bits(inc.cost(), oracle(&topo, &demand, &moved, &params));
+        assert!(inc.revert());
+        assert_eq!(inc.layout(), layout);
+        assert_bits(inc.cost(), oracle(&topo, &demand, &layout, &params));
     }
 
     #[test]

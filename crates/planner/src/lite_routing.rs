@@ -15,18 +15,27 @@
 //! with equal replica counts, is split in closed form; the others take
 //! a select-nth of the largest remainders instead of a full sort. Three
 //! callers share the core: [`lite_route`] materialises the entries, the
-//! tuner prices them as they are emitted (`crate::tuner`), and the delta
-//! evaluator re-routes the stale nodes of one expert's column
-//! (`crate::delta`). The two pricing callers get each target's link
-//! price once per node when the network prices links by kind. All
-//! three emit Alg. 3's entries in one order — sources ascending,
-//! experts ascending, targets by device id — which is what keeps their
-//! costs bit-identical.
+//! tuner prices candidates without materialising them (`Pricer`), and
+//! the delta evaluator re-routes the stale nodes of one expert's column
+//! (`crate::delta`). The two pricing callers count into Eq. 2's integer
+//! sums (`crate::cost::Eq2Sums`), which do not depend on the order
+//! entries are counted in, and get each target's link-price bucket once
+//! per node when the network prices links by kind.
+//!
+//! Order-free sums let the tuner skip the entries of a *fallback* list —
+//! the expert's whole replica list, used when the senders' node holds
+//! none of it. Every such node splits over the same list, none of it on
+//! the node, and on a network that prices links by kind every node of
+//! one rack reaches each target at one price. With equal replica counts
+//! sender `s` gives target `i` the share `F_s + [i < x_s]`, so the
+//! receive sums of all those splits follow from `Σ F_s` and a histogram
+//! of the remainders `x_s` (`Spreads`): `O(senders + targets)` per
+//! expert and rack instead of `O(senders × targets)` per node.
 
-use crate::cost::effective_bw;
+use crate::cost::{Eq2Sums, LinkPrices, Traffic};
 use crate::layout::ExpertLayout;
 use crate::token_routing::TokenRouting;
-use laer_cluster::{DeviceId, ExpertId, Interconnect, LinkKind, NodeId, Topology};
+use laer_cluster::{DeviceId, ExpertId, Interconnect, NodeId, Topology};
 use laer_routing::RoutingMatrix;
 use std::ops::Range;
 
@@ -47,7 +56,7 @@ pub fn lite_route(topo: &Topology, demand: &RoutingMatrix, layout: &ExpertLayout
     let mut router = Router::default();
     let mut out = TokenRouting::new(demand.num_devices(), demand.num_experts());
     for node in topo.node_ids() {
-        router.resolve::<Topology>(topo, &index, node, 0..index.num_experts(), None);
+        router.resolve(topo, &index, node, 0..index.num_experts(), &[]);
         for src in topo.devices_on(node) {
             for (j, &tokens) in demand.row(src).iter().enumerate() {
                 if tokens > 0 {
@@ -174,79 +183,67 @@ impl ReplicaIndex {
 }
 
 /// The routing core's reusable buffers: one node's resolved target
-/// lists (and their link prices), plus the largest-remainder working
-/// set. Buffers grow to the largest node seen and stay allocated.
+/// lists (and their link-price buckets), plus the largest-remainder
+/// working set. Buffers grow to the largest node seen and stay
+/// allocated.
 #[derive(Debug, Default)]
 pub(crate) struct Router {
     /// Resolved targets, flat; `lists[k]` spans the `k`-th resolved
     /// expert's.
     targets: Vec<(DeviceId, u32)>,
     lists: Vec<TargetList>,
-    /// Per target, when priced per node: `(effective bandwidth,
-    /// latency)` from the node's other senders.
-    links: Vec<(f64, f64)>,
+    /// Per target, once [attached](Self::attach_buckets): the
+    /// [`LinkPrices`] bucket the node's other senders reach it over.
+    buckets: Vec<usize>,
     shares: Vec<(u64, f64)>,
     order: Vec<usize>,
 }
 
-/// The link prices of a network that [prices links by
-/// kind](Interconnect::prices_by_kind): one `(effective bandwidth,
-/// latency)` per [`LinkKind`], each resolved on first use.
-#[derive(Debug)]
-pub(crate) struct KindPrices<'a, I: ?Sized> {
-    net: &'a I,
-    by_kind: [Option<(f64, f64)>; 4],
-}
-
-impl<'a, I: Interconnect + ?Sized> KindPrices<'a, I> {
-    /// `None` unless `net` prices links by kind.
-    pub(crate) fn of(net: &'a I) -> Option<Self> {
-        net.prices_by_kind().then_some(Self {
-            net,
-            by_kind: [None; 4],
-        })
-    }
-
-    fn get(&mut self, src: DeviceId, dst: DeviceId) -> (f64, f64) {
-        let net = self.net;
-        let slot = match net.link_kind(src, dst) {
-            LinkKind::Local => 0,
-            LinkKind::IntraNode => 1,
-            LinkKind::InterNode => 2,
-            LinkKind::InterRack => 3,
-        };
-        *self.by_kind[slot]
-            .get_or_insert_with(|| (effective_bw(net, src, dst), net.latency(src, dst)))
-    }
-}
-
 /// One resolved target list: its span of [`Router`]'s targets, their
-/// replica total, and whether every target holds the same count.
+/// replica total, whether every target holds the same count, and
+/// whether it was left unresolved for the caller to spread.
 #[derive(Debug, Clone, Copy)]
 struct TargetList {
     start: usize,
     end: usize,
     total: u64,
     equal: bool,
+    spread: bool,
+}
+
+/// The closed-form split of `tokens` over `m` targets that each hold
+/// `count` of `total = m · count` replicas: every target gets the
+/// floor share `F`, and the first `x` in remainder order one more.
+/// Returns `(F, x)`.
+#[inline]
+fn equal_shares(tokens: u64, count: u32, total: u64, m: usize) -> (u64, usize) {
+    let exact = tokens as f64 * count as f64 / total as f64;
+    let floor = exact.floor() as u64;
+    let (left, m) = (tokens - floor * m as u64, m as u64);
+    if left < m {
+        (floor, left as usize)
+    } else {
+        (floor + left / m, (left % m) as usize)
+    }
 }
 
 impl Router {
     /// Alg. 3 lines 4-9 for senders on `node`: resolves the target list
     /// of every expert in `experts` — its replicas on `node` (line 6),
     /// or all of its replicas when the node holds none (line 9) — in
-    /// ascending device id. With `prices`, each target also gets the
-    /// link price every other sender on the node reaches it over, which
-    /// [`Self::split`] hands out with its entries.
-    pub(crate) fn resolve<I: Interconnect + ?Sized>(
+    /// ascending device id. The fallback list of an expert `j` with
+    /// `spreadable[j]` set is left unresolved: the caller spreads it.
+    pub(crate) fn resolve(
         &mut self,
         topo: &Topology,
         index: &ReplicaIndex,
         node: NodeId,
         experts: Range<usize>,
-        prices: Option<&mut KindPrices<'_, I>>,
+        spreadable: &[bool],
     ) {
         self.targets.clear();
         self.lists.clear();
+        self.buckets.clear();
         for j in experts {
             let start = self.targets.len();
             for dev in topo.devices_on(node) {
@@ -255,7 +252,9 @@ impl Router {
                     self.targets.push((dev, c));
                 }
             }
-            if self.targets.len() == start {
+            let fallback = self.targets.len() == start;
+            let spread = fallback && spreadable.get(j) == Some(&true);
+            if fallback && !spread {
                 self.targets.extend_from_slice(&index.lists[j]);
             }
             let list = &self.targets[start..];
@@ -264,22 +263,36 @@ impl Router {
                 end: self.targets.len(),
                 total: list.iter().map(|&(_, c)| u64::from(c)).sum(),
                 equal: list.iter().all(|&(_, c)| c == list[0].1),
+                spread,
             });
         }
-        self.links.clear();
-        if let Some(prices) = prices {
-            self.links.extend(self.targets.iter().map(|&(dst, _)| {
+    }
+
+    /// When `prices` prices links by kind, gives every resolved target
+    /// the bucket each other sender on `node` reaches it over, which
+    /// [`Self::split`] then hands out with its entries.
+    pub(crate) fn attach_buckets<I: Interconnect + ?Sized>(
+        &mut self,
+        topo: &Topology,
+        node: NodeId,
+        prices: &mut LinkPrices<'_, I>,
+    ) {
+        if prices.by_kind() {
+            self.buckets.extend(self.targets.iter().map(|&(dst, _)| {
                 // Local traffic is free; every other sender on the node
-                // reaches `dst` over one kind of link.
+                // reaches `dst` over one kind of link. A node's only
+                // device reaches its own replicas locally, so that
+                // bucket is never read.
                 topo.devices_on(node)
                     .find(|&src| src != dst)
-                    .map_or((f64::INFINITY, 0.0), |src| prices.get(src, dst))
+                    .map_or(usize::MAX, |src| prices.bucket(src, dst))
             }));
         }
     }
 
     /// Splits `src`'s `tokens` for `expert` over the `k`-th resolved
-    /// target list, calling `emit(dst, count, link)` per entry.
+    /// target list, calling `emit(dst, count, bucket)` per entry, with
+    /// the target's link-price bucket when the list was priced per node.
     ///
     /// The split is proportional to replica counts ("evenly distributed
     /// among all replicas") with deterministic largest-remainder
@@ -297,19 +310,20 @@ impl Router {
         expert: ExpertId,
         tokens: u64,
         k: usize,
-        mut emit: impl FnMut(DeviceId, u64, Option<(f64, f64)>),
+        mut emit: impl FnMut(DeviceId, u64, Option<usize>),
     ) {
         let TargetList {
             start,
             end,
             total,
             equal,
+            ..
         } = self.lists[k];
         let targets = &self.targets[start..end];
-        let links = self.links.get(start..end);
+        let buckets = self.buckets.get(start..end);
         let mut out = |i: usize, count: u64| {
             if count > 0 {
-                emit(targets[i].0, count, links.map(|l| l[i]));
+                emit(targets[i].0, count, buckets.map(|b| b[i]));
             }
         };
         assert!(
@@ -327,10 +341,7 @@ impl Router {
             // Equal counts: every target has the same share, floor and
             // remainder, so the remainder order is the sender first, then
             // ascending device id — the targets' own order.
-            let exact = tokens as f64 * targets[0].1 as f64 / total as f64;
-            let floor = exact.floor() as u64;
-            let left = tokens - floor * m as u64;
-            let (base, extra) = (left / m as u64, (left % m as u64) as usize);
+            let (floor, extra) = equal_shares(tokens, targets[0].1, total, m);
             let sender = targets.iter().position(|&(d, _)| d == src);
             for i in 0..m {
                 let rank = match sender {
@@ -338,7 +349,7 @@ impl Router {
                     Some(s) if i < s => i + 1,
                     _ => i,
                 };
-                out(i, floor + base + u64::from(rank < extra));
+                out(i, floor + u64::from(rank < extra));
             }
             return;
         }
@@ -373,6 +384,261 @@ impl Router {
         }
         for (i, &(floor, _)) in shares.iter().enumerate() {
             out(i, floor + base);
+        }
+    }
+}
+
+/// The tuner's candidate pricing: Alg. 3's routing of a whole layout,
+/// counted straight into Eq. 2's sums and never materialised. On a
+/// network that prices links by kind, a node that holds none of an
+/// expert whose replicas all hold the same count is spread per view
+/// ([`Spreads`]); every other `(node, expert)` list is split sender by
+/// sender, as [`lite_route`] splits it. The sums come out exactly as if
+/// `lite_route`'s entries were counted.
+#[derive(Debug, Default)]
+pub(crate) struct Pricer {
+    router: Router,
+    spreads: Spreads,
+    /// Per expert: whether a node holding none of it spreads it — the
+    /// network prices links by kind and its replicas all hold the same
+    /// count.
+    spreadable: Vec<bool>,
+    sums: Eq2Sums,
+}
+
+impl Pricer {
+    /// Counts Alg. 3's routing of `demand` under `index` into Eq. 2's
+    /// sums, against `prices`.
+    pub(crate) fn price<I: Interconnect + ?Sized>(
+        &mut self,
+        topo: &Topology,
+        index: &ReplicaIndex,
+        demand: &RoutingMatrix,
+        prices: &mut LinkPrices<'_, I>,
+    ) -> &Eq2Sums {
+        index.assert_shapes(topo, demand);
+        let Self {
+            router,
+            spreads,
+            spreadable,
+            sums,
+        } = self;
+        let e = index.num_experts();
+        sums.reset(topo.num_devices());
+        spreads.reset(topo, e);
+        spreadable.clear();
+        spreadable.extend(index.lists.iter().map(|list| match list.first() {
+            // An expert without replicas is left to `split`,
+            // which rejects it only if some sender demands it.
+            Some(&(_, count)) => prices.by_kind() && list.iter().all(|&(_, c)| c == count),
+            None => false,
+        }));
+        for node in topo.node_ids() {
+            router.resolve(topo, index, node, 0..e, spreadable);
+            router.attach_buckets(topo, node, prices);
+            for j in 0..e {
+                let expert = ExpertId::new(j);
+                let cells = topo
+                    .devices_on(node)
+                    .map(|src| (src, demand.get(src, expert)))
+                    .filter(|&(_, tokens)| tokens > 0);
+                if router.lists[j].spread {
+                    spreads.add(topo, index, node, expert, cells, prices, sums);
+                    continue;
+                }
+                for (src, tokens) in cells {
+                    router.split(src, expert, tokens, j, |dst, count, bucket| {
+                        if dst == src {
+                            sums.load(dst, count);
+                        } else {
+                            let b = bucket.unwrap_or_else(|| prices.bucket(src, dst));
+                            sums.add_entry(src, dst, count, b);
+                        }
+                    });
+                }
+            }
+        }
+        spreads.finish(index, sums);
+        sums
+    }
+}
+
+/// [`Pricer`]'s fallback spreads. A node that holds no replica of an
+/// expert splits its senders' cells over the expert's whole replica
+/// list, none of it on the node; on a network that prices links by
+/// kind, every node of one rack (one *view*) reaches each of those
+/// targets over the same bucket. With equal counts, sender `s` gives
+/// target `i` the share `F_s + [i < x_s]` ([`equal_shares`]), so:
+///
+/// * `s` sends its whole cell, in `m` messages when `F_s > 0` and `x_s`
+///   otherwise — per bucket, `F_s · cnt + pre[x_s]` tokens, with `cnt`
+///   the bucket's targets and `pre` their prefix count over list
+///   positions;
+/// * target `i` receives `Σ F_s + #{s : x_s > i}` tokens from
+///   `#{s : F_s > 0 or x_s > i}` senders — `Σ F_s` and a histogram of
+///   the `x_s` over every fallback sender of the view.
+///
+/// Each `(expert, view)` therefore costs `O(senders + targets)`, and
+/// its receive sums are counted once, however many nodes fall back.
+#[derive(Debug, Default)]
+struct Spreads {
+    views: usize,
+    /// Per `(expert, view)`, at `expert · views + view`: its spread's
+    /// index in `spreads` once a sender used it.
+    slots: Vec<Option<usize>>,
+    spreads: Vec<Spread>,
+    /// Flat per-spread buffers at each spread's offsets: every target's
+    /// bucket and remainder histogram `(all senders, those with F = 0)`,
+    /// the spread's distinct buckets, and per distinct bucket its prefix
+    /// counts over list positions.
+    buckets: Vec<usize>,
+    remainders: Vec<(u64, u64)>,
+    groups: Vec<usize>,
+    prefix: Vec<u64>,
+}
+
+/// One `(expert, view)` spread: its offsets into [`Spreads`]' buffers
+/// and its sender totals.
+#[derive(Debug, Clone)]
+struct Spread {
+    expert: ExpertId,
+    /// Offset of its targets in `buckets` and `remainders`.
+    at: usize,
+    /// Its distinct buckets; group `g`'s `m + 1` prefix counts start at
+    /// `prefix_at + g · (m + 1)`.
+    groups: Range<usize>,
+    prefix_at: usize,
+    /// `Σ F_s`, the senders, and those with `F_s = 0`.
+    floors: u64,
+    senders: u64,
+    idle: u64,
+}
+
+impl Spreads {
+    fn reset(&mut self, topo: &Topology, experts: usize) {
+        self.views = topo
+            .devices_per_rack()
+            .map_or(1, |per| topo.num_devices().div_ceil(per));
+        self.slots.clear();
+        self.slots.resize(experts * self.views, None);
+        self.spreads.clear();
+        self.buckets.clear();
+        self.remainders.clear();
+        self.groups.clear();
+        self.prefix.clear();
+    }
+
+    /// Counts the `cells` of `node`'s senders, which fall back to
+    /// `expert`'s equal replica list.
+    #[allow(clippy::too_many_arguments)]
+    fn add<I: Interconnect + ?Sized>(
+        &mut self,
+        topo: &Topology,
+        index: &ReplicaIndex,
+        node: NodeId,
+        expert: ExpertId,
+        cells: impl Iterator<Item = (DeviceId, u64)>,
+        prices: &mut LinkPrices<'_, I>,
+        sums: &mut Eq2Sums,
+    ) {
+        let list = index.replicas(expert);
+        let m = list.len();
+        let rep = topo
+            .devices_on(node)
+            .next()
+            .unwrap_or_else(|| unreachable!("nodes hold devices"));
+        let view = topo.rack_of(rep).unwrap_or(0);
+        let slot = expert.index() * self.views + view;
+        let s = match self.slots[slot] {
+            Some(s) => s,
+            None => self.open(slot, expert, list, rep, prices),
+        };
+        let spread = &mut self.spreads[s];
+        let (count, total) = (list[0].1, index.expert_replicas(expert) as u64);
+        for (src, tokens) in cells {
+            let (floor, x) = equal_shares(tokens, count, total, m);
+            spread.floors += floor;
+            spread.senders += 1;
+            let remainder = &mut self.remainders[spread.at + x];
+            remainder.0 += 1;
+            if floor == 0 {
+                spread.idle += 1;
+                remainder.1 += 1;
+            }
+            for (g, &b) in self.groups[spread.groups.clone()].iter().enumerate() {
+                let pre = &self.prefix[spread.prefix_at + g * (m + 1)..][..=m];
+                let (cnt, before) = (pre[m], pre[x]);
+                let t = Traffic {
+                    tokens: floor * cnt + before,
+                    messages: if floor > 0 { cnt } else { before },
+                };
+                sums.send(src, b, t);
+            }
+        }
+    }
+
+    /// Opens the spread of `slot` over `expert`'s `list`, as seen from
+    /// `rep` — like every sender of its view, `rep` reaches each target
+    /// over that target's bucket — and returns its index.
+    fn open<I: Interconnect + ?Sized>(
+        &mut self,
+        slot: usize,
+        expert: ExpertId,
+        list: &[(DeviceId, u32)],
+        rep: DeviceId,
+        prices: &mut LinkPrices<'_, I>,
+    ) -> usize {
+        let (at, m) = (self.buckets.len(), list.len());
+        self.buckets
+            .extend(list.iter().map(|&(dst, _)| prices.bucket(rep, dst)));
+        self.remainders.resize(at + m, (0, 0));
+        let first = self.groups.len();
+        for i in at..at + m {
+            if !self.groups[first..].contains(&self.buckets[i]) {
+                self.groups.push(self.buckets[i]);
+            }
+        }
+        let prefix_at = self.prefix.len();
+        for &b in &self.groups[first..] {
+            let mut before = 0;
+            self.prefix.push(0);
+            for &bi in &self.buckets[at..at + m] {
+                before += u64::from(bi == b);
+                self.prefix.push(before);
+            }
+        }
+        self.spreads.push(Spread {
+            expert,
+            at,
+            groups: first..self.groups.len(),
+            prefix_at,
+            floors: 0,
+            senders: 0,
+            idle: 0,
+        });
+        self.slots[slot] = Some(self.spreads.len() - 1);
+        self.spreads.len() - 1
+    }
+
+    /// Counts every spread's receive sums.
+    fn finish(&self, index: &ReplicaIndex, sums: &mut Eq2Sums) {
+        for spread in &self.spreads {
+            // Senders whose remainder exceeds `i`, of all and of the idle.
+            let (mut above, mut idle_above) = (spread.senders, spread.idle);
+            let busy = spread.senders - spread.idle;
+            for (i, &(dst, _)) in index.replicas(spread.expert).iter().enumerate() {
+                let (all, idle) = self.remainders[spread.at + i];
+                above -= all;
+                idle_above -= idle;
+                let t = Traffic {
+                    tokens: spread.floors + above,
+                    messages: busy + idle_above,
+                };
+                if t.tokens > 0 {
+                    sums.load(dst, t.tokens);
+                    sums.recv(dst, self.buckets[spread.at + i], t);
+                }
+            }
         }
     }
 }
@@ -516,15 +782,16 @@ mod tests {
             let fresh = lite_route(&topo, &r, &l);
             let mut reused = TokenRouting::new(8, 8);
             let index = ReplicaIndex::from_layout(&l);
+            let mut prices = LinkPrices::new(&topo);
             for node in topo.node_ids() {
-                let mut prices = KindPrices::of(&topo);
-                router.resolve(&topo, &index, node, 0..8, prices.as_mut());
+                router.resolve(&topo, &index, node, 0..8, &[]);
+                router.attach_buckets(&topo, node, &mut prices);
                 for src in topo.devices_on(node) {
                     for (j, &tokens) in r.row(src).iter().enumerate() {
                         if tokens > 0 {
                             let expert = ExpertId::new(j);
-                            router.split(src, expert, tokens, j, |dst, n, link| {
-                                assert!(link.is_some(), "a topology is priced per node");
+                            router.split(src, expert, tokens, j, |dst, n, bucket| {
+                                assert!(bucket.is_some(), "a topology is priced per node");
                                 reused.push(src, expert, dst, n);
                             });
                         }

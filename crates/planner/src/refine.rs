@@ -14,9 +14,9 @@
 //! fixed move order) and budget-bounded.
 //!
 //! Probing runs through [`crate::delta::IncrementalCost`]: a candidate
-//! move re-routes only the two affected experts' columns and re-folds
-//! the cached rows, instead of rebuilding the layout and re-routing all
-//! `n·e` cells. The selection is bit-identical to the from-scratch path
+//! move re-routes only the two affected experts' columns and updates
+//! Eq. 2's integer sums by their rows, instead of rebuilding the layout
+//! and re-routing all `n·e` cells. The selection is bit-identical to the from-scratch path
 //! ([`refine_layout_scratch`], kept as the testing oracle) because the
 //! delta evaluator reproduces `lite_route` + `time_cost` bit for bit.
 //!

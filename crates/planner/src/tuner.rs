@@ -4,18 +4,21 @@
 //! proportional allocation, even allocation, and random perturbations of
 //! members already in the set), solves each with the greedy relocation
 //! (Alg. 1), routes under lite routing (Alg. 3), scores with the time
-//! model (Eq. 2) and keeps the best. Candidates are priced while they
-//! are routed, so only the winner's routing is ever materialised; the
-//! result is bit-identical to pricing `lite_route`'s output with
-//! `time_cost`.
+//! model (Eq. 2) and keeps the best. Candidates are priced without
+//! materialising their routing — each `(node, expert)` target list is
+//! counted into Eq. 2's integer sums, and an equal fallback list's
+//! receive side once per rack — so only the winner is ever routed with
+//! `lite_route`. Because those sums do not depend on the order entries
+//! are counted in, the cost is bit-identical to pricing `lite_route`'s
+//! output with `time_cost`.
 
-use crate::cost::{effective_bw, eq2, pair_term, time_cost, CostBreakdown, CostParams};
+use crate::cost::{time_cost, CostBreakdown, CostParams, LinkPrices};
 use crate::layout::ExpertLayout;
-use crate::lite_routing::{lite_route, KindPrices, ReplicaIndex, Router};
+use crate::lite_routing::{lite_route, Pricer, ReplicaIndex};
 use crate::relocation::{expert_relocation, expert_relocation_on};
 use crate::replica::{even_replicas, replica_allocation};
 use crate::token_routing::TokenRouting;
-use laer_cluster::{DegradedView, DeviceId, ExpertId, Interconnect, Topology};
+use laer_cluster::{DegradedView, DeviceId, Interconnect, Topology};
 use laer_routing::RoutingMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -346,8 +349,8 @@ impl Planner {
 
     /// The Alg. 2 loop shared by [`Self::plan`] and
     /// [`Self::plan_degraded`]: every deduplicated candidate is placed
-    /// on the `active` devices (Alg. 1), priced on `net` while Alg. 3
-    /// routes it, and the first strictly cheapest one wins. Only the
+    /// on the `active` devices (Alg. 1), priced on `net` as Alg. 3
+    /// would route it, and the first strictly cheapest one wins. Only the
     /// winner's routing is materialised.
     fn solve<I: Interconnect>(&self, demand: &RoutingMatrix, active: &[DeviceId], net: &I) -> Plan {
         let loads = demand.expert_loads();
@@ -357,7 +360,8 @@ impl Planner {
             // proportional scheme so planning stays total.
             schemes.push(replica_allocation(&loads, active.len(), self.cfg.capacity));
         }
-        let mut scratch = CostScratch::default();
+        let mut pricer = Pricer::default();
+        let mut prices = LinkPrices::new(net);
         let mut best: Option<(ExpertLayout, CostBreakdown)> = None;
         for replicas in &schemes {
             #[cfg(test)]
@@ -365,7 +369,7 @@ impl Planner {
             let layout =
                 expert_relocation_on(replicas, &loads, &self.topo, self.cfg.capacity, active);
             let predicted = self
-                .route_cost(&mut scratch, demand, &layout, net)
+                .route_cost(&mut pricer, &mut prices, demand, &layout)
                 .pipelined(self.cfg.num_chunks);
             if best
                 .as_ref()
@@ -384,60 +388,23 @@ impl Planner {
         }
     }
 
-    /// Eq. 2 of `layout` on `net`, priced as Alg. 3 emits each entry —
-    /// bit-identical to `time_cost(net, &lite_route(..), ..)`, which adds
-    /// the same terms in the same order (a sender's entries are
-    /// contiguous, so its send sum runs in a local). A link price comes
-    /// from the router once per node when `net` prices links by kind,
-    /// and is looked up per entry otherwise.
+    /// Eq. 2 of `layout`, priced on the network behind `prices` as
+    /// Alg. 3 would route it: [`Pricer`] counts the routing into Eq. 2's
+    /// integer sums — an equal fallback list's receive side once per
+    /// rack when the network prices links by kind — and the one
+    /// conversion every evaluator shares turns them into seconds. The
+    /// sums are exact, so the cost is bit-identical to
+    /// `time_cost(net, &lite_route(..), ..)`.
     fn route_cost<I: Interconnect>(
         &self,
-        scratch: &mut CostScratch,
+        pricer: &mut Pricer,
+        prices: &mut LinkPrices<'_, I>,
         demand: &RoutingMatrix,
         layout: &ExpertLayout,
-        net: &I,
     ) -> CostBreakdown {
-        let (topo, params) = (&self.topo, &self.cost);
         let index = ReplicaIndex::from_layout(layout);
-        index.assert_shapes(topo, demand);
-        let CostScratch {
-            router,
-            send,
-            recv,
-            loads,
-        } = scratch;
-        let n = topo.num_devices();
-        send.clear();
-        send.resize(n, 0.0);
-        recv.clear();
-        recv.resize(n, 0.0);
-        loads.clear();
-        loads.resize(n, 0);
-        let mut prices = KindPrices::of(net);
-        for node in topo.node_ids() {
-            router.resolve(topo, &index, node, 0..index.num_experts(), prices.as_mut());
-            for src in topo.devices_on(node) {
-                let mut sent = 0.0;
-                for (j, &tokens) in demand.row(src).iter().enumerate() {
-                    if tokens == 0 {
-                        continue;
-                    }
-                    router.split(src, ExpertId::new(j), tokens, j, |dst, count, link| {
-                        loads[dst.index()] += count;
-                        if dst != src {
-                            let (bw, lat) = link.unwrap_or_else(|| {
-                                (effective_bw(net, src, dst), net.latency(src, dst))
-                            });
-                            let t = pair_term(count, bw, lat, params);
-                            sent += t;
-                            recv[dst.index()] += t;
-                        }
-                    });
-                }
-                send[src.index()] = sent;
-            }
-        }
-        eq2(send, recv, loads.iter().copied().max().unwrap_or(0), params)
+        let sums = pricer.price(&self.topo, &index, demand, prices);
+        sums.eq2(prices.prices(), &self.cost)
     }
 
     /// Returns this planner re-priced for a different executor chunk
@@ -454,16 +421,6 @@ impl Planner {
         self.cfg.predictor = predictor;
         self
     }
-}
-
-/// Reusable buffers of [`Planner::route_cost`]: the routing core and
-/// Eq. 2's per-device send, receive and compute sums.
-#[derive(Debug, Default)]
-struct CostScratch {
-    router: Router,
-    send: Vec<f64>,
-    recv: Vec<f64>,
-    loads: Vec<u64>,
 }
 
 /// Random perturbation of a replica scheme: move one replica from an

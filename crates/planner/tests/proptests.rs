@@ -469,11 +469,17 @@ proptest! {
     /// decomposition's first strict minimum — layout, every routing
     /// entry and the cost's bits — on healthy clusters and on ones with
     /// failed devices and degraded links, with and without latency
-    /// pricing and pipelining.
+    /// pricing and pipelining. Besides a generated demand, a sparse one
+    /// (cells of 0–7 tokens) makes fallback lists meet senders with
+    /// fewer tokens than targets: zero floor shares, remainders only,
+    /// fewer messages than targets. Racks give fallback lists that mix
+    /// inter-node and inter-rack targets.
     #[test]
     fn plan_matches_public_decomposition(
-        topo in any_topo_strategy(),
-        experts in 1usize..10,
+        (topo, experts, sparse) in (any_topo_strategy(), 1usize..10).prop_flat_map(|(topo, experts)| {
+            let n = topo.num_devices();
+            (Just(topo), Just(experts), demand_strategy(n, experts, 8))
+        }),
         c in 1usize..4,
         epsilon in 1usize..6,
         chunks in 1usize..4,
@@ -490,15 +496,17 @@ proptest! {
             .with_num_chunks(chunks);
         let params = CostParams::mixtral_8x7b().with_latency_aware(latency_aware);
         let planner = Planner::new(cfg.clone(), params, topo.clone());
-        let demand =
+        let generated =
             RoutingGenerator::new(RoutingGeneratorConfig::new(n, experts, 4096).with_seed(seed))
                 .next_iteration();
         let all: Vec<DeviceId> = topo.devices().collect();
-        let schemes = planner.unique_schemes(planner.candidate_schemes(&demand));
-        assert_same_plan(
-            &planner.plan(&demand),
-            &decomposed_plan(&planner, &schemes, &demand, &all, &topo),
-        )?;
+        for demand in [&generated, &sparse] {
+            let schemes = planner.unique_schemes(planner.candidate_schemes(demand));
+            assert_same_plan(
+                &planner.plan(demand),
+                &decomposed_plan(&planner, &schemes, demand, &all, &topo),
+            )?;
+        }
 
         let mut view = DegradedView::new(topo.clone());
         for d in topo.devices().filter(|d| fail_mask >> d.index() & 1 == 1) {
@@ -512,11 +520,65 @@ proptest! {
         // Degraded schemes are sized to the survivor count: a planner
         // over that many devices draws the same candidates.
         let sized = Planner::new(cfg, params, Topology::single_node(survivors.len()).expect("n"));
-        let schemes = sized.unique_schemes(sized.candidate_schemes(&demand));
-        assert_same_plan(
-            &planner.plan_degraded(&demand, &view).expect("enough survivors"),
-            &decomposed_plan(&planner, &schemes, &demand, &survivors, &view),
-        )?;
+        for demand in [&generated, &sparse] {
+            let schemes = sized.unique_schemes(sized.candidate_schemes(demand));
+            assert_same_plan(
+                &planner.plan_degraded(demand, &view).expect("enough survivors"),
+                &decomposed_plan(&planner, &schemes, demand, &survivors, &view),
+            )?;
+        }
+    }
+
+    /// Eq. 2 depends only on the multiset of a routing's entries:
+    /// `time_cost` prices any permutation of them bit for bit the same,
+    /// on racked topologies and on degraded views with failed devices
+    /// and weakened links, with latency pricing on and off.
+    #[test]
+    fn time_cost_is_order_free(
+        topo in any_topo_strategy(),
+        raw in proptest::collection::vec((0usize..64, 0usize..4, 0usize..64, 1u64..100_000), 1..160),
+        latency_aware in any::<bool>(),
+        fail_mask in any::<u64>(),
+        degraded in proptest::collection::vec((0usize..64, 0usize..64, 0.1f64..1.0), 0..4),
+        shuffle in any::<u64>(),
+    ) {
+        let n = topo.num_devices();
+        let mut entries: Vec<(DeviceId, ExpertId, DeviceId, u64)> = raw
+            .iter()
+            .map(|&(s, j, d, t)| (DeviceId::new(s % n), ExpertId::new(j), DeviceId::new(d % n), t))
+            .collect();
+        let routing_of = |entries: &[(DeviceId, ExpertId, DeviceId, u64)]| {
+            let mut routing = TokenRouting::new(n, 4);
+            for &(src, expert, dst, tokens) in entries {
+                routing.push(src, expert, dst, tokens);
+            }
+            routing
+        };
+        let original = routing_of(&entries);
+        // Fisher–Yates under a small xorshift.
+        let mut state = shuffle | 1;
+        for i in (1..entries.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            entries.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let permuted = routing_of(&entries);
+        let mut view = DegradedView::new(topo.clone());
+        for d in topo.devices().filter(|d| fail_mask >> d.index() & 1 == 1) {
+            view.fail_device(d);
+        }
+        for &(a, b, factor) in &degraded {
+            view.degrade_link(DeviceId::new(a % n), DeviceId::new(b % n), factor);
+        }
+        let params = CostParams::mixtral_8x7b().with_latency_aware(latency_aware);
+        for (want, got) in [
+            (time_cost(&topo, &original, &params), time_cost(&topo, &permuted, &params)),
+            (time_cost(&view, &original, &params), time_cost(&view, &permuted, &params)),
+        ] {
+            prop_assert_eq!(got.comm.to_bits(), want.comm.to_bits());
+            prop_assert_eq!(got.comp.to_bits(), want.comp.to_bits());
+        }
     }
 
     /// Alg. 3 satisfies constraint 4 for any demand and any valid

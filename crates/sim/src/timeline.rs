@@ -338,6 +338,32 @@ impl Timeline {
         busy / makespan
     }
 
+    /// Every device stream's [utilisation](Self::stream_utilization) in
+    /// one pass over the spans: entry `d` holds device `d`'s for each
+    /// stream in [`StreamKind::ALL`] order, bit for bit — busy seconds
+    /// add up in span order from `Iterator::sum`'s neutral `-0.0`, as
+    /// that method's sum does. Spans of devices `>= devices` are
+    /// skipped.
+    pub fn stream_utilizations(&self, devices: usize) -> Vec<[f64; StreamKind::COUNT]> {
+        let mut busy = vec![[-0.0f64; StreamKind::COUNT]; devices];
+        let mut makespan = 0.0f64;
+        for s in self.spans.iter().filter(|s| !s.label.is_annotation()) {
+            makespan = makespan.max(s.end);
+            if let Some(row) = busy.get_mut(s.device.index()) {
+                row[s.stream.index()] += s.duration();
+            }
+        }
+        if makespan == 0.0 {
+            return vec![[0.0; StreamKind::COUNT]; devices];
+        }
+        for row in &mut busy {
+            for b in row.iter_mut() {
+                *b /= makespan;
+            }
+        }
+        busy
+    }
+
     /// The recorded dependency DAG, or `None` when the engine ran
     /// without [`crate::EngineOptions::record_deps`].
     pub fn dep_log(&self) -> Option<&DepLog> {
