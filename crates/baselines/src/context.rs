@@ -1,10 +1,10 @@
 //! Shared cost context used by every system to turn a token routing into
 //! per-layer operation timings.
 
-use laer_cluster::{DegradedView, DeviceId, Topology};
+use laer_cluster::{DegradedView, Topology};
 use laer_model::{memory, CostModel, GpuSpec, ModelConfig, BF16_BYTES};
 use laer_planner::{time_cost, CostBreakdown, CostParams, TokenRouting};
-use laer_sim::{all_to_all_time, A2aMatrix};
+use laer_sim::token_a2a_times;
 
 /// Everything a system needs to cost its decisions: topology, model,
 /// GPU spec and the per-iteration workload size.
@@ -154,35 +154,18 @@ impl SystemContext {
     }
 
     /// Per-device dispatch and combine All-to-All local costs implied by
-    /// a routing (combine is the transpose of dispatch).
+    /// a routing, priced by [`token_a2a_times`] against the current
+    /// network.
     pub fn a2a_times(&self, routing: &TokenRouting) -> (Vec<f64>, Vec<f64>) {
-        let n = self.topo.num_devices();
+        let traffic = routing
+            .entries()
+            .iter()
+            .map(|&(src, _, dst, tokens)| (src, dst, tokens));
         let token_bytes = self.cost.v_comm();
-        let pair = routing.pairwise_tokens();
-        let mut dispatch = A2aMatrix::new(n);
-        let mut combine = A2aMatrix::new(n);
-        for src in 0..n {
-            for dst in 0..n {
-                let tokens = pair[src * n + dst] as f64;
-                if tokens > 0.0 && src != dst {
-                    dispatch.add(DeviceId::new(src), DeviceId::new(dst), tokens * token_bytes);
-                    combine.add(DeviceId::new(dst), DeviceId::new(src), tokens * token_bytes);
-                }
-            }
+        match &self.fault_view {
+            Some(view) => token_a2a_times(view, traffic, token_bytes),
+            None => token_a2a_times(&self.topo, traffic, token_bytes),
         }
-        let (d, c) = match &self.fault_view {
-            Some(view) => (
-                all_to_all_time(view, &dispatch),
-                all_to_all_time(view, &combine),
-            ),
-            None => (
-                all_to_all_time(&self.topo, &dispatch),
-                all_to_all_time(&self.topo, &combine),
-            ),
-        };
-        let d = d.unwrap_or_else(|e| unreachable!("matrix sized from topology: {e}"));
-        let c = c.unwrap_or_else(|e| unreachable!("matrix sized from topology: {e}"));
-        (d, c)
     }
 
     /// FSEP unshard time per layer: balanced All-to-All of
@@ -351,6 +334,7 @@ mod tests {
     /// costs.
     #[test]
     fn fault_view_raises_a2a_cost() {
+        use laer_cluster::DeviceId;
         use laer_planner::lite_route;
         use laer_routing::{RoutingGenerator, RoutingGeneratorConfig};
         let mut c = ctx(ModelPreset::Mixtral8x7bE8k2);

@@ -280,13 +280,7 @@ impl Pending {
                 headline = h;
             }
         }
-        let headline = headline.unwrap_or_else(|| {
-            // The cell list always contains HEADLINE; keep a fallback
-            // rather than a panic so constant edits cannot break the
-            // binary.
-            let (kind, level, system) = HEADLINE;
-            run_serving(&point(system, Some(fault_plan(kind, level)), self.requests))
-        });
+        let headline = headline.unwrap_or_else(|| unreachable!("the cell list contains HEADLINE"));
         (rows, headline)
     }
 }

@@ -5,12 +5,9 @@
 //! For each cluster size N ∈ {64, 256, 1024, 4096} (`--full`; the
 //! default `--quick` sweep stops at {64, 256}) the study:
 //!
-//! * fans the tuner's deduplicated candidate schemes across
-//!   [`crate::pool`] workers — one cell per scheme — and selects the
-//!   winner exactly like the serial [`laer_planner::Planner::plan`]
-//!   (strict `<` on predicted total, first candidate wins ties), so the
-//!   chosen `(index, plan)` is identical at any `--jobs` count;
-//! * times a serial `plan` call (the headline plan-time column);
+//! * plans the instance with one timed [`laer_planner::Planner::plan`]
+//!   call, one [`crate::pool`] cell per size: the greedy (Alg. 2) plan,
+//!   its deduplicated candidate count and the headline plan-time column;
 //! * refines the greedy layout through the incremental
 //!   [`laer_planner::IncrementalCost`] evaluator and, at N ≤ 1024, the
 //!   from-scratch reference refiner — the probes/sec ratio is the
@@ -45,7 +42,6 @@ use laer_routing::{RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
 use laer_sim::Engine;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Cluster sizes of the full sweep.
@@ -137,71 +133,18 @@ fn config_description() -> String {
     )
 }
 
-/// Inputs shared by one size's scheme-evaluation cells.
-struct PlanShared {
-    planner: Planner,
-    demand: RoutingMatrix,
-    loads: Vec<u64>,
-}
-
-/// One size's pooled candidate evaluations, pending execution.
-pub struct PendingPlan {
-    cells: Vec<Slot<Plan>>,
-}
-
-/// Submits one pool cell per deduplicated candidate scheme of the
-/// `devices`-GPU instance.
-pub fn submit_plan_cells(batch: &mut Batch, devices: usize) -> PendingPlan {
+/// Plans the `devices`-GPU instance with one timed [`Planner::plan`]
+/// call: the deduplicated candidate count, the call's wall-clock in
+/// milliseconds, and the plan.
+fn timed_plan(devices: usize) -> (usize, f64, Plan) {
     let planner = planner_for(topo_for(devices));
     let demand = demand_for(devices);
-    let loads = demand.expert_loads();
-    let schemes = planner.unique_schemes(planner.candidate_schemes(&demand));
-    let shared = Arc::new(PlanShared {
-        planner,
-        demand,
-        loads,
-    });
-    let cells = schemes
-        .into_iter()
-        .enumerate()
-        .map(|(i, scheme)| {
-            let shared = Arc::clone(&shared);
-            batch.submit(format!("ext-scale/N{devices}/scheme{i}"), move || {
-                shared
-                    .planner
-                    .evaluate_scheme(&scheme, &shared.loads, &shared.demand)
-            })
-        })
-        .collect();
-    PendingPlan { cells }
-}
-
-/// Selects the winning candidate from executed cells exactly like the
-/// serial tuner: strict `<` on the predicted total, first wins ties.
-pub fn select_winner(pending: PendingPlan) -> (usize, Plan) {
-    let mut best: Option<(usize, Plan)> = None;
-    for (i, slot) in pending.cells.into_iter().enumerate() {
-        let plan = slot.take();
-        let better = match &best {
-            None => true,
-            Some((_, b)) => plan.predicted.total() < b.predicted.total(),
-        };
-        if better {
-            best = Some((i, plan));
-        }
-    }
-    best.unwrap_or_else(|| unreachable!("the tuner always emits at least the proportional scheme"))
-}
-
-/// Plans the `devices`-GPU instance across `workers` pool threads —
-/// one cell per candidate scheme — returning the winning
-/// `(candidate index, plan)`. The determinism test asserts the pair is
-/// identical at any worker count.
-pub fn pooled_plan(devices: usize, workers: usize) -> (usize, Plan) {
-    let mut batch = Batch::new();
-    let pending = submit_plan_cells(&mut batch, devices);
-    batch.run(workers);
-    select_winner(pending)
+    let schemes = planner
+        .unique_schemes(planner.candidate_schemes(&demand))
+        .len();
+    let start = Instant::now();
+    let plan = planner.plan(&demand);
+    (schemes, start.elapsed().as_secs_f64() * 1e3, plan)
 }
 
 /// Simulates one FSEP training iteration under `routing` and returns
@@ -269,53 +212,35 @@ pub struct ScaleRow {
     pub sim_improvement: f64,
 }
 
-/// One size's phase-2 cells, pending execution.
+/// One size's plan, with its phase-2 simulation cell pending execution.
 struct SizePending {
     devices: usize,
     schemes: usize,
+    plan_wall_ms: f64,
     greedy_cost: f64,
     layout: ExpertLayout,
-    plan_wall: Slot<f64>,
     sim: Slot<(f64, f64, f64)>,
 }
 
-/// Submits one size's pooled measurement cells: serial plan wall-clock
-/// and the simulated static/LAER iterations. The refinement legs are
+/// Submits one size's simulation cell: the static classic-EP Eq. 2 cost
+/// and the simulated static and LAER iterations. The refinement legs are
 /// deliberately *not* pooled — see [`measure_refine`].
-fn submit_measure_cells(batch: &mut Batch, devices: usize, winner: &Plan) -> SizePending {
-    let params = params_for();
-
-    let plan_wall = {
-        batch.submit(format!("ext-scale/N{devices}/plan-serial"), move || {
-            let planner = planner_for(topo_for(devices));
-            let demand = demand_for(devices);
-            let start = Instant::now();
-            let _ = planner.plan(&demand);
-            start.elapsed().as_secs_f64() * 1e3
-        })
-    };
-
-    let laer_routing = winner.routing.clone();
-    let sim = batch.submit(format!("ext-scale/N{devices}/simulate"), move || {
+fn submit_sim_cell(
+    batch: &mut Batch,
+    devices: usize,
+    laer_routing: TokenRouting,
+) -> Slot<(f64, f64, f64)> {
+    batch.submit(format!("ext-scale/N{devices}/simulate"), move || {
         let topo = topo_for(devices);
         let demand = demand_for(devices);
         let static_layout = ExpertLayout::classic_ep(devices, EXPERTS, CAPACITY)
             .unwrap_or_else(|e| unreachable!("capacity divides experts: {e}"));
         let static_routing = lite_route(&topo, &demand, &static_layout);
-        let static_cost = time_cost(&topo, &static_routing, &params).total();
+        let static_cost = time_cost(&topo, &static_routing, &params_for()).total();
         let sim_static = simulated_step(&topo, &static_routing);
         let sim_laer = simulated_step(&topo, &laer_routing);
         (static_cost, sim_static, sim_laer)
-    });
-
-    SizePending {
-        devices,
-        schemes: 0, // filled by the caller, which knows the cell count
-        greedy_cost: winner.predicted.total(),
-        layout: winner.layout.clone(),
-        plan_wall,
-        sim,
-    }
+    })
 }
 
 /// Times one size's two refinement legs back to back on the calling
@@ -378,7 +303,7 @@ fn collect_row(
     ScaleRow {
         devices: pending.devices,
         schemes: pending.schemes,
-        plan_wall_ms: pending.plan_wall.take(),
+        plan_wall_ms: pending.plan_wall_ms,
         static_cost,
         greedy_cost: pending.greedy_cost,
         refined_cost: delta.cost,
@@ -469,31 +394,30 @@ pub fn run_jobs(opts: &ObsOptions, effort: Effort, workers: usize) -> bool {
         config_description()
     );
 
-    // Phase 1: every size's candidate schemes on one shared pool.
+    // Phase 1: one timed `Planner::plan` cell per size, on one shared
+    // pool.
     let mut batch = Batch::new();
-    let pendings: Vec<PendingPlan> = sizes
+    let plans: Vec<Slot<(usize, f64, Plan)>> = sizes
         .iter()
-        .map(|&n| submit_plan_cells(&mut batch, n))
+        .map(|&n| batch.submit(format!("ext-scale/N{n}/plan"), move || timed_plan(n)))
         .collect();
     batch.run(workers);
-    let winners: Vec<(usize, usize, Plan)> = pendings
-        .into_iter()
-        .map(|p| {
-            let schemes = p.cells.len();
-            let (idx, plan) = select_winner(p);
-            (schemes, idx, plan)
-        })
-        .collect();
 
-    // Phase 2: wall-clock and simulation cells, again pooled.
+    // Phase 2: the simulation cells, again pooled.
     let mut batch = Batch::new();
     let measures: Vec<SizePending> = sizes
         .iter()
-        .zip(&winners)
-        .map(|(&n, (schemes, _, plan))| {
-            let mut pending = submit_measure_cells(&mut batch, n, plan);
-            pending.schemes = *schemes;
-            pending
+        .zip(plans)
+        .map(|(&devices, slot)| {
+            let (schemes, plan_wall_ms, plan) = slot.take();
+            SizePending {
+                devices,
+                schemes,
+                plan_wall_ms,
+                greedy_cost: plan.predicted.total(),
+                sim: submit_sim_cell(&mut batch, devices, plan.routing),
+                layout: plan.layout,
+            }
         })
         .collect();
     batch.run(workers);
@@ -620,32 +544,14 @@ pub fn run_jobs(opts: &ObsOptions, effort: Effort, workers: usize) -> bool {
 mod tests {
     use super::*;
 
-    /// The pooled scheme fan-out selects the identical `(index, plan)`
-    /// as the serial tuner, at any worker count.
-    #[test]
-    fn pooled_plan_matches_serial_tuner() {
-        let serial = planner_for(topo_for(64)).plan(&demand_for(64));
-        let (idx1, plan1) = pooled_plan(64, 1);
-        let (idx4, plan4) = pooled_plan(64, 4);
-        assert_eq!(idx1, idx4, "winning index must not depend on workers");
-        assert_eq!(plan1.layout, plan4.layout);
-        assert_eq!(plan1.layout, serial.layout);
-        assert_eq!(
-            plan1.predicted.total().to_bits(),
-            serial.predicted.total().to_bits()
-        );
-        assert_eq!(plan1.routing.entries(), serial.routing.entries());
-        assert_eq!(plan4.routing.entries(), serial.routing.entries());
-    }
-
     /// Deterministic snapshot rows reproduce exactly across runs, and
     /// the gate view drops wall-clock and unswept-size rows.
     #[test]
     fn snapshot_is_reproducible_and_gate_view_filters() {
         let build = || {
-            let (_, plan) = pooled_plan(64, 2);
             let topo = topo_for(64);
             let demand = demand_for(64);
+            let plan = planner_for(topo.clone()).plan(&demand);
             let params = params_for();
             let refined = refine_layout(&topo, &demand, &plan.layout, &params, 200);
             (plan.predicted.total(), refined.cost.total())
@@ -686,7 +592,7 @@ mod tests {
     fn laer_plan_beats_static_in_simulation() {
         let topo = topo_for(64);
         let demand = demand_for(64);
-        let (_, plan) = pooled_plan(64, 2);
+        let plan = planner_for(topo.clone()).plan(&demand);
         let static_layout = ExpertLayout::classic_ep(64, EXPERTS, CAPACITY).unwrap();
         let static_routing = lite_route(&topo, &demand, &static_layout);
         let sim_static = simulated_step(&topo, &static_routing);

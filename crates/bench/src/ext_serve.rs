@@ -179,17 +179,8 @@ impl Pending {
                 headline = h;
             }
         }
-        let headline = headline.unwrap_or_else(|| {
-            // LOAD_SWEEP always contains SHIFT_RATE; keep a fallback
-            // rather than a panic so constant edits cannot break the
-            // binary.
-            run_serving(&point(
-                ServingSystemKind::Laer,
-                SHIFT_RATE,
-                LOAD_FLIP,
-                self.requests,
-            ))
-        });
+        let headline =
+            headline.unwrap_or_else(|| unreachable!("the load sweep contains SHIFT_RATE"));
         (rows, headline)
     }
 }

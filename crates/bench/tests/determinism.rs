@@ -159,34 +159,28 @@ fn ext_obs_is_byte_identical_across_job_counts() {
     assert_identical_across_jobs("obs", 8, &args, &artifacts);
 }
 
-/// The ext-scale candidate fan-out picks the identical winning
-/// `(candidate index, plan)` — same layout, same predicted-cost bits,
-/// same routing entries — at pool worker counts 1, 2 and 8. (The
-/// sweep's stdout and JSON carry wall-clock columns, so unlike the
-/// targets above the end-to-end bytes are inherently non-reproducible;
-/// determinism is asserted on the planning outputs themselves.)
+/// `ext-scale --quick` passes at `--jobs 1` and `--jobs 2`, and its
+/// `ext_scale.json` rows agree once the wall-clock fields are masked.
+/// (The sweep's stdout and JSON carry wall-clock columns, so unlike the
+/// targets above its bytes are not reproducible even serially.)
 #[test]
-fn ext_scale_planning_is_identical_across_worker_counts() {
-    use laer_bench::ext_scale::pooled_plan;
-    for &devices in &[64usize, 256] {
-        let (idx1, plan1) = pooled_plan(devices, 1);
-        for workers in [2usize, 8] {
-            let (idx, plan) = pooled_plan(devices, workers);
-            assert_eq!(idx1, idx, "N{devices}: winner index at {workers} workers");
-            assert_eq!(
-                plan1.layout, plan.layout,
-                "N{devices}: layout at {workers} workers"
-            );
-            assert_eq!(
-                plan1.predicted.total().to_bits(),
-                plan.predicted.total().to_bits(),
-                "N{devices}: predicted-cost bits at {workers} workers"
-            );
-            assert_eq!(
-                plan1.routing.entries(),
-                plan.routing.entries(),
-                "N{devices}: routing entries at {workers} workers"
-            );
-        }
-    }
+fn ext_scale_rows_are_identical_across_job_counts() {
+    use laer_bench::ext_scale::ScaleRow;
+    let masked_rows = |jobs: usize| -> Vec<String> {
+        let (out, dir) = repro("scale", jobs, &["ext-scale", "--quick"]);
+        assert!(out.status.success(), "ext-scale --jobs {jobs} failed");
+        let json = String::from_utf8(read(&dir, "ext_scale.json")).expect("utf-8 json");
+        let rows: Vec<ScaleRow> = serde_json::from_str(&json).expect("ext_scale rows");
+        assert!(!rows.is_empty(), "ext-scale wrote no rows");
+        rows.into_iter()
+            .map(|mut r| {
+                r.plan_wall_ms = 0.0;
+                r.delta_probes_per_sec = 0.0;
+                r.scratch_probes_per_sec = r.scratch_probes_per_sec.map(|_| 0.0);
+                r.probe_speedup = r.probe_speedup.map(|_| 0.0);
+                serde_json::to_string(&r).expect("encode row")
+            })
+            .collect()
+    };
+    assert_eq!(masked_rows(1), masked_rows(2));
 }

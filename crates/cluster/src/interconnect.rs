@@ -44,6 +44,22 @@ pub trait Interconnect {
         self.node_of(a) == self.node_of(b)
     }
 
+    /// Effective point-to-point bandwidth between two devices in
+    /// bytes/s, as every cost model prices it: NVLink is dedicated per
+    /// device, the inter-node NIC is shared by the node's devices and
+    /// the rack spine by the rack's (`f64::INFINITY` for a device
+    /// talking to itself).
+    fn effective_bandwidth(&self, a: DeviceId, b: DeviceId) -> f64 {
+        match self.link_kind(a, b) {
+            LinkKind::Local => f64::INFINITY,
+            LinkKind::IntraNode => self.bandwidth(a, b),
+            LinkKind::InterNode => self.bandwidth(a, b) / self.devices_per_node() as f64,
+            LinkKind::InterRack => {
+                self.bandwidth(a, b) / self.devices_per_rack().unwrap_or(1) as f64
+            }
+        }
+    }
+
     /// Whether a link's bandwidth and latency depend only on its
     /// [`LinkKind`]. Every other sender on one node sees the same kind
     /// of link to a given device, so cost models may then resolve its

@@ -518,6 +518,14 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
     if devices % 8 != 0 {
         return Err("trace must cover a multiple of 8 devices".into());
     }
+    let experts = preset.config().experts();
+    if first.num_experts() != experts {
+        return Err(format!(
+            "trace routes to {} experts but --model {} has {experts}",
+            first.num_experts(),
+            preset.id()
+        ));
+    }
     let cfg = ExperimentConfig::new(preset, system)
         .with_cluster(devices / 8, 8)
         .with_layers(4)

@@ -26,7 +26,7 @@
 //! keep its sums by subtract-and-add.
 
 use crate::token_routing::TokenRouting;
-use laer_cluster::{DeviceId, Interconnect, LinkKind};
+use laer_cluster::{DeviceId, Interconnect};
 use laer_model::{CostModel, GpuSpec, ModelConfig, ModelPreset};
 use serde::{Deserialize, Serialize};
 
@@ -145,27 +145,15 @@ impl CostBreakdown {
     }
 }
 
-/// Effective point-to-point bandwidth used by both the planner and the
-/// simulator: NVLink per device, NIC shared per node. Generic over
-/// [`Interconnect`] so degraded network views price faults directly.
-pub(crate) fn effective_bw<I: Interconnect + ?Sized>(net: &I, a: DeviceId, b: DeviceId) -> f64 {
-    match net.link_kind(a, b) {
-        LinkKind::Local => f64::INFINITY,
-        LinkKind::IntraNode => net.bandwidth(a, b),
-        LinkKind::InterNode => net.bandwidth(a, b) / net.devices_per_node() as f64,
-        // The rack spine is shared by every device in the rack.
-        LinkKind::InterRack => net.bandwidth(a, b) / net.devices_per_rack().unwrap_or(1) as f64,
-    }
-}
-
 /// A network's link prices as Eq. 2 buckets: every distinct resolved
-/// price `(effective bandwidth, latency)` gets one bucket, numbered in
-/// first-use order, so traffic over equally priced links adds up in one
-/// exact integer sum. A network that [prices links by
-/// kind](Interconnect::prices_by_kind) resolves each [`LinkKind`] once;
-/// any other network resolves every pair it is asked about, so on a
-/// [`laer_cluster::DegradedView`] each degraded pair lands in a bucket of
-/// its own price.
+/// price `(effective bandwidth, latency)` (the bandwidth as
+/// [`Interconnect::effective_bandwidth`] shares it) gets one bucket,
+/// numbered in first-use order, so traffic over equally priced
+/// links adds up in one exact integer sum. A network that [prices links
+/// by kind](Interconnect::prices_by_kind) resolves each
+/// [`laer_cluster::LinkKind`] once; any other network resolves every
+/// pair it is asked about, so on a [`laer_cluster::DegradedView`] each
+/// degraded pair lands in a bucket of its own price.
 #[derive(Debug)]
 pub(crate) struct LinkPrices<'a, I: ?Sized> {
     net: &'a I,
@@ -194,7 +182,7 @@ impl<'a, I: Interconnect + ?Sized> LinkPrices<'a, I> {
         let net = self.net;
         let prices = &mut self.prices;
         let mut intern = || {
-            let price = (effective_bw(net, src, dst), net.latency(src, dst));
+            let price = (net.effective_bandwidth(src, dst), net.latency(src, dst));
             let bits = |(bw, lat): (f64, f64)| (bw.to_bits(), lat.to_bits());
             prices
                 .iter()

@@ -70,9 +70,7 @@ pub use exact::exhaustive_best_layout;
 pub use layout::{ExpertLayout, LayoutError};
 pub use lite_routing::lite_route;
 pub use policy::{CapacityResponse, LayoutPolicy, Proposal};
-pub use predictor::{
-    AnyPredictor, LoadPredictor, PredictError, Predictor, PredictorKind, ReplayPredictor,
-};
+pub use predictor::{AnyPredictor, LoadPredictor, PredictError, PredictorKind, ReplayPredictor};
 pub use refine::{refine_layout, refine_layout_scratch, RefinedPlan};
 pub use relocation::{expert_relocation, expert_relocation_on, relocation_moves, RelocationMove};
 pub use replica::{even_replicas, replica_allocation};

@@ -8,7 +8,7 @@
 //! change. What an executor does with a plan stays with the executor.
 
 use crate::cost::CostParams;
-use crate::predictor::{AnyPredictor, Predictor, PredictorKind, ReplayPredictor};
+use crate::predictor::{AnyPredictor, ReplayPredictor};
 use crate::tuner::{Plan, PlanError, Planner, PlannerConfig};
 use laer_cluster::{DegradedView, Topology};
 use laer_model::{GpuSpec, ModelConfig};
@@ -93,7 +93,6 @@ impl LayoutPolicy {
     ///
     /// Panics if `noise` is not in `[0, 1]`.
     pub fn install_replay(&mut self, traces: Vec<RoutingTrace>, noise: f64, seed: u64) {
-        self.planner = self.planner.clone().with_predictor(PredictorKind::Replay);
         self.replay = (0u64..)
             .zip(traces)
             .map(|(layer, trace)| {

@@ -5,8 +5,8 @@
 //! routing information plus "historical data from previous iterations"
 //! and produces the re-layout strategy for the **next** iteration of
 //! that layer. The layout a layer executes is therefore one iteration
-//! stale. The [`Predictor`] trait is the seam for anything that bridges
-//! that staleness:
+//! stale. Each predictor bridges that staleness with the same three
+//! calls — `observe`, `predict` and `is_warm`:
 //!
 //! * [`LoadPredictor`] smooths it with an exponential moving average
 //!   over routing matrices (the paper's operating point);
@@ -16,7 +16,7 @@
 //!   (ReLibra / "Harnessing Routing Foresight");
 //! * [`AnyPredictor`] is the serializable closed sum the
 //!   [`crate::LayoutPolicy`] keeps per layer (and the LAER system
-//!   checkpoints), selected by [`PredictorKind`] in `PlannerConfig`.
+//!   checkpoints); [`PredictorKind`] names its variants.
 
 use laer_cluster::{DeviceId, ExpertId};
 use laer_routing::{RoutingMatrix, RoutingTrace};
@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Typed failure from [`Predictor::observe`]: the planner paths are
+/// Typed failure from [`LoadPredictor::observe`]: the planner paths are
 /// panic-free (workspace `unwrap_used` lint), so a routing matrix whose
 /// shape disagrees with history is reported, not asserted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,23 +51,6 @@ impl std::fmt::Display for PredictError {
 }
 
 impl std::error::Error for PredictError {}
-
-/// Demand predictor interface for the asynchronous tuner (Fig. 7).
-///
-/// The tuner calls [`observe`](Predictor::observe) with each executed
-/// iteration's routing matrix and [`predict`](Predictor::predict) for
-/// the demand it should plan the *next* iteration against.
-pub trait Predictor {
-    /// Feeds one iteration's observed routing matrix.
-    fn observe(&mut self, observed: &RoutingMatrix) -> Result<(), PredictError>;
-
-    /// Predicted routing matrix for the next iteration, or `None` when
-    /// no prediction is available yet.
-    fn predict(&self) -> Option<RoutingMatrix>;
-
-    /// Whether [`predict`](Predictor::predict) would return a matrix.
-    fn is_warm(&self) -> bool;
-}
 
 /// Exponential-moving-average predictor over routing matrices.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -158,24 +141,10 @@ impl LoadPredictor {
     }
 }
 
-impl Predictor for LoadPredictor {
-    fn observe(&mut self, observed: &RoutingMatrix) -> Result<(), PredictError> {
-        LoadPredictor::observe(self, observed)
-    }
-
-    fn predict(&self) -> Option<RoutingMatrix> {
-        LoadPredictor::predict(self)
-    }
-
-    fn is_warm(&self) -> bool {
-        LoadPredictor::is_warm(self)
-    }
-}
-
 /// Foresight predictor replaying a recorded [`RoutingTrace`].
 ///
-/// Each [`observe`](Predictor::observe) advances a cursor through the
-/// trace; [`predict`](Predictor::predict) serves the *next* recorded
+/// Each [`observe`](Self::observe) advances a cursor through the
+/// trace; [`predict`](Self::predict) serves the *next* recorded
 /// iteration — exact demand foresight when the workload re-executes the
 /// recorded prompts in order (RL train phases over rollout traces). A
 /// `noise` knob models rollout→train mismatch by perturbing each served
@@ -219,6 +188,31 @@ impl ReplayPredictor {
         self.cursor < self.trace.len()
     }
 
+    /// Advances the replay cursor and feeds the EMA fallback.
+    ///
+    /// The cursor advances unconditionally — replay position is keyed
+    /// by iteration count, not matrix contents — so a shape error from
+    /// the fallback still leaves the trace in sync with execution.
+    ///
+    /// # Errors
+    ///
+    /// The fallback's [`PredictError::ShapeChanged`].
+    pub fn observe(&mut self, observed: &RoutingMatrix) -> Result<(), PredictError> {
+        self.cursor += 1;
+        self.fallback.observe(observed)
+    }
+
+    /// The next recorded iteration, or the EMA fallback's prediction
+    /// past the trace end.
+    pub fn predict(&self) -> Option<RoutingMatrix> {
+        self.serve(self.cursor).or_else(|| self.fallback.predict())
+    }
+
+    /// Whether [`Self::predict`] would return a matrix.
+    pub fn is_warm(&self) -> bool {
+        self.serving_trace() || self.fallback.is_warm()
+    }
+
     /// Serves `trace[cursor]`, perturbed when `noise > 0`.
     fn serve(&self, index: usize) -> Option<RoutingMatrix> {
         let recorded = self.trace.get(index)?;
@@ -246,26 +240,6 @@ impl ReplayPredictor {
     }
 }
 
-impl Predictor for ReplayPredictor {
-    /// Advances the replay cursor and feeds the EMA fallback.
-    ///
-    /// The cursor advances unconditionally — replay position is keyed
-    /// by iteration count, not matrix contents — so a shape error from
-    /// the fallback still leaves the trace in sync with execution.
-    fn observe(&mut self, observed: &RoutingMatrix) -> Result<(), PredictError> {
-        self.cursor += 1;
-        self.fallback.observe(observed)
-    }
-
-    fn predict(&self) -> Option<RoutingMatrix> {
-        self.serve(self.cursor).or_else(|| self.fallback.predict())
-    }
-
-    fn is_warm(&self) -> bool {
-        self.serving_trace() || self.fallback.is_warm()
-    }
-}
-
 /// Closed, serializable sum of the predictor implementations, so the
 /// LAER system's per-layer state (and its checkpoints) can hold either
 /// without generics.
@@ -290,36 +264,43 @@ impl AnyPredictor {
             AnyPredictor::Replay(r) => r.serving_trace(),
         }
     }
-}
 
-impl Predictor for AnyPredictor {
-    fn observe(&mut self, observed: &RoutingMatrix) -> Result<(), PredictError> {
+    /// Feeds one iteration's observed routing matrix.
+    ///
+    /// # Errors
+    ///
+    /// [`PredictError::ShapeChanged`] if the shape differs from
+    /// previous observations.
+    pub fn observe(&mut self, observed: &RoutingMatrix) -> Result<(), PredictError> {
         match self {
-            AnyPredictor::Ema(p) => Predictor::observe(p, observed),
+            AnyPredictor::Ema(p) => p.observe(observed),
             AnyPredictor::Replay(p) => p.observe(observed),
         }
     }
 
-    fn predict(&self) -> Option<RoutingMatrix> {
+    /// Predicted routing matrix for the next iteration, or `None` when
+    /// no prediction is available yet.
+    pub fn predict(&self) -> Option<RoutingMatrix> {
         match self {
-            AnyPredictor::Ema(p) => Predictor::predict(p),
-            AnyPredictor::Replay(p) => Predictor::predict(p),
+            AnyPredictor::Ema(p) => p.predict(),
+            AnyPredictor::Replay(p) => p.predict(),
         }
     }
 
-    fn is_warm(&self) -> bool {
+    /// Whether [`Self::predict`] would return a matrix.
+    pub fn is_warm(&self) -> bool {
         match self {
-            AnyPredictor::Ema(p) => Predictor::is_warm(p),
-            AnyPredictor::Replay(p) => Predictor::is_warm(p),
+            AnyPredictor::Ema(p) => p.is_warm(),
+            AnyPredictor::Replay(p) => p.is_warm(),
         }
     }
 }
 
-/// Which demand predictor the planner configuration selects.
+/// Which demand predictor a workload runs with.
 ///
-/// `Replay` additionally needs recorded traces installed on the layout
-/// policy ([`crate::LayoutPolicy::install_replay`]); until they are,
-/// every layer falls back to EMA behaviour.
+/// `Replay` needs recorded traces installed on the layout policy
+/// ([`crate::LayoutPolicy::install_replay`]); until they are, every
+/// layer falls back to EMA behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PredictorKind {
     /// Exponential moving average of observed demand (the paper).
@@ -434,21 +415,19 @@ mod tests {
         assert_eq!(p.predict().unwrap(), matrix(&[1, 2, 3, 4]));
     }
 
-    /// The EMA behind the `Predictor` trait object is bit-identical to
-    /// the concrete `LoadPredictor` on a fixed seed — the refactor is
-    /// behaviour-preserving.
+    /// The EMA behind `AnyPredictor` is bit-identical to the concrete
+    /// `LoadPredictor` on a fixed seed.
     #[test]
     fn ema_behind_trait_is_bit_identical() {
         let mut gen = RoutingGenerator::new(RoutingGeneratorConfig::new(4, 8, 4096).with_seed(7));
         let mut concrete = LoadPredictor::default_ema();
         let mut any = AnyPredictor::default_ema();
-        let boxed: &mut dyn Predictor = &mut any;
         for _ in 0..20 {
             let m = gen.next_iteration();
             concrete.observe(&m).unwrap();
-            boxed.observe(&m).unwrap();
-            assert_eq!(concrete.predict(), boxed.predict());
-            assert_eq!(concrete.is_warm(), boxed.is_warm());
+            any.observe(&m).unwrap();
+            assert_eq!(concrete.predict(), any.predict());
+            assert_eq!(concrete.is_warm(), any.is_warm());
         }
     }
 

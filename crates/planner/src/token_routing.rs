@@ -119,16 +119,6 @@ impl TokenRouting {
         loads
     }
 
-    /// Dense `(src, dst)` token matrix (row-major `devices × devices`),
-    /// for conversion into an All-to-All traffic matrix.
-    pub fn pairwise_tokens(&self) -> Vec<u64> {
-        let mut m = vec![0u64; self.devices * self.devices];
-        for &(src, _, dst, tokens) in &self.entries {
-            m[src.index() * self.devices + dst.index()] += tokens;
-        }
-        m
-    }
-
     /// Per-expert tokens computed on each device (`Σ_i S[i][j][k]` for
     /// fixed `j, k`), as a `devices × experts` row-major matrix. This is
     /// what the FSEP executor needs to size expert batches.
@@ -215,7 +205,6 @@ mod tests {
         assert_eq!(s.device_compute_loads(), vec![17, 5]);
         assert_eq!(s.device_send_loads(), vec![5, 7]);
         assert_eq!(s.remote_tokens(), 12);
-        assert_eq!(s.pairwise_tokens(), vec![10, 5, 7, 0]);
         assert_eq!(s.expert_tokens_per_device(), vec![17, 0, 0, 5]);
     }
 

@@ -12,10 +12,10 @@
 //! are counted in, the cost is bit-identical to pricing `lite_route`'s
 //! output with `time_cost`.
 
-use crate::cost::{time_cost, CostBreakdown, CostParams, LinkPrices};
+use crate::cost::{CostBreakdown, CostParams, LinkPrices};
 use crate::layout::ExpertLayout;
 use crate::lite_routing::{lite_route, Pricer, ReplicaIndex};
-use crate::relocation::{expert_relocation, expert_relocation_on};
+use crate::relocation::expert_relocation_on;
 use crate::replica::{even_replicas, replica_allocation};
 use crate::token_routing::TokenRouting;
 use laer_cluster::{DegradedView, DeviceId, Interconnect, Topology};
@@ -113,15 +113,6 @@ pub struct PlannerConfig {
     /// serialized before the knob existed keep their meaning.
     #[serde(default)]
     pub num_chunks: usize,
-    /// Which demand predictor drives the asynchronous tuner
-    /// ([`crate::Predictor`]): the paper's EMA, or recorded-trace
-    /// replay foresight for RL post-training workloads. `Ema` is the
-    /// serde default so configs serialized before the trait existed
-    /// keep their meaning. Both kinds flow through the same
-    /// [`Planner::evaluate_scheme`] / [`Planner::plan_degraded`] paths
-    /// — only the demand they are handed differs.
-    #[serde(default)]
-    pub predictor: crate::PredictorKind,
 }
 
 impl PlannerConfig {
@@ -134,15 +125,7 @@ impl PlannerConfig {
             scheme: ReplicaScheme::Both,
             seed: 0,
             num_chunks: 0,
-            predictor: crate::PredictorKind::Ema,
         }
-    }
-
-    /// Selects the demand predictor kind the consuming system should
-    /// drive the tuner with.
-    pub fn with_predictor(mut self, predictor: crate::PredictorKind) -> Self {
-        self.predictor = predictor;
-        self
     }
 
     /// Sets the pipeline chunk count candidate plans are priced for
@@ -247,9 +230,8 @@ impl Planner {
     /// draws can land on the same scheme); duplicates produce
     /// bit-identical [`Plan`]s and the best-candidate comparison is a
     /// strict `<` (first occurrence wins ties), so skipping repeats can
-    /// never change which plan is returned. Public so external fan-out
-    /// harnesses (the `bench::pool` scheme-per-worker path) evaluate
-    /// exactly the candidate set the serial tuner would.
+    /// never change which plan is returned. Public so callers can see
+    /// exactly the candidate set [`Self::plan`] evaluates.
     pub fn unique_schemes(&self, schemes: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
         let mut seen: HashSet<Vec<usize>> = HashSet::with_capacity(schemes.len());
         schemes
@@ -330,23 +312,6 @@ impl Planner {
         Ok(survivors)
     }
 
-    /// Evaluates one replica scheme: relocation → lite routing → cost.
-    pub fn evaluate_scheme(
-        &self,
-        replicas: &[usize],
-        expert_loads: &[u64],
-        demand: &RoutingMatrix,
-    ) -> Plan {
-        let layout = expert_relocation(replicas, expert_loads, &self.topo, self.cfg.capacity);
-        let routing = lite_route(&self.topo, demand, &layout);
-        let predicted = time_cost(&self.topo, &routing, &self.cost).pipelined(self.cfg.num_chunks);
-        Plan {
-            layout,
-            routing,
-            predicted,
-        }
-    }
-
     /// The Alg. 2 loop shared by [`Self::plan`] and
     /// [`Self::plan_degraded`]: every deduplicated candidate is placed
     /// on the `active` devices (Alg. 1), priced on `net` as Alg. 3
@@ -413,14 +378,6 @@ impl Planner {
         self.cfg.num_chunks = num_chunks.max(1);
         self
     }
-
-    /// Returns this planner with a different demand-predictor kind
-    /// recorded in its configuration (the consuming system constructs
-    /// the matching [`crate::Predictor`]).
-    pub fn with_predictor(mut self, predictor: crate::PredictorKind) -> Self {
-        self.cfg.predictor = predictor;
-        self
-    }
 }
 
 /// Random perturbation of a replica scheme: move one replica from an
@@ -447,6 +404,8 @@ fn perturb(mut replicas: Vec<usize>, rng: &mut StdRng) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::time_cost;
+    use crate::relocation::expert_relocation;
     use laer_routing::{RoutingGenerator, RoutingGeneratorConfig};
 
     fn planner(scheme: ReplicaScheme) -> Planner {
@@ -557,17 +516,23 @@ mod tests {
         let deduped = p.plan(&d);
         assert_eq!(eval_count(), 1, "dedup must evaluate each scheme once");
 
-        // Dedup never changes the plan: evaluate every raw candidate and
-        // keep the first of the cheapest under strict `<`.
+        // Dedup never changes the plan: place, route and price every raw
+        // candidate and keep the first of the cheapest under strict `<`.
         let loads = d.expert_loads();
         let mut reference: Option<Plan> = None;
         for scheme in &schemes {
-            let candidate = p.evaluate_scheme(scheme, &loads, &d);
+            let layout = expert_relocation(scheme, &loads, &topo, 2);
+            let routing = lite_route(&topo, &d, &layout);
+            let predicted = time_cost(&topo, &routing, p.cost_params());
             if reference
                 .as_ref()
-                .is_none_or(|b| candidate.predicted.total() < b.predicted.total())
+                .is_none_or(|b| predicted.total() < b.predicted.total())
             {
-                reference = Some(candidate);
+                reference = Some(Plan {
+                    layout,
+                    routing,
+                    predicted,
+                });
             }
         }
         assert_eq!(Some(&deduped), reference.as_ref());
@@ -594,15 +559,16 @@ mod tests {
         );
     }
 
-    /// Configs serialized before `dedup_disabled` was dropped still
-    /// parse to the default configuration, whether or not they carry
-    /// the old field.
+    /// Configs serialized before `dedup_disabled` or `predictor` was
+    /// dropped still parse to the default configuration, whether or not
+    /// they carry an old field.
     #[test]
     fn planner_config_dedup_default_round_trips() {
         let cfg = PlannerConfig::new(2);
         for legacy in [
             "{\"capacity\":2,\"epsilon\":4,\"scheme\":\"Both\",\"seed\":0}",
             "{\"capacity\":2,\"epsilon\":4,\"scheme\":\"Both\",\"seed\":0,\"dedup_disabled\":false}",
+            "{\"capacity\":2,\"epsilon\":4,\"scheme\":\"Both\",\"seed\":0,\"predictor\":\"Replay\"}",
         ] {
             let parsed: PlannerConfig = serde_json::from_str(legacy).unwrap();
             assert_eq!(parsed, cfg);
@@ -619,23 +585,6 @@ mod tests {
         let parsed: PlannerConfig = serde_json::from_str(legacy).unwrap();
         assert_eq!(parsed.num_chunks, 0);
         assert_eq!(PlannerConfig::new(2).with_num_chunks(0).num_chunks, 1);
-    }
-
-    /// `predictor` defaults to the paper's EMA and older serialized
-    /// configs (no field) keep meaning EMA.
-    #[test]
-    fn planner_config_predictor_defaults_to_ema() {
-        use crate::PredictorKind;
-        let cfg = PlannerConfig::new(2);
-        assert_eq!(cfg.predictor, PredictorKind::Ema);
-        let legacy = "{\"capacity\":2,\"epsilon\":4,\"scheme\":\"Both\",\"seed\":0}";
-        let parsed: PlannerConfig = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed, cfg);
-        let replay = cfg.with_predictor(PredictorKind::Replay);
-        assert_eq!(replay.predictor, PredictorKind::Replay);
-        let json = serde_json::to_string(&replay).unwrap();
-        let back: PlannerConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, replay);
     }
 
     /// Chunked pricing never worsens a plan's predicted cost, keeps the

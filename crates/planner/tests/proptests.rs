@@ -9,8 +9,7 @@ use laer_cluster::{DegradedView, DeviceId, ExpertId, Interconnect, NodeId, Topol
 use laer_planner::{
     even_replicas, expert_relocation, expert_relocation_on, lite_route, refine_layout,
     refine_layout_scratch, replica_allocation, time_cost, CostParams, ExpertLayout,
-    IncrementalCost, LoadPredictor, Plan, Planner, PlannerConfig, Predictor, ReplayPredictor,
-    TokenRouting,
+    IncrementalCost, LoadPredictor, Plan, Planner, PlannerConfig, ReplayPredictor, TokenRouting,
 };
 use laer_routing::{RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix, RoutingTrace};
 use proptest::prelude::*;

@@ -66,20 +66,34 @@ impl RoutingMatrix {
     ///
     /// Returns [`RoutingError`] on empty shape or mismatched length.
     pub fn from_rows(devices: usize, experts: usize, data: Vec<u64>) -> Result<Self, RoutingError> {
-        if devices == 0 || experts == 0 {
-            return Err(RoutingError::EmptyShape);
-        }
-        if data.len() != devices * experts {
-            return Err(RoutingError::DataLength {
-                expected: devices * experts,
-                got: data.len(),
-            });
-        }
-        Ok(Self {
+        let matrix = Self {
             devices,
             experts,
             counts: data,
-        })
+        };
+        matrix.validate()?;
+        Ok(matrix)
+    }
+
+    /// Checks what the constructors guarantee but a decoded matrix may
+    /// lack: a non-empty shape holding exactly `devices × experts`
+    /// counts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RoutingError`] on empty shape or mismatched length.
+    pub(crate) fn validate(&self) -> Result<(), RoutingError> {
+        if self.devices == 0 || self.experts == 0 {
+            return Err(RoutingError::EmptyShape);
+        }
+        let expected = self.devices.saturating_mul(self.experts);
+        if self.counts.len() != expected {
+            return Err(RoutingError::DataLength {
+                expected,
+                got: self.counts.len(),
+            });
+        }
+        Ok(())
     }
 
     /// Number of devices `N`.

@@ -7,7 +7,7 @@
 //! serialize to JSON, and replay deterministically.
 
 use crate::generator::{RoutingGenerator, RoutingGeneratorConfig};
-use crate::matrix::RoutingMatrix;
+use crate::matrix::{RoutingError, RoutingMatrix};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
@@ -26,6 +26,14 @@ pub enum TraceError {
         /// Index of the first offending iteration.
         iteration: usize,
     },
+    /// A matrix has an empty shape, or its counts do not fill its
+    /// `devices × experts` shape.
+    Malformed {
+        /// Index of the first offending iteration.
+        iteration: usize,
+        /// What is wrong with its matrix.
+        error: RoutingError,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -35,6 +43,9 @@ impl fmt::Display for TraceError {
             TraceError::Decode(e) => write!(f, "trace decode error: {e}"),
             TraceError::InconsistentShape { iteration } => {
                 write!(f, "trace iteration {iteration} has a different shape")
+            }
+            TraceError::Malformed { iteration, error } => {
+                write!(f, "trace iteration {iteration}: {error}")
             }
         }
     }
@@ -46,6 +57,7 @@ impl std::error::Error for TraceError {
             TraceError::Io(e) => Some(e),
             TraceError::Decode(e) => Some(e),
             TraceError::InconsistentShape { .. } => None,
+            TraceError::Malformed { error, .. } => Some(error),
         }
     }
 }
@@ -149,19 +161,22 @@ impl RoutingTrace {
         &self.meta
     }
 
-    /// Validates that all matrices share one shape.
+    /// Validates that every matrix is well formed and all share one
+    /// shape.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::InconsistentShape`] naming the first
-    /// offending iteration.
+    /// Returns [`TraceError::Malformed`] or
+    /// [`TraceError::InconsistentShape`] naming the first offending
+    /// iteration.
     pub fn validate(&self) -> Result<(), TraceError> {
-        if let Some(first) = self.iterations.first() {
-            for (idx, m) in self.iterations.iter().enumerate().skip(1) {
-                if m.num_devices() != first.num_devices() || m.num_experts() != first.num_experts()
-                {
-                    return Err(TraceError::InconsistentShape { iteration: idx });
-                }
+        let shape = |m: &RoutingMatrix| (m.num_devices(), m.num_experts());
+        let first = self.iterations.first().map(shape);
+        for (iteration, m) in self.iterations.iter().enumerate() {
+            m.validate()
+                .map_err(|error| TraceError::Malformed { iteration, error })?;
+            if Some(shape(m)) != first {
+                return Err(TraceError::InconsistentShape { iteration });
             }
         }
         Ok(())
@@ -223,6 +238,32 @@ mod tests {
             trace.validate(),
             Err(TraceError::InconsistentShape { iteration: 1 })
         ));
+    }
+
+    /// A decoded matrix with fewer counts than its shape is a typed
+    /// error from `load_json`, not an out-of-bounds panic later.
+    #[test]
+    fn short_matrix_is_rejected_on_load() {
+        let path =
+            std::env::temp_dir().join(format!("laer_trace_short_{}.json", std::process::id()));
+        let json = r#"{"meta":{"description":"","seed":null},"iterations":[{"devices":2,"experts":2,"counts":[1,2,3]}]}"#;
+        std::fs::write(&path, json).unwrap();
+        let err = RoutingTrace::load_json(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(
+            err,
+            TraceError::Malformed {
+                iteration: 0,
+                error: RoutingError::DataLength {
+                    expected: 4,
+                    got: 3
+                }
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "trace iteration 0: routing data length 3, expected 4"
+        );
     }
 
     #[test]

@@ -22,10 +22,10 @@ use laer_model::{CostModel, GpuSpec, ModelPreset, BF16_BYTES};
 use laer_obs::{
     Histogram, HistogramSnapshot, Observer, ResilienceRecord, ServeStepRecord, ServingRecord,
 };
-use laer_planner::{lite_route, relocation_moves, CapacityResponse, ExpertLayout};
+use laer_planner::{lite_route, relocation_moves, CapacityResponse, ExpertLayout, RelocationMove};
 use laer_sim::{
-    all_to_all_time, record_timed_fault_spans, A2aMatrix, ActiveFaults, Engine, FaultPlan, Span,
-    SpanHandle, SpanLabel, StreamKind, Timeline,
+    all_to_all_time, record_timed_fault_spans, token_a2a_times, A2aMatrix, ActiveFaults, Engine,
+    FaultPlan, Span, SpanHandle, SpanLabel, StreamKind, Timeline,
 };
 use laer_train::ExperimentConfig;
 use serde::{Deserialize, Serialize};
@@ -268,15 +268,6 @@ fn split_even(total: u64, n: usize) -> Vec<u64> {
     (0..n).map(|i| base + u64::from(i < rem)).collect()
 }
 
-/// `all_to_all_time` with the dimension invariant discharged (matrices
-/// here are always sized from the run's own topology).
-fn a2a_times<I: Interconnect + ?Sized>(net: &I, traffic: &A2aMatrix) -> Vec<f64> {
-    match all_to_all_time(net, traffic) {
-        Ok(t) => t,
-        Err(e) => panic!("a2a matrix sized from topology: {e}"),
-    }
-}
-
 /// The network view serving prices a step on: active link degradations
 /// plus the devices the scheduler has actually removed. Failures enter
 /// through `live_mask`, not `active`, because a restarted (non-elastic)
@@ -295,34 +286,70 @@ fn capacity_view(topo: &Topology, active: &ActiveFaults, live_mask: &[bool]) -> 
     view
 }
 
-/// Prices the weight moves from `applied` towards a target layout as an
-/// all-to-all, re-sourcing moves whose planned source is dead from a
-/// surviving replica. Returns the traffic matrix and whether any expert
-/// had no live replica left at all (host fetch required).
-fn relocation_traffic(
-    applied: &ExpertLayout,
-    moves: &[laer_planner::RelocationMove],
-    live_mask: &[bool],
+/// A run's relayout weight transfers: the bytes one expert's weights
+/// occupy, and the bytes and seconds charged so far.
+struct RelocationLedger {
     expert_bytes: f64,
-    n: usize,
-) -> (A2aMatrix, bool) {
-    let mut traffic = A2aMatrix::new(n);
-    let mut host_fetch = false;
-    for mv in moves {
-        if live_mask[mv.src.index()] {
-            traffic.add(mv.src, mv.dst, expert_bytes);
-            continue;
+    bytes: f64,
+    time: f64,
+}
+
+impl RelocationLedger {
+    /// Charges the weight moves from `applied` towards a target layout:
+    /// one all-to-all of expert weights priced on `net`, enqueued as
+    /// `Relayout` spans on the live devices' prefetch streams. A move
+    /// whose planned source is dead is re-sourced from a surviving
+    /// replica; when no replica of its expert survives, the transfer
+    /// also waits out a host reload. Returns when the transfer
+    /// completes, never before `clock`.
+    fn charge(
+        &mut self,
+        engine: &mut Engine,
+        net: &dyn Interconnect,
+        applied: &ExpertLayout,
+        moves: &[RelocationMove],
+        live_mask: &[bool],
+        clock: f64,
+    ) -> f64 {
+        let live = |d: &DeviceId| live_mask[d.index()];
+        let mut traffic = A2aMatrix::new(live_mask.len());
+        let mut host_fetch = false;
+        for mv in moves {
+            let src = Some(mv.src).filter(live).or_else(|| {
+                let replicas = applied.replica_devices(mv.expert).into_iter();
+                replicas.map(|(d, _)| d).find(live)
+            });
+            match src {
+                Some(src) => traffic.add(src, mv.dst, self.expert_bytes),
+                None => host_fetch = true,
+            }
         }
-        let alt = applied
-            .replica_devices(mv.expert)
-            .into_iter()
-            .find(|(d, _)| live_mask[d.index()]);
-        match alt {
-            Some((d, _)) => traffic.add(d, mv.dst, expert_bytes),
-            None => host_fetch = true,
+        let durations = all_to_all_time(net, &traffic)
+            .unwrap_or_else(|e| unreachable!("matrix sized from the run's topology: {e}"));
+        self.bytes += traffic.total();
+        self.time += durations.iter().fold(0.0f64, |a, &b| a.max(b));
+        let devices: Vec<DeviceId> = (0..live_mask.len())
+            .map(DeviceId::new)
+            .filter(live)
+            .collect();
+        let durs: Vec<f64> = devices.iter().map(|d| durations[d.index()]).collect();
+        let handles = engine.enqueue_collective(
+            &devices,
+            StreamKind::Prefetch,
+            SpanLabel::Relayout,
+            &durs,
+            &vec![Vec::new(); devices.len()],
+        );
+        let finish = handles
+            .iter()
+            .map(|&h| engine.span(h).end)
+            .fold(clock, f64::max);
+        if host_fetch {
+            finish + SERVE_RELOAD_TIME
+        } else {
+            finish
         }
     }
-    (traffic, host_fetch)
 }
 
 /// Mutable retry/shed state of one run, grouped so the interrupt path
@@ -386,7 +413,6 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
     let top_k = model.top_k() as u64;
     let att_per_token =
         model.attention_flops_per_token(cfg.attention_context) as f64 / gpu.effective_flops();
-    let expert_bytes = (model.expert_params() * BF16_BYTES) as f64;
 
     let mut system = cfg.system.build(
         &topo,
@@ -414,8 +440,11 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
     let mut good = 0usize;
     let mut generated_tokens = 0u64;
     let mut relayouts = 0u64;
-    let mut relocation_bytes = 0.0f64;
-    let mut relocation_time = 0.0f64;
+    let mut relocation = RelocationLedger {
+        expert_bytes: (model.expert_params() * BF16_BYTES) as f64,
+        bytes: 0.0,
+        time: 0.0,
+    };
     let mut steps = 0u64;
     // Virtual wall clock: end of the last scheduler step, or later when
     // the scheduler sat idle waiting for an arrival. Kept separately
@@ -526,34 +555,15 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
                         // the sole replica died with the device.
                         pending = None;
                         let target = system.layout().clone();
-                        let live_devs: Vec<DeviceId> = (0..n)
-                            .filter(|&i| live_mask[i])
-                            .map(DeviceId::new)
-                            .collect();
                         let moves = relocation_moves(&topo, &applied, &target);
-                        let (traffic, host_fetch) =
-                            relocation_traffic(&applied, &moves, &live_mask, expert_bytes, n);
-                        let durations = a2a_times(&view, &traffic);
-                        relocation_bytes += traffic.total();
-                        relocation_time += durations.iter().fold(0.0f64, |a, &b| a.max(b));
-                        let durs: Vec<f64> =
-                            live_devs.iter().map(|d| durations[d.index()]).collect();
-                        let deps = vec![Vec::new(); live_devs.len()];
-                        let handles = engine.enqueue_collective(
-                            &live_devs,
-                            StreamKind::Prefetch,
-                            SpanLabel::Relayout,
-                            &durs,
-                            &deps,
+                        clock = relocation.charge(
+                            &mut engine,
+                            &view,
+                            &applied,
+                            &moves,
+                            &live_mask,
+                            clock,
                         );
-                        let mut finish = handles
-                            .iter()
-                            .map(|&h| engine.span(h).end)
-                            .fold(clock, f64::max);
-                        if host_fetch {
-                            finish += SERVE_RELOAD_TIME;
-                        }
-                        clock = finish;
                         applied = target;
                         relayouts += 1;
                         layouts.push(applied.replica_vector());
@@ -562,8 +572,8 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
                             detected,
                             resumed: clock,
                         });
-                        for d in &live_devs {
-                            recovery_spans.push((d.index(), detected, clock));
+                        for d in (0..n).filter(|&d| live_mask[d]) {
+                            recovery_spans.push((d, detected, clock));
                         }
                     }
                     CapacityResponse::Restart => {
@@ -719,27 +729,8 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
                 relayouts += 1;
                 layouts.push(applied.replica_vector());
             } else {
-                let (traffic, host_fetch) =
-                    relocation_traffic(&applied, &moves, &live_mask, expert_bytes, n);
-                let durations = a2a_times(net, &traffic);
-                relocation_bytes += traffic.total();
-                relocation_time += durations.iter().fold(0.0f64, |a, &b| a.max(b));
-                let durs: Vec<f64> = live_devs.iter().map(|d| durations[d.index()]).collect();
-                let deps = vec![Vec::new(); m];
-                let handles = engine.enqueue_collective(
-                    &live_devs,
-                    StreamKind::Prefetch,
-                    SpanLabel::Relayout,
-                    &durs,
-                    &deps,
-                );
-                let mut finish = handles
-                    .iter()
-                    .map(|&h| engine.span(h).end)
-                    .fold(0.0f64, f64::max);
-                if host_fetch {
-                    finish += SERVE_RELOAD_TIME;
-                }
+                let finish =
+                    relocation.charge(&mut engine, net, &applied, &moves, &live_mask, clock);
                 pending = Some((target, finish));
             }
         }
@@ -756,23 +747,11 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
         let routing = lite_route(&topo, &demand, &applied);
         let compute_loads = routing.device_compute_loads();
 
-        // Token dispatch / combine traffic (combine is the transpose).
-        let pairwise = routing.pairwise_tokens();
-        let mut dispatch = A2aMatrix::new(n);
-        let mut combine = A2aMatrix::new(n);
-        for src in 0..n {
-            for dst in 0..n {
-                if src != dst {
-                    let bytes = pairwise[src * n + dst] as f64 * cost.v_comm();
-                    if bytes > 0.0 {
-                        dispatch.add(DeviceId::new(src), DeviceId::new(dst), bytes);
-                        combine.add(DeviceId::new(dst), DeviceId::new(src), bytes);
-                    }
-                }
-            }
-        }
-        let dispatch_times = a2a_times(net, &dispatch);
-        let combine_times = a2a_times(net, &combine);
+        let traffic = routing
+            .entries()
+            .iter()
+            .map(|&(src, _, dst, tokens)| (src, dst, tokens));
+        let (dispatch_times, combine_times) = token_a2a_times(net, traffic, cost.v_comm());
 
         // Walk the step through the streams (live devices only;
         // stragglers stretch compute by their multiplier).
@@ -939,8 +918,8 @@ pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
             0.0
         },
         relayouts,
-        relocation_bytes,
-        relocation_time,
+        relocation_bytes: relocation.bytes,
+        relocation_time: relocation.time,
         shed: res.shed,
         retries: res.retries,
         interrupted: res.interrupted,

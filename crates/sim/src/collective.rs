@@ -4,7 +4,8 @@
 //! bandwidth (300 GB/s) is per device, while the InfiniBand figure
 //! (800 Gbps ≈ 100 GB/s) is the *node* NIC, shared by the node's devices.
 //! An α–β model is used throughout: each message pays the link latency α
-//! once plus `bytes / bandwidth`.
+//! once plus `bytes / bandwidth`, with the bandwidth shared as
+//! [`Interconnect::effective_bandwidth`] states.
 //!
 //! All-to-All is modelled per device: a device's local cost is the larger
 //! of its total send time and total receive time across peers; the
@@ -13,7 +14,7 @@
 //! (a device hosting a hot expert) inflates everyone's All-to-All span —
 //! the tail-latency mechanism of Fig. 1(b).
 
-use laer_cluster::{DeviceId, Interconnect, LinkKind};
+use laer_cluster::{DeviceId, Interconnect};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -105,21 +106,6 @@ impl A2aMatrix {
     }
 }
 
-/// Effective point-to-point bandwidth between two devices: NVLink is
-/// dedicated per device, the inter-node NIC is shared by the node.
-///
-/// Generic over [`Interconnect`] so a [`laer_cluster::DegradedView`]
-/// prices faulty links without a second code path.
-fn effective_bw<I: Interconnect + ?Sized>(net: &I, a: DeviceId, b: DeviceId) -> f64 {
-    match net.link_kind(a, b) {
-        LinkKind::Local => f64::INFINITY,
-        LinkKind::IntraNode => net.bandwidth(a, b),
-        LinkKind::InterNode => net.bandwidth(a, b) / net.devices_per_node() as f64,
-        // The rack spine is shared by every device in the rack.
-        LinkKind::InterRack => net.bandwidth(a, b) / net.devices_per_rack().unwrap_or(1) as f64,
-    }
-}
-
 /// Per-device local cost of an arbitrary (possibly imbalanced) All-to-All
 /// described by `traffic`.
 ///
@@ -153,16 +139,58 @@ pub fn all_to_all_time<I: Interconnect + ?Sized>(
             let peer = DeviceId::new(k);
             let tx = traffic.get(dev, peer);
             if tx > 0.0 {
-                send += net.latency(dev, peer) + tx / effective_bw(net, dev, peer);
+                send += net.latency(dev, peer) + tx / net.effective_bandwidth(dev, peer);
             }
             let rx = traffic.get(peer, dev);
             if rx > 0.0 {
-                recv += net.latency(dev, peer) + rx / effective_bw(net, dev, peer);
+                recv += net.latency(dev, peer) + rx / net.effective_bandwidth(dev, peer);
             }
         }
         out.push(send.max(recv));
     }
     Ok(out)
+}
+
+/// Per-device dispatch and combine All-to-All local costs of a token
+/// routing: `traffic` yields `(src, dst, tokens)` triples, several of
+/// which may name one device pair, and every token carries
+/// `token_bytes`. A pair's tokens are summed before they are priced, so
+/// the pair pays one message; tokens a device keeps (`src == dst`) are
+/// free.
+///
+/// Combine sends every token back, so its traffic is dispatch
+/// transposed. Transposing swaps each device's send and receive sums
+/// term for term, which leaves every device's `max(send, recv)` — and
+/// so the combine times — bit-identical to dispatch's.
+///
+/// # Panics
+///
+/// Panics if a device index is outside `net`.
+pub fn token_a2a_times<I: Interconnect + ?Sized>(
+    net: &I,
+    traffic: impl IntoIterator<Item = (DeviceId, DeviceId, u64)>,
+    token_bytes: f64,
+) -> (Vec<f64>, Vec<f64>) {
+    let n = net.num_devices();
+    let mut tokens = vec![0u64; n * n];
+    for (src, dst, t) in traffic {
+        assert!(src.index() < n && dst.index() < n, "device out of range");
+        tokens[src.index() * n + dst.index()] += t;
+    }
+    let mut dispatch = A2aMatrix::new(n);
+    for (cell, &t) in tokens.iter().enumerate() {
+        let (src, dst) = (cell / n, cell % n);
+        if t > 0 && src != dst {
+            dispatch.add(
+                DeviceId::new(src),
+                DeviceId::new(dst),
+                t as f64 * token_bytes,
+            );
+        }
+    }
+    let times = all_to_all_time(net, &dispatch)
+        .unwrap_or_else(|e| unreachable!("matrix sized from the network: {e}"));
+    (times.clone(), times)
 }
 
 /// Per-device cost of a *balanced* All-to-All where every device sends
@@ -199,10 +227,10 @@ fn group_bottleneck<I: Interconnect + ?Sized>(
         return Err(CollectiveError::EmptyGroup);
     };
     if let Some(&b) = group.iter().find(|&&d| net.node_of(d) != net.node_of(a)) {
-        Ok((effective_bw(net, a, b), net.latency(a, b)))
+        Ok((net.effective_bandwidth(a, b), net.latency(a, b)))
     } else if group.len() >= 2 {
         Ok((
-            effective_bw(net, group[0], group[1]),
+            net.effective_bandwidth(group[0], group[1]),
             net.latency(group[0], group[1]),
         ))
     } else {
@@ -314,6 +342,36 @@ mod tests {
         let ag_nom = all_gather_time(&topo, &group, 1e8).unwrap();
         let ag_deg = all_gather_time(&view, &group, 1e8).unwrap();
         assert!(ag_deg >= ag_nom);
+    }
+
+    /// The token All-to-All sums a device pair's entries before pricing
+    /// (one message, one α), charges nothing for self-traffic, and
+    /// prices combine as dispatch transposed.
+    #[test]
+    fn token_a2a_sums_pairs_skips_self_and_transposes_combine() {
+        let topo = paper();
+        let d = DeviceId::new;
+        let bytes = 4096.0;
+        let split = [(d(0), d(8), 3), (d(0), d(8), 4), (d(9), d(1), 5)];
+        let whole = [(d(0), d(8), 7), (d(9), d(1), 5)];
+        assert_eq!(
+            token_a2a_times(&topo, split, bytes),
+            token_a2a_times(&topo, whole, bytes)
+        );
+        let mut dispatch = A2aMatrix::new(32);
+        let mut combine = A2aMatrix::new(32);
+        for (src, dst, t) in whole {
+            dispatch.add(src, dst, t as f64 * bytes);
+            combine.add(dst, src, t as f64 * bytes);
+        }
+        let (dispatch_times, combine_times) = token_a2a_times(&topo, whole, bytes);
+        assert_eq!(dispatch_times, all_to_all_time(&topo, &dispatch).unwrap());
+        assert_eq!(combine_times, all_to_all_time(&topo, &combine).unwrap());
+        let transposed = whole.map(|(src, dst, t)| (dst, src, t));
+        assert_eq!(token_a2a_times(&topo, transposed, bytes).0, combine_times);
+
+        let (local_d, local_c) = token_a2a_times(&topo, [(d(3), d(3), 1000)], bytes);
+        assert!(local_d.iter().chain(&local_c).all(|&t| t == 0.0));
     }
 
     #[test]

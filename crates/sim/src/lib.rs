@@ -46,7 +46,7 @@ pub use chrome::{
 };
 pub use collective::{
     all_gather_time, all_reduce_time, all_to_all_balanced_time, all_to_all_time,
-    reduce_scatter_time, A2aMatrix, CollectiveError,
+    reduce_scatter_time, token_a2a_times, A2aMatrix, CollectiveError,
 };
 pub use engine::{Engine, EngineOptions, SpanHandle, StreamKind};
 pub use faults::{

@@ -76,3 +76,45 @@ fn zero_counts_are_rejected() {
         );
     }
 }
+
+/// `laer replay` checks a trace against the model before running it:
+/// a trace over another expert count, and one whose matrix holds fewer
+/// counts than its shape, are each one `error:` line.
+#[test]
+fn replay_rejects_a_trace_that_does_not_fit() {
+    let dir = std::env::temp_dir().join(format!("laer-cli-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+
+    let e16 = path("e16.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_laer"))
+        .args([
+            "trace",
+            "--devices",
+            "16",
+            "--experts",
+            "16",
+            "--iters",
+            "3",
+        ])
+        .args(["--out", &e16])
+        .output()
+        .expect("spawn laer");
+    assert!(out.status.success(), "laer trace failed");
+    assert_eq!(
+        rejects(&["replay", "--model", "mixtral-8x7b-e8k2", "--in", &e16]),
+        "error: trace routes to 16 experts but --model mixtral-8x7b-e8k2 has 8"
+    );
+
+    let short = path("short.json");
+    let counts = vec!["1"; 16 * 16 - 1].join(",");
+    let json = format!(
+        r#"{{"meta":{{"description":"","seed":null}},"iterations":[{{"devices":16,"experts":16,"counts":[{counts}]}}]}}"#
+    );
+    std::fs::write(&short, json).unwrap();
+    assert_eq!(
+        rejects(&["replay", "--model", "mixtral-8x7b-e16k4", "--in", &short]),
+        "error: trace iteration 0: routing data length 255, expected 256"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,7 +4,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use laer_moe::planner::CostParams;
 use laer_moe::prelude::*;
 
 #[test]
@@ -31,51 +30,6 @@ fn different_seeds_differ() {
         )
     };
     assert_ne!(mk(7).iteration_times, mk(8).iteration_times);
-}
-
-/// Evaluates the deduplicated candidates across `threads` scoped
-/// workers and fans the plans back in candidate order, keeping the first
-/// of the cheapest — the scheme-per-worker path of the repro harness.
-fn plan_fanned_out(planner: &Planner, demand: &RoutingMatrix, threads: usize) -> Plan {
-    let schemes = planner.unique_schemes(planner.candidate_schemes(demand));
-    let loads = demand.expert_loads();
-    let eval = |chunk: &[Vec<usize>]| -> Vec<Plan> {
-        chunk
-            .iter()
-            .map(|s| planner.evaluate_scheme(s, &loads, demand))
-            .collect()
-    };
-    let plans: Vec<Plan> = std::thread::scope(|scope| {
-        let chunks = schemes.chunks(schemes.len().div_ceil(threads));
-        let workers: Vec<_> = chunks.map(|c| scope.spawn(move || eval(c))).collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("worker"))
-            .collect()
-    });
-    plans
-        .into_iter()
-        .min_by(|a, b| a.predicted.total().total_cmp(&b.predicted.total()))
-        .expect("non-empty candidate set")
-}
-
-#[test]
-fn parallel_planner_equals_serial_across_workloads() {
-    let planner = Planner::new(
-        PlannerConfig::new(2).with_epsilon(8),
-        CostParams::mixtral_8x7b(),
-        Topology::paper_cluster(),
-    );
-    let mut gen = RoutingGenerator::new(RoutingGeneratorConfig::new(32, 8, 16 * 1024).with_seed(5));
-    for _ in 0..5 {
-        let demand = gen.next_iteration();
-        let serial = planner.plan(&demand);
-        for threads in [1usize, 2, 4, 8] {
-            let par = plan_fanned_out(&planner, &demand, threads);
-            assert_eq!(serial.layout, par.layout, "threads {threads}");
-            assert_eq!(serial.predicted, par.predicted, "threads {threads}");
-        }
-    }
 }
 
 #[test]
