@@ -163,24 +163,6 @@ impl LaerSystem {
         self
     }
 
-    /// Installs per-layer replay traces ([`LayoutPolicy::install_replay`])
-    /// — what an RL train phase calls at each epoch boundary — and
-    /// re-plans every prepared layout from its trace's first iteration,
-    /// so foresight applies from the very first replayed step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a trace's matrix shapes disagree with the cluster
-    /// topology (the planner's documented preconditions).
-    pub fn install_replay(&mut self, traces: Vec<RoutingTrace>, noise: f64, seed: u64) {
-        self.policy.install_replay(traces, noise, seed);
-        for (layer, state) in self.layers.iter_mut().enumerate() {
-            if let Some(proposal) = self.policy.propose(layer, self.ctx.fault_view()) {
-                state.next = Some(Prepared::of(proposal));
-            }
-        }
-    }
-
     /// The planning mode in use.
     pub fn mode(&self) -> PlanningMode {
         self.mode
@@ -306,6 +288,24 @@ impl MoeSystem for LaerSystem {
 
     fn set_planner_available(&mut self, available: bool) {
         self.policy.set_available(available);
+    }
+
+    /// Installs per-layer replay traces ([`LayoutPolicy::install_replay`])
+    /// — what an RL train phase calls at each epoch boundary — and
+    /// re-plans every prepared layout from its trace's first iteration,
+    /// so foresight applies from the very first replayed step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a trace's matrix shapes disagree with the cluster
+    /// topology (the planner's documented preconditions).
+    fn install_replay(&mut self, traces: Vec<RoutingTrace>, noise: f64, seed: u64) {
+        self.policy.install_replay(traces, noise, seed);
+        for (layer, state) in self.layers.iter_mut().enumerate() {
+            if let Some(proposal) = self.policy.propose(layer, self.ctx.fault_view()) {
+                state.next = Some(Prepared::of(proposal));
+            }
+        }
     }
 
     fn snapshot(&self) -> serde::Value {

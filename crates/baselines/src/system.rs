@@ -5,7 +5,7 @@ use laer_cluster::DegradedView;
 use laer_fsep::{LayerTimings, ScheduleOptions};
 use laer_obs::PlanAudit;
 use laer_planner::{CapacityResponse, ExpertLayout, PlanError, TokenRouting};
-use laer_routing::RoutingMatrix;
+use laer_routing::{RoutingMatrix, RoutingTrace};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -156,6 +156,14 @@ pub trait MoeSystem {
     /// planner is down.
     fn set_planner_available(&mut self, available: bool) {
         let _ = available;
+    }
+
+    /// Installs per-layer routing traces as the layout tuner's demand
+    /// forecast, perturbed by `noise` (0 = verbatim) on a stream keyed
+    /// on `seed` — the foresight an RL train phase has over the prompts
+    /// its rollout recorded. Systems without a layout tuner ignore this.
+    fn install_replay(&mut self, traces: Vec<RoutingTrace>, noise: f64, seed: u64) {
+        let _ = (traces, noise, seed);
     }
 
     /// Serializes the system's mutable per-layer state for

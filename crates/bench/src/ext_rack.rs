@@ -16,12 +16,10 @@
 //!    across racks would arrange.
 
 use crate::pool::{Batch, Slot};
-use laer_baselines::{LaerSystem, MoeSystem, SystemContext};
+use laer_baselines::{LaerSystem, SystemContext, SystemKind};
 use laer_cluster::Topology;
-use laer_fsep::{schedule_iteration, LayerTimings};
 use laer_model::{GpuSpec, ModelPreset};
-use laer_routing::{RoutingGenerator, RoutingGeneratorConfig};
-use laer_sim::Engine;
+use laer_train::{run_experiment_with, ExperimentConfig};
 use serde::{Deserialize, Serialize};
 
 /// One deployment's measured iteration time.
@@ -39,40 +37,23 @@ pub struct RackRow {
 /// per-node NICs).
 const RACK_BW: f64 = 50.0e9;
 
+/// Average iteration seconds of LAER on `topo` (3 warmup iterations),
+/// layer `l` routed from trace seed `seed + l`.
 fn measure(topo: &Topology, layers: usize, iters: usize, seed: u64) -> f64 {
-    let cfg = ModelPreset::Mixtral8x7bE8k2.config();
-    let tokens = 16 * 1024u64;
-    let n = topo.num_devices();
-    let ctx = SystemContext::new(topo.clone(), cfg.clone(), GpuSpec::a100(), tokens, 8192);
-    let mut system = LaerSystem::new(ctx);
-    let opts = system.schedule_options();
-    let mut gens: Vec<_> = (0..layers)
-        .map(|l| {
-            RoutingGenerator::new(
-                RoutingGeneratorConfig::new(n, cfg.experts(), tokens * cfg.top_k() as u64)
-                    .with_seed(seed + l as u64),
-            )
-        })
-        .collect();
-    let mut total = 0.0;
-    let warmup = 3usize;
-    for iter in 0..(warmup + iters) {
-        let timings: Vec<LayerTimings> = gens
-            .iter_mut()
-            .enumerate()
-            .map(|(l, g)| {
-                system
-                    .plan_layer(l, iter as u64, &g.next_iteration())
-                    .timings
-            })
-            .collect();
-        let mut engine = Engine::new(topo);
-        let t = schedule_iteration(&mut engine, topo, &timings, opts);
-        if iter >= warmup {
-            total += t.total;
-        }
-    }
-    total / iters as f64
+    // `routing_config` seeds layer `l` with `cfg.seed + 1 + l`.
+    let cfg = ExperimentConfig::new(ModelPreset::Mixtral8x7bE8k2, SystemKind::Laer)
+        .with_cluster(topo.num_nodes(), topo.devices_per_node())
+        .with_layers(layers)
+        .with_iterations(iters, 3)
+        .with_seed(seed.wrapping_sub(1));
+    let ctx = SystemContext::new(
+        topo.clone(),
+        cfg.preset.config(),
+        GpuSpec::a100(),
+        cfg.tokens_per_device,
+        cfg.seq_len,
+    );
+    run_experiment_with(&cfg, Box::new(LaerSystem::new(ctx))).avg_iteration_time
 }
 
 fn flat_topology() -> Topology {
@@ -104,20 +85,6 @@ fn assemble(t_flat: f64, t_racked: f64, t_rack_a: f64, t_rack_b: f64) -> Vec<Rac
         slowdown: t / t_flat,
     })
     .collect()
-}
-
-/// Runs the three deployments.
-pub fn rows(layers: usize, iters: usize) -> Vec<RackRow> {
-    let t_flat = measure(&flat_topology(), layers, iters, 13);
-    let t_racked = measure(&racked_topology(), layers, iters, 13);
-    // Confined: each rack runs an independent 16-GPU EP group.
-    let per_rack = per_rack_topology();
-    assemble(
-        t_flat,
-        t_racked,
-        measure(&per_rack, layers, iters, 13),
-        measure(&per_rack, layers, iters, 1300),
-    )
 }
 
 /// The study's cells — one simulated deployment each — pending
@@ -184,9 +151,25 @@ pub fn finish(pending: Pending) -> Vec<RackRow> {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    /// Runs the three deployments serially.
+    fn rows(layers: usize, iters: usize) -> Vec<RackRow> {
+        let t_flat = measure(&flat_topology(), layers, iters, 13);
+        let t_racked = measure(&racked_topology(), layers, iters, 13);
+        // Confined: each rack runs an independent 16-GPU EP group.
+        let per_rack = per_rack_topology();
+        assemble(
+            t_flat,
+            t_racked,
+            measure(&per_rack, layers, iters, 13),
+            measure(&per_rack, layers, iters, 1300),
+        )
+    }
+
     #[test]
     fn confinement_recovers_efficiency() {
-        let rows = super::rows(3, 4);
+        let rows = rows(3, 4);
         let flat = rows[0].iteration_time;
         let global = rows[1].iteration_time;
         let confined = rows[2].iteration_time;

@@ -4,13 +4,11 @@
 
 use crate::pool::{Batch, Slot};
 use crate::Effort;
-use laer_baselines::{FsdpEpSystem, LaerSystem, MoeSystem, SystemContext};
-use laer_cluster::Topology;
-use laer_fsep::{schedule_iteration, ScheduleOptions};
-use laer_model::{GpuSpec, ModelPreset};
+use laer_baselines::{FsdpEpSystem, LaerSystem, MoeSystem, SystemContext, SystemKind};
+use laer_fsep::ScheduleOptions;
+use laer_model::ModelPreset;
 use laer_planner::ReplicaScheme;
-use laer_routing::{RoutingGenerator, RoutingGeneratorConfig};
-use laer_sim::Engine;
+use laer_train::{run_experiment_with, ExperimentConfig};
 use serde::{Deserialize, Serialize};
 
 /// One ablation bar.
@@ -56,47 +54,21 @@ fn build(variant: &str, ctx: SystemContext) -> Box<dyn MoeSystem> {
 /// are at the mercy of the tuner's random perturbation draws).
 pub const SEEDS: [u64; 3] = [12, 120, 1200];
 
-/// Runs one ablation variant with one trace seed.
+/// Runs one ablation variant with one trace seed: the paper's 4×8
+/// cluster at 16 K tokens per device, layer `l` routed from trace seed
+/// `seed + l`.
 pub fn run_variant_seeded(variant: &str, effort: Effort, seed: u64) -> Fig12Bar {
-    let preset = ModelPreset::Mixtral8x7bE8k2;
-    let cfg = preset.config();
-    let topo = Topology::paper_cluster();
-    let tokens = 16 * 1024u64;
-    let layers = effort.layers(32);
     let (iters, warmup) = effort.iterations();
-    let ctx = SystemContext::new(topo.clone(), cfg.clone(), GpuSpec::a100(), tokens, 8192);
-    let mut system = build(variant, ctx);
-    let opts = system.schedule_options();
-    let mut gens: Vec<_> = (0..layers)
-        .map(|l| {
-            RoutingGenerator::new(
-                RoutingGeneratorConfig::new(32, cfg.experts(), tokens * cfg.top_k() as u64)
-                    .with_seed(seed + l as u64),
-            )
-        })
-        .collect();
-    let mut measured = Vec::new();
-    for iter in 0..(warmup + iters) {
-        let timings: Vec<_> = gens
-            .iter_mut()
-            .enumerate()
-            .map(|(l, g)| {
-                system
-                    .plan_layer(l, iter as u64, &g.next_iteration())
-                    .timings
-            })
-            .collect();
-        let mut engine = Engine::new(&topo);
-        let t = schedule_iteration(&mut engine, &topo, &timings, opts);
-        if iter >= warmup {
-            measured.push(t.total);
-        }
-    }
-    let avg = measured.iter().sum::<f64>() / measured.len() as f64;
+    // `routing_config` seeds layer `l` with `cfg.seed + 1 + l`.
+    let cfg = ExperimentConfig::new(ModelPreset::Mixtral8x7bE8k2, SystemKind::Laer)
+        .with_layers(effort.layers(32))
+        .with_iterations(iters, warmup)
+        .with_seed(seed.wrapping_sub(1));
+    let result = run_experiment_with(&cfg, build(variant, cfg.context()));
     Fig12Bar {
         variant: variant.to_string(),
-        tokens_per_second: 32.0 * tokens as f64 / avg,
-        iteration_time: avg,
+        tokens_per_second: result.tokens_per_second,
+        iteration_time: result.avg_iteration_time,
     }
 }
 

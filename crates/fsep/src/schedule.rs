@@ -110,7 +110,7 @@ impl ScheduleOptions {
     }
 
     /// Total expert compute charged per layer, as a multiple of one
-    /// forward pass: forward plus [`Self::expert_backward_factor`]. The
+    /// forward pass: forward plus the backward multiplier. The
     /// decision audit uses this to reconstruct the Eq. 1 `T_comp`
     /// actually executed from per-device forward times.
     pub fn expert_roundtrip_factor(&self) -> f64 {
@@ -143,7 +143,7 @@ impl Default for ScheduleOptions {
 
 /// Per-layer operation durations (seconds), per device where the
 /// operation is device-dependent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LayerTimings {
     /// Attention (and other non-expert) forward time, uniform across
     /// devices.

@@ -5,15 +5,15 @@
 //! for every running request — then walks the step through the sim's
 //! per-device streams: attention on S1, dispatch All-to-All on S3,
 //! expert compute on S1, combine All-to-All on S3, and a fixed host-side
-//! overhead closing the step. When the active [`ServingSystem`] adopts a
-//! new expert layout, the weight movement is priced through
-//! `sim::collective` and enqueued as [`SpanLabel::Relayout`] spans on
-//! the prefetch stream. The transfer overlaps serving — the scheduler
-//! keeps routing against the *stale* layout until the transfer's
-//! simulated finish time has passed — so re-layout is charged, never
-//! assumed free: the spans occupy the prefetch stream, consecutive
-//! moves serialise on it, and the old (worse) placement stays live for
-//! the whole copy.
+//! overhead closing the step. When the active
+//! [`ServingSystem`](crate::ServingSystem) adopts a new expert layout,
+//! the weight movement is priced through `sim::collective` and enqueued
+//! as [`SpanLabel::Relayout`] spans on the prefetch stream. The
+//! transfer overlaps serving — the scheduler keeps routing against the
+//! *stale* layout until the transfer's simulated finish time has
+//! passed — so re-layout is charged, never assumed free: the spans
+//! occupy the prefetch stream, consecutive moves serialise on it, and
+//! the old (worse) placement stays live for the whole copy.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -1125,7 +1125,7 @@ pub fn record_observability(out: &ServingOutcome, obs: &mut Observer) {
 /// same records a faulted run journals under `serving-step`. Includes
 /// the failure-edge samples taken at detection time, so streaming
 /// detectors replaying this stream see the live-set drop exactly
-/// [`SERVE_DETECTION_DELAY`](crate::SERVE_DETECTION_DELAY) after onset.
+/// [`SERVE_DETECTION_DELAY`] after onset.
 pub fn step_records(out: &ServingOutcome) -> Vec<ServeStepRecord> {
     out.queue_depth
         .iter()

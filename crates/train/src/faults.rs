@@ -1,12 +1,25 @@
-//! Deterministic fault injection and graceful degraded-mode training.
+//! The one training loop, with deterministic fault injection and
+//! graceful degraded-mode training.
 //!
-//! [`FaultRunner`] drives a [`MoeSystem`] through a multi-iteration run
-//! while a seeded [`FaultPlan`] injects stragglers, link degradation,
-//! device failures and planner outages. The runner is the recovery
-//! state machine of the robustness experiments:
+//! [`FaultRunner`] steps a [`MoeSystem`] through training iterations.
+//! Each [`FaultRunner::step`] is one iteration of the Fig. 7 pipeline:
+//! it takes every layer's routing demand from the caller, plans every
+//! layer, and schedules dispatch, expert compute and combine on the
+//! S1–S4 streams of the live devices. Every training driver steps this
+//! one loop: `run_experiment` and its variants, [`FaultRunner::run`],
+//! the RL rollout→train replay, the Fig. 12 ablation and the cross-rack
+//! study. A driver only picks the demand source and aggregates or
+//! observes what each step returns.
+//!
+//! An empty [`FaultPlan`] trains fault-free. A seeded plan injects
+//! stragglers, link degradation, device failures and planner outages,
+//! and the runner is the recovery state machine of the robustness
+//! experiments:
 //!
 //! * **detect** — at the first iteration a device failure is active, the
 //!   system is asked to react ([`MoeSystem::handle_device_failures`]);
+//!   a device whose failure window closed rejoins, and a later failure
+//!   on it is detected afresh;
 //! * **re-plan** — LAER re-runs Alg. 1/2 on the survivors and continues
 //!   *elastically* (the failed device's tokens are dropped, everything
 //!   else keeps training). Static-layout baselines cannot re-form their
@@ -25,12 +38,12 @@
 //! bookkeeping) so a resumed run continues bit-identically.
 
 use crate::runner::ExperimentConfig;
-use laer_baselines::{MoeSystem, SystemError};
+use laer_baselines::{LayerPlan, MoeSystem, SystemError};
 use laer_cluster::{DegradedView, DeviceId, ExpertId, Topology};
-use laer_fsep::{schedule_iteration_on, LayerTimings};
+use laer_fsep::{schedule_iteration_on, LayerTimings, ScheduleOptions};
 use laer_planner::CapacityResponse;
-use laer_routing::{CheckpointError, GeneratorCheckpoint, RoutingGenerator};
-use laer_sim::{record_fault_spans, write_chrome_trace, Engine, FaultPlan};
+use laer_routing::{CheckpointError, GeneratorCheckpoint, RoutingGenerator, RoutingMatrix};
+use laer_sim::{record_fault_spans, ActiveFaults, Engine, EngineOptions, FaultPlan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -51,11 +64,11 @@ pub const COLLECTIVE_TIMEOUT: f64 = 2.0;
 /// a restart.
 pub const CHECKPOINT_RELOAD: f64 = 0.235;
 
-/// Default interval (iterations) between simulated checkpoint writes;
+/// Interval (iterations) between simulated checkpoint writes;
 /// restarting systems must redo the iterations since the last one.
-pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 5;
+pub const CHECKPOINT_INTERVAL: u64 = 5;
 
-/// Typed failure of a fault-injected training run.
+/// Typed failure of a training run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainError {
     /// The system could not recover from a device failure (e.g. too few
@@ -63,6 +76,8 @@ pub enum TrainError {
     Recovery(SystemError),
     /// A checkpoint could not be restored.
     Checkpoint(String),
+    /// A routing trace does not fit the experiment's cluster and model.
+    Trace(String),
 }
 
 impl fmt::Display for TrainError {
@@ -70,6 +85,7 @@ impl fmt::Display for TrainError {
         match self {
             TrainError::Recovery(e) => write!(f, "unrecoverable fault: {e}"),
             TrainError::Checkpoint(msg) => write!(f, "checkpoint restore failed: {msg}"),
+            TrainError::Trace(msg) => write!(f, "trace does not fit the experiment: {msg}"),
         }
     }
 }
@@ -102,6 +118,18 @@ pub struct IterationReport {
     pub degraded: bool,
 }
 
+/// Everything one [`FaultRunner::step`] produced.
+pub struct TrainStep {
+    /// The iteration's time, tokens and fault status.
+    pub report: IterationReport,
+    /// Every layer's decision, in layer order, with the timings as
+    /// scheduled (straggler slowdown included).
+    pub plans: Vec<LayerPlan>,
+    /// The engine the iteration ran on; its timeline holds the S1–S4
+    /// spans plus one fault span per affected device and stream.
+    pub engine: Engine,
+}
+
 /// Serializable snapshot of a [`FaultRunner`] mid-run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunnerCheckpoint {
@@ -113,8 +141,6 @@ pub struct RunnerCheckpoint {
     pub system_state: serde::Value,
     /// Per-iteration seconds so far.
     pub iteration_times: Vec<f64>,
-    /// Per-iteration token counts so far.
-    pub iteration_tokens: Vec<u64>,
     /// Iteration of the last simulated checkpoint write.
     pub last_checkpoint_iteration: u64,
     /// Device indices whose failure has already been handled.
@@ -123,117 +149,192 @@ pub struct RunnerCheckpoint {
     pub elastic: bool,
 }
 
-/// Multi-iteration driver executing an [`ExperimentConfig`] under a
-/// [`FaultPlan`].
+/// The training loop: one system on one cluster, stepped iteration by
+/// iteration under a [`FaultPlan`] (empty for fault-free training).
 pub struct FaultRunner {
     cfg: ExperimentConfig,
-    plan: FaultPlan,
-    topo: Topology,
     system: Box<dyn MoeSystem>,
+    topo: Topology,
+    opts: ScheduleOptions,
+    plan: FaultPlan,
     gens: Vec<RoutingGenerator>,
     iteration: u64,
     iteration_times: Vec<f64>,
-    iteration_tokens: Vec<u64>,
-    checkpoint_interval: u64,
     last_checkpoint_iteration: u64,
     handled_failures: Vec<usize>,
     elastic: bool,
-    capture_trace: bool,
-    last_trace: Option<String>,
 }
 
 impl FaultRunner {
-    /// Creates a runner; the run is a deterministic function of
-    /// `(cfg.seed, plan)`.
+    /// Creates a runner for `cfg`'s system; the run is a deterministic
+    /// function of `(cfg.seed, plan)`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero layers).
     pub fn new(cfg: ExperimentConfig, plan: FaultPlan) -> Self {
-        assert!(cfg.layers > 0, "at least one layer");
-        let topo = cfg.topology();
         let system = cfg.build_system();
-        let gens = cfg.layer_generators();
-        Self {
-            cfg,
-            plan,
-            topo,
-            system,
-            gens,
-            iteration: 0,
-            iteration_times: Vec::new(),
-            iteration_tokens: Vec::new(),
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-            last_checkpoint_iteration: 0,
-            handled_failures: Vec::new(),
-            elastic: false,
-            capture_trace: false,
-            last_trace: None,
-        }
+        Self::with_system(cfg, plan, system)
     }
 
-    /// Overrides the simulated checkpoint interval (iterations).
+    /// Creates a runner around a prebuilt `system`, for systems
+    /// [`laer_baselines::SystemKind`] cannot name (the Fig. 12 ablation
+    /// variants) or clusters a node × device shape cannot (racked
+    /// topologies). The cluster is the system context's topology; the
+    /// layers, routing generators, chunk count, dependency recording
+    /// and token count come from `cfg`.
     ///
     /// # Panics
     ///
-    /// Panics if `interval` is zero.
-    pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
-        assert!(interval > 0, "checkpoint interval must be non-zero");
-        self.checkpoint_interval = interval;
-        self
+    /// Panics if the configuration is degenerate (zero layers), or its
+    /// device count, expert count or tokens per device disagree with
+    /// the system's context.
+    pub(crate) fn with_system(
+        cfg: ExperimentConfig,
+        plan: FaultPlan,
+        system: Box<dyn MoeSystem>,
+    ) -> Self {
+        assert!(cfg.layers > 0, "at least one layer");
+        let ctx = system.context();
+        let fits = (cfg.nodes * cfg.devices_per_node, cfg.tokens_per_device)
+            == (ctx.topology().num_devices(), ctx.tokens_per_device())
+            && cfg.preset.config().experts() == ctx.model().experts();
+        assert!(fits, "the configuration does not fit the system's context");
+        let topo = ctx.topology().clone();
+        // The one place the configured chunk count reaches the schedule.
+        let opts = match cfg.num_chunks {
+            0 => system.schedule_options(),
+            chunks => system.schedule_options().with_num_chunks(chunks),
+        };
+        Self {
+            gens: cfg.layer_generators(),
+            cfg,
+            system,
+            topo,
+            opts,
+            plan,
+            iteration: 0,
+            iteration_times: Vec::new(),
+            last_checkpoint_iteration: 0,
+            handled_failures: Vec::new(),
+            elastic: false,
+        }
     }
 
-    /// Enables capturing a Chrome trace of each iteration's timeline
-    /// (fault spans included); read it via [`FaultRunner::last_trace`].
-    pub fn with_trace_capture(mut self, capture: bool) -> Self {
-        self.capture_trace = capture;
-        self
+    /// The stream-scheduling options every step runs under: the
+    /// system's own, with the configured chunk count applied.
+    pub(crate) fn schedule_options(&self) -> ScheduleOptions {
+        self.opts
     }
 
-    /// The most recent iteration's Chrome trace, when capture is on.
-    pub fn last_trace(&self) -> Option<&str> {
-        self.last_trace.as_deref()
+    /// The system under training.
+    pub(crate) fn system_mut(&mut self) -> &mut dyn MoeSystem {
+        self.system.as_mut()
     }
 
-    /// Iterations completed so far.
-    pub fn iteration(&self) -> u64 {
-        self.iteration
+    /// Draws the next iteration's per-layer demand from the
+    /// configuration's routing generators
+    /// ([`ExperimentConfig::routing_config`]).
+    pub(crate) fn next_demand(&mut self) -> Vec<RoutingMatrix> {
+        self.gens
+            .iter_mut()
+            .map(RoutingGenerator::next_iteration)
+            .collect()
     }
 
-    /// The system under test.
-    pub fn system_name(&self) -> &'static str {
-        self.system.name()
-    }
-
-    /// Per-iteration seconds recorded so far.
-    pub fn iteration_times(&self) -> &[f64] {
-        &self.iteration_times
-    }
-
-    /// Per-iteration token counts recorded so far.
-    pub fn iteration_tokens(&self) -> &[u64] {
-        &self.iteration_tokens
-    }
-
-    /// Runs one iteration through the detect → re-plan → resume state
-    /// machine.
+    /// Runs one iteration on `demand` (one matrix per layer) through the
+    /// detect → re-plan → resume state machine: plans every layer, drops
+    /// the dead devices' tokens, stretches straggler compute and
+    /// schedules the iteration on the live devices.
     ///
     /// # Errors
     ///
     /// [`TrainError::Recovery`] if an active device failure leaves the
     /// system unable to continue (every expert needs a live replica).
-    pub fn step(&mut self) -> Result<IterationReport, TrainError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `demand` does not hold one matrix per layer, or a
+    /// matrix's shape disagrees with the cluster and model.
+    pub fn step(&mut self, mut demand: Vec<RoutingMatrix>) -> Result<TrainStep, TrainError> {
+        assert_eq!(demand.len(), self.cfg.layers, "one demand matrix per layer");
         let active = self.plan.active_at(self.iteration);
-        self.system.set_planner_available(!active.planner_outage());
-
-        // ---- detect + re-plan on newly observed device failures ----
-        let newly_failed: Vec<DeviceId> = active
-            .failed_devices()
-            .filter(|d| !self.handled_failures.contains(&d.index()))
+        let penalty = self.detect(&active)?;
+        let live = self.resume(&active);
+        if self.elastic {
+            // Elastic batch: the dead devices' tokens are dropped.
+            for matrix in &mut demand {
+                for &d in &self.handled_failures {
+                    for e in 0..matrix.num_experts() {
+                        matrix.set(DeviceId::new(d), ExpertId::new(e), 0);
+                    }
+                }
+            }
+        }
+        let mut plans: Vec<LayerPlan> = demand
+            .iter()
+            .enumerate()
+            .map(|(l, d)| self.system.plan_layer(l, self.iteration, d))
             .collect();
-        let mut penalty = 0.0;
-        if !newly_failed.is_empty() {
-            let failure_view = active.degraded_view(&self.topo);
+        // Lend every layer's timings to the schedule (handed back below),
+        // stretching straggler compute. (Attention is a single scalar in
+        // LayerTimings, so the slowdown is applied to the dominant,
+        // device-resolved compute term.)
+        let timings: Vec<LayerTimings> = plans
+            .iter_mut()
+            .map(|plan| {
+                let mut timings = std::mem::take(&mut plan.timings);
+                for (d, t) in timings.expert_forward.iter_mut().enumerate() {
+                    *t *= active.compute_multiplier(DeviceId::new(d));
+                }
+                timings
+            })
+            .collect();
+        let options = EngineOptions {
+            record_deps: self.cfg.record_deps,
+        };
+        let mut engine = Engine::with_options(&self.topo, options);
+        let t = schedule_iteration_on(&mut engine, &self.topo, &live, &timings, self.opts);
+        record_fault_spans(engine.timeline_mut(), &active, 0.0, t.total);
+        for (plan, timings) in plans.iter_mut().zip(timings) {
+            plan.timings = timings;
+        }
+
+        let report = IterationReport {
+            iteration: self.iteration,
+            time: t.total + penalty,
+            tokens: live.len() as u64 * self.cfg.tokens_per_device,
+            degraded: !active.is_empty(),
+        };
+        self.iteration += 1;
+        self.iteration_times.push(report.time);
+        if self.iteration.is_multiple_of(CHECKPOINT_INTERVAL) {
+            self.last_checkpoint_iteration = self.iteration;
+        }
+        Ok(TrainStep {
+            report,
+            plans,
+            engine,
+        })
+    }
+
+    /// Detect and re-plan: forgets the failures whose window closed (the
+    /// device rejoined) and lets the system react to newly observed
+    /// ones. Returns the recovery seconds charged to this iteration.
+    fn detect(&mut self, active: &ActiveFaults) -> Result<f64, TrainError> {
+        self.system.set_planner_available(!active.planner_outage());
+        self.handled_failures
+            .retain(|&d| active.is_failed(DeviceId::new(d)));
+        let newly_failed: Vec<usize> = active
+            .failed_devices()
+            .map(DeviceId::index)
+            .filter(|d| !self.handled_failures.contains(d))
+            .collect();
+        if newly_failed.is_empty() {
+            return Ok(0.0);
+        }
+        let failure_view = active.degraded_view(&self.topo);
+        let penalty =
             if self.system.handle_device_failures(&failure_view)? == CapacityResponse::Restart {
                 // Static layout (or no planner to re-plan with):
                 // collective timeout, reload the last checkpoint onto
@@ -248,96 +349,57 @@ impl FaultRunner {
                 } else {
                     self.iteration_times.iter().sum::<f64>() / self.iteration_times.len() as f64
                 };
-                penalty += COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD + redo as f64 * avg;
+                COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD + redo as f64 * avg
             } else {
                 // Elastic continuation on the survivors.
                 self.elastic = true;
-                penalty += DETECTION_DELAY + REPLAN_PENALTY;
-            }
-            for d in newly_failed {
-                self.handled_failures.push(d.index());
-            }
-            self.handled_failures.sort_unstable();
-        }
+                DETECTION_DELAY + REPLAN_PENALTY
+            };
+        self.handled_failures.extend(newly_failed);
+        self.handled_failures.sort_unstable();
+        Ok(penalty)
+    }
 
-        // ---- network view for this iteration's pricing ----
-        // Elastic systems keep the failures in view; restarted systems
-        // got replacement hardware, so only link faults remain for them.
+    /// Resume: installs the network view this iteration is priced
+    /// against and returns the devices that execute it. Elastic systems
+    /// keep the failures in view; restarted systems got replacement
+    /// hardware, so only link faults remain for them.
+    fn resume(&mut self, active: &ActiveFaults) -> Vec<DeviceId> {
+        if active.is_empty() {
+            self.system.context_mut().set_fault_view(None);
+            return self.topo.devices().collect();
+        }
         let mut view = DegradedView::new(self.topo.clone());
         for (a, b, factor) in active.degraded_links() {
             view.degrade_link(a, b, factor);
         }
-        if self.elastic {
+        let live = if self.elastic {
             for d in active.failed_devices() {
                 view.fail_device(d);
             }
-        }
-        let exec: Vec<DeviceId> = if self.elastic {
             view.survivors()
         } else {
             self.topo.devices().collect()
         };
         self.system
             .context_mut()
-            .set_fault_view(if view.is_nominal() { None } else { Some(view) });
-
-        // ---- plan and execute the iteration ----
-        let degraded = !active.is_empty();
-        let mut layer_timings: Vec<LayerTimings> = Vec::with_capacity(self.cfg.layers);
-        for l in 0..self.cfg.layers {
-            let mut demand = self.gens[l].next_iteration();
-            if self.elastic {
-                // Elastic batch: the dead device's tokens are dropped.
-                for &di in &self.handled_failures {
-                    for j in 0..demand.num_experts() {
-                        demand.set(DeviceId::new(di), ExpertId::new(j), 0);
-                    }
-                }
-            }
-            let mut plan = self.system.plan_layer(l, self.iteration, &demand);
-            // Stragglers slow the device's expert computation. (Attention
-            // is a single scalar in LayerTimings, so the slowdown is
-            // applied to the dominant, device-resolved compute term.)
-            for (di, t) in plan.timings.expert_forward.iter_mut().enumerate() {
-                *t *= active.compute_multiplier(DeviceId::new(di));
-            }
-            layer_timings.push(plan.timings);
-        }
-        let opts = self.cfg.schedule_options(self.system.as_ref());
-        let mut engine = Engine::new(&self.topo);
-        let t = schedule_iteration_on(&mut engine, &self.topo, &exec, &layer_timings, opts);
-        record_fault_spans(engine.timeline_mut(), &active, 0.0, t.total);
-        if self.capture_trace {
-            let mut buf = Vec::new();
-            if write_chrome_trace(engine.timeline(), &mut buf).is_ok() {
-                self.last_trace = String::from_utf8(buf).ok();
-            }
-        }
-
-        let time = t.total + penalty;
-        let tokens = exec.len() as u64 * self.cfg.tokens_per_device;
-        let report = IterationReport {
-            iteration: self.iteration,
-            time,
-            tokens,
-            degraded,
-        };
-        self.iteration += 1;
-        self.iteration_times.push(time);
-        self.iteration_tokens.push(tokens);
-        if self.iteration.is_multiple_of(self.checkpoint_interval) {
-            self.last_checkpoint_iteration = self.iteration;
-        }
-        Ok(report)
+            .set_fault_view((!view.is_nominal()).then_some(view));
+        live
     }
 
-    /// Runs `iterations` steps and returns their reports.
+    /// Runs `iterations` steps on the configuration's routing generators
+    /// and returns their reports.
     ///
     /// # Errors
     ///
     /// Propagates the first [`TrainError`] from [`FaultRunner::step`].
     pub fn run(&mut self, iterations: u64) -> Result<Vec<IterationReport>, TrainError> {
-        (0..iterations).map(|_| self.step()).collect()
+        (0..iterations)
+            .map(|_| {
+                let demand = self.next_demand();
+                self.step(demand).map(|step| step.report)
+            })
+            .collect()
     }
 
     /// Snapshots the full mutable state for checkpoint/restore.
@@ -347,7 +409,6 @@ impl FaultRunner {
             generators: self.gens.iter().map(RoutingGenerator::checkpoint).collect(),
             system_state: self.system.snapshot(),
             iteration_times: self.iteration_times.clone(),
-            iteration_tokens: self.iteration_tokens.clone(),
             last_checkpoint_iteration: self.last_checkpoint_iteration,
             handled_failures: self.handled_failures.clone(),
             elastic: self.elastic,
@@ -360,8 +421,10 @@ impl FaultRunner {
     ///
     /// # Errors
     ///
-    /// [`TrainError::Checkpoint`] on shape mismatches,
-    /// [`TrainError::Recovery`] if the system rejects its snapshot.
+    /// [`TrainError::Checkpoint`] when the checkpoint does not fit this
+    /// run (layer count, routing shapes, a failure on a device outside
+    /// the cluster), [`TrainError::Recovery`] if the system rejects its
+    /// snapshot.
     pub fn restore(&mut self, ckpt: RunnerCheckpoint) -> Result<(), TrainError> {
         if ckpt.generators.len() != self.gens.len() {
             return Err(TrainError::Checkpoint(format!(
@@ -370,18 +433,33 @@ impl FaultRunner {
                 self.gens.len()
             )));
         }
-        self.gens = ckpt
+        let n = self.topo.num_devices();
+        if let Some(d) = ckpt.handled_failures.iter().find(|&&d| d >= n) {
+            return Err(TrainError::Checkpoint(format!(
+                "failure handled on device {d}, but the cluster has {n} devices"
+            )));
+        }
+        let gens: Vec<RoutingGenerator> = ckpt
             .generators
             .into_iter()
             .map(RoutingGenerator::from_checkpoint)
             .collect::<Result<_, _>>()?;
+        for (l, (restored, own)) in gens.iter().zip(&self.gens).enumerate() {
+            let (a, b) = (restored.config(), own.config());
+            if (a.devices, a.experts) != (b.devices, b.experts) {
+                return Err(TrainError::Checkpoint(format!(
+                    "layer {l} routes {}x{} (devices x experts), config has {}x{}",
+                    a.devices, a.experts, b.devices, b.experts
+                )));
+            }
+        }
         self.system.restore(&ckpt.system_state)?;
         // Per-step state (fault view, planner availability) is re-derived
         // from the plan inside `step`, and `handled_failures` keeps the
         // detect phase from firing again, so nothing else to re-arm.
+        self.gens = gens;
         self.iteration = ckpt.iteration;
         self.iteration_times = ckpt.iteration_times;
-        self.iteration_tokens = ckpt.iteration_tokens;
         self.last_checkpoint_iteration = ckpt.last_checkpoint_iteration;
         self.handled_failures = ckpt.handled_failures;
         self.elastic = ckpt.elastic;
@@ -407,7 +485,7 @@ mod tests {
     use crate::runner::run_experiment;
     use laer_baselines::SystemKind;
     use laer_model::ModelPreset;
-    use laer_sim::{FaultEvent, FaultKind};
+    use laer_sim::{FaultEvent, FaultKind, Span, SpanLabel};
 
     fn quick(system: SystemKind) -> ExperimentConfig {
         ExperimentConfig::new(ModelPreset::Mixtral8x7bE8k2, system)
@@ -534,8 +612,8 @@ mod tests {
             .with_layers(1)
             .with_seed(1);
         let mut runner = FaultRunner::new(cfg, failure_plan(2, 1));
-        assert!(runner.step().is_ok());
-        assert!(matches!(runner.step(), Err(TrainError::Recovery(_))));
+        assert!(runner.run(1).is_ok());
+        assert!(matches!(runner.run(1), Err(TrainError::Recovery(_))));
     }
 
     /// Checkpoint → serde round trip → restore resumes bit-identically,
@@ -626,7 +704,7 @@ mod tests {
         }
     }
 
-    /// Straggler iterations render fault spans into the Chrome trace.
+    /// Straggler iterations stamp fault spans onto the step's timeline.
     #[test]
     fn trace_renders_fault_spans() {
         let mut plan = FaultPlan::new();
@@ -639,9 +717,83 @@ mod tests {
             end: 4,
         })
         .unwrap();
-        let mut runner = FaultRunner::new(quick(SystemKind::FsdpEp), plan).with_trace_capture(true);
-        let _ = runner.run(2).unwrap();
-        let trace = runner.last_trace().expect("capture enabled");
-        assert!(trace.contains("fault"), "trace should render fault spans");
+        let mut runner = FaultRunner::new(quick(SystemKind::FsdpEp), plan);
+        let demand = runner.next_demand();
+        let step = runner.step(demand).unwrap();
+        let faults: Vec<&Span> = step
+            .engine
+            .timeline()
+            .spans()
+            .iter()
+            .filter(|s| s.label == SpanLabel::Fault)
+            .collect();
+        assert!(!faults.is_empty(), "the straggler renders a fault span");
+        assert!(faults.iter().all(|s| s.device == DeviceId::new(5)));
+    }
+
+    /// A device whose failure window closed trains again: its demand is
+    /// routed and its tokens count. A second failure on it is detected
+    /// afresh and pays the detect + re-plan charge again.
+    #[test]
+    fn rejoined_device_trains_again_and_refails_afresh() {
+        let mut plan = FaultPlan::new();
+        for (start, end) in [(4, 6), (8, u64::MAX)] {
+            plan.push(FaultEvent {
+                kind: FaultKind::DeviceFailure {
+                    device: DeviceId::new(13),
+                },
+                start,
+                end,
+            })
+            .unwrap();
+        }
+        let mut runner = FaultRunner::new(quick(SystemKind::Laer), plan);
+        for iteration in 0..9u64 {
+            let demand = runner.next_demand();
+            let offered: u64 = demand.iter().map(RoutingMatrix::total).sum();
+            let step = runner.step(demand).unwrap();
+            let routed: u64 = step
+                .plans
+                .iter()
+                .map(|p| p.routing.device_compute_loads().iter().sum::<u64>())
+                .sum();
+            let failed = (4..6).contains(&iteration) || iteration >= 8;
+            assert_eq!(routed < offered, failed, "iteration {iteration}");
+            let devices = if failed { 31 } else { 32 };
+            assert_eq!(
+                step.report.tokens,
+                devices * 16 * 1024,
+                "iteration {iteration}"
+            );
+            let penalty = step.report.time - step.engine.timeline().makespan();
+            let expected = if iteration == 4 || iteration == 8 {
+                DETECTION_DELAY + REPLAN_PENALTY
+            } else {
+                0.0
+            };
+            assert!(
+                (penalty - expected).abs() < 1e-9,
+                "iteration {iteration}: penalty {penalty}"
+            );
+        }
+    }
+
+    /// A checkpoint that does not fit the run is a typed error, and the
+    /// runner it was offered to keeps training.
+    #[test]
+    fn restore_rejects_checkpoints_that_do_not_fit() {
+        let cfg = ExperimentConfig::new(ModelPreset::Mixtral8x7bE8k2, SystemKind::Laer)
+            .with_cluster(1, 8)
+            .with_layers(1)
+            .with_seed(1);
+        let mut out_of_range = FaultRunner::new(cfg.clone(), FaultPlan::new()).checkpoint();
+        out_of_range.handled_failures = vec![999];
+        let wider = FaultRunner::new(cfg.clone().with_cluster(4, 8), FaultPlan::new()).checkpoint();
+        for ckpt in [out_of_range, wider] {
+            let mut runner = FaultRunner::new(cfg.clone(), FaultPlan::new());
+            let err = runner.restore(ckpt).unwrap_err();
+            assert!(matches!(err, TrainError::Checkpoint(_)), "{err}");
+            assert!(runner.run(2).is_ok());
+        }
     }
 }

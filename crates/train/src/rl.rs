@@ -4,16 +4,17 @@
 //! batch of prompts) with **train** phases that re-visit exactly those
 //! prompts — so the routing demand of a train phase is *replayable*
 //! from traces recorded during rollout (ReLibra, "Harnessing Routing
-//! Foresight"). This driver runs that loop against the LAER system:
+//! Foresight"). This driver runs that loop against the LAER system on
+//! the one training loop ([`FaultRunner`]):
 //!
 //! * each epoch's rollout phase records one [`RoutingTrace`] per MoE
 //!   layer from the live popularity process (which keeps drifting
 //!   across epochs as the policy updates);
-//! * the train phase replays the recorded demands, with the layout
-//!   tuner driven either by the paper's stale EMA
+//! * the train phase steps the runner on the recorded demands, with the
+//!   layout tuner driven either by the paper's stale EMA
 //!   ([`PredictorKind::Ema`]) or by the recorded trace itself
 //!   ([`PredictorKind::Replay`] via
-//!   [`laer_baselines::LaerSystem::install_replay`]);
+//!   [`laer_baselines::MoeSystem::install_replay`]);
 //! * per-epoch journal/audit records make the foresight-vs-EMA
 //!   prediction error visible per predictor mode in
 //!   [`laer_obs::AuditSummary`].
@@ -26,14 +27,14 @@
 //! prompt-keyed, so a recorded trace shuffles with it and foresight
 //! survives).
 
-use crate::runner::ExperimentConfig;
-use laer_baselines::{MoeSystem, SystemContext, SystemKind};
-use laer_fsep::{schedule_iteration, LayerTimings};
+use crate::faults::FaultRunner;
+use crate::runner::{audit_decision, ExperimentConfig};
+use laer_baselines::SystemKind;
 use laer_model::ModelPreset;
-use laer_obs::{journal, AuditRecord, Observer, RlEpochRecord};
+use laer_obs::{journal, Observer, RlEpochRecord};
 use laer_planner::{relocation_moves, ExpertLayout, PredictorKind};
-use laer_routing::{DatasetProfile, RoutingMatrix, RoutingTrace, TraceMeta};
-use laer_sim::{Engine, Timeline};
+use laer_routing::{RoutingTrace, TraceMeta};
+use laer_sim::{FaultPlan, Timeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -42,27 +43,14 @@ use serde::{Deserialize, Serialize};
 /// predictor seam under test lives in its layout tuner).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RlConfig {
-    /// Model architecture.
-    pub preset: ModelPreset,
-    /// Dataset skew profile of the prompt distribution.
-    pub dataset: DatasetProfile,
-    /// Auxiliary-loss weight (affects routing balance).
-    pub aux_loss_weight: f64,
-    /// Cluster nodes.
-    pub nodes: usize,
-    /// Devices per node.
-    pub devices_per_node: usize,
-    /// MoE layers simulated.
-    pub layers: usize,
-    /// Tokens per device per iteration `S`.
-    pub tokens_per_device: u64,
-    /// Sequence length.
-    pub seq_len: usize,
-    /// Seed of the demand process, the shuffle and the noise streams.
-    pub seed: u64,
-    /// Executor pipeline chunk count (0/1 = whole-iteration schedule).
-    #[serde(default)]
-    pub num_chunks: usize,
+    /// The training run the train phases step: model, dataset, aux
+    /// weight, cluster, layers, tokens per device, sequence length,
+    /// seed (of the demand process, the shuffle and the noise streams)
+    /// and chunk count. Its `system`, `iterations`, `warmup` and
+    /// `record_deps` are ignored: an RL run always trains LAER for
+    /// `epochs × rollouts_per_epoch` iterations without recording span
+    /// dependencies.
+    pub experiment: ExperimentConfig,
     /// Rollout→train epochs to run.
     pub epochs: usize,
     /// Prompts recorded per rollout phase = iterations replayed per
@@ -83,21 +71,13 @@ pub struct RlConfig {
 }
 
 impl RlConfig {
-    /// Defaults: 4×8 cluster, wikitext prompts, 3 epochs × 10 rollouts,
-    /// in-order replay, no extra drift, EMA predictor.
+    /// Defaults: the pre-training defaults of
+    /// [`ExperimentConfig::new`] (4×8 cluster, wikitext prompts), 3
+    /// epochs × 10 rollouts, in-order replay, no extra drift, EMA
+    /// predictor.
     pub fn new(preset: ModelPreset) -> Self {
-        let layers = preset.config().layers();
         Self {
-            preset,
-            dataset: DatasetProfile::Wikitext,
-            aux_loss_weight: 0.0,
-            nodes: 4,
-            devices_per_node: 8,
-            layers,
-            tokens_per_device: 16 * 1024,
-            seq_len: 8192,
-            seed: 0,
-            num_chunks: 0,
+            experiment: ExperimentConfig::new(preset, SystemKind::Laer),
             epochs: 3,
             rollouts_per_epoch: 10,
             replay_shuffle: false,
@@ -109,20 +89,19 @@ impl RlConfig {
 
     /// Overrides the simulated layer count.
     pub fn with_layers(mut self, layers: usize) -> Self {
-        self.layers = layers;
+        self.experiment = self.experiment.with_layers(layers);
         self
     }
 
     /// Overrides the cluster shape.
     pub fn with_cluster(mut self, nodes: usize, devices_per_node: usize) -> Self {
-        self.nodes = nodes;
-        self.devices_per_node = devices_per_node;
+        self.experiment = self.experiment.with_cluster(nodes, devices_per_node);
         self
     }
 
     /// Overrides the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.experiment = self.experiment.with_seed(seed);
         self
     }
 
@@ -167,28 +146,6 @@ impl RlConfig {
     /// predictor modes.
     pub fn system_label(&self) -> String {
         format!("laer-moe[{}]", self.predictor.id())
-    }
-
-    /// The equivalent training-runner configuration (topology, context
-    /// and per-layer demand process are shared with the pre-training
-    /// driver so RL numbers are comparable).
-    fn base(&self) -> ExperimentConfig {
-        let mut base = ExperimentConfig::new(self.preset, SystemKind::Laer)
-            .with_dataset(self.dataset)
-            .with_aux_loss(self.aux_loss_weight)
-            .with_cluster(self.nodes, self.devices_per_node)
-            .with_layers(self.layers)
-            .with_seed(self.seed)
-            .with_iterations(self.epochs * self.rollouts_per_epoch, 0);
-        base.num_chunks = self.num_chunks;
-        base
-    }
-
-    fn context(&self) -> SystemContext {
-        let mut base = self.base();
-        base.tokens_per_device = self.tokens_per_device;
-        base.seq_len = self.seq_len;
-        base.context()
     }
 }
 
@@ -269,21 +226,20 @@ pub fn run_rl(cfg: &RlConfig) -> RlResult {
 /// Panics if the configuration is degenerate (zero layers, epochs or
 /// rollouts).
 pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timeline) {
-    assert!(cfg.layers > 0, "at least one layer");
     assert!(cfg.epochs > 0, "at least one epoch");
     assert!(cfg.rollouts_per_epoch > 0, "at least one rollout");
     assert!((0.0..=1.0).contains(&cfg.drift), "drift must be in [0, 1]");
-    let base = cfg.base();
-    let topo = base.topology();
+    let mut exp = cfg.experiment.clone().with_record_deps(false);
+    exp.system = SystemKind::Laer;
+    let topo = exp.topology();
     let n = topo.num_devices();
     let label = cfg.system_label();
-    let mut system = base.laer_system(cfg.context());
-    let opts = base.schedule_options(&system);
+    let mut runner = FaultRunner::new(exp.clone(), FaultPlan::new());
+    let opts = runner.schedule_options();
     declare_rl_metrics(obs);
 
-    let mut gens = base.layer_generators();
     let rollouts = cfg.rollouts_per_epoch;
-    let mut prev_layouts: Vec<Option<ExpertLayout>> = vec![None; cfg.layers];
+    let mut prev_layouts: Vec<Option<ExpertLayout>> = vec![None; exp.layers];
     let mut epochs = Vec::with_capacity(cfg.epochs);
     let mut all_step_time = 0.0f64;
     let mut all_err = 0.0f64;
@@ -293,22 +249,11 @@ pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timelin
     let mut last_timeline: Option<Timeline> = None;
 
     for epoch in 0..cfg.epochs {
-        // --- Rollout phase: generate this epoch's prompts and record
-        // their routing, one trace per layer. ---
-        let recorded: Vec<RoutingTrace> = (0..cfg.layers)
-            .map(|l| {
-                let mut t = RoutingTrace::new(TraceMeta {
-                    description: format!("rl rollout epoch {epoch} layer {l}"),
-                    seed: Some(cfg.seed),
-                });
-                t.record_from(&mut gens[l], rollouts);
-                t
-            })
-            .collect();
+        let recorded = rollout(&mut runner, cfg, epoch);
         // The train dataloader's visit order over the rollout buffer;
         // prompt-keyed, so the replayed traces permute with it.
         let order: Vec<usize> = if cfg.replay_shuffle {
-            permutation(rollouts, cfg.seed ^ (epoch as u64).wrapping_mul(0x9E37))
+            permutation(rollouts, exp.seed ^ (epoch as u64).wrapping_mul(0x9E37))
         } else {
             (0..rollouts).collect()
         };
@@ -327,10 +272,10 @@ pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timelin
             })
             .collect();
         if cfg.predictor == PredictorKind::Replay {
-            system.install_replay(
+            runner.system_mut().install_replay(
                 exec.clone(),
                 cfg.replay_noise,
-                cfg.seed.wrapping_add(epoch as u64),
+                exp.seed.wrapping_add(epoch as u64),
             );
         }
 
@@ -340,61 +285,48 @@ pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timelin
         let mut epoch_decisions = 0usize;
         let mut epoch_moves = 0u64;
         for t in 0..rollouts {
-            let iter = (epoch * rollouts + t) as u64;
+            let demand = exec
+                .iter()
+                .map(|trace| {
+                    trace
+                        .get(t)
+                        .unwrap_or_else(|| unreachable!("recorded above"))
+                        .clone()
+                })
+                .collect();
+            let step = runner
+                .step(demand)
+                .unwrap_or_else(|e| unreachable!("a fault-free step cannot fail: {e}"));
+            let iter = step.report.iteration;
             let mut iter_ratio = 0.0f64;
-            let mut layer_timings: Vec<LayerTimings> = Vec::with_capacity(cfg.layers);
-            for (l, trace) in exec.iter().enumerate() {
-                let demand: &RoutingMatrix = trace
-                    .get(t)
-                    .unwrap_or_else(|| unreachable!("recorded above"));
-                let plan = system.plan_layer(l, iter, demand);
+            for (l, plan) in step.plans.iter().enumerate() {
                 let ratio = plan.max_token_ratio();
                 iter_ratio += ratio;
                 ratio_acc += ratio;
                 if let Some(prev) = &prev_layouts[l] {
                     epoch_moves += relocation_moves(&topo, prev, &plan.layout).len() as u64;
                 }
-                prev_layouts[l] = Some(plan.layout.clone());
-                let max = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
-                let record = AuditRecord {
-                    system: label.clone(),
-                    iteration: iter,
-                    layer: l,
-                    trigger: plan.audit.trigger.clone(),
-                    predicted_comm: plan.audit.predicted_comm,
-                    predicted_comp: plan.audit.predicted_comp,
-                    actual_comm: 2.0 * max(&plan.timings.dispatch)
-                        + 2.0 * max(&plan.timings.combine),
-                    actual_comp: opts.expert_roundtrip_factor() * max(&plan.timings.expert_forward),
-                    actual_imbalance: ratio,
-                };
-                epoch_err += record.rel_error().abs();
+                epoch_err += audit_decision(obs, &label, iter, l, plan, ratio, opts);
                 epoch_decisions += 1;
-                obs.registry.inc(
-                    "laer_plan_decisions_total",
-                    &[("system", label.as_str()), ("trigger", &plan.audit.trigger)],
-                    1,
-                );
-                obs.audit.push(record);
-                layer_timings.push(plan.timings);
             }
-            let mut engine = Engine::new(&topo);
-            let sched = schedule_iteration(&mut engine, &topo, &layer_timings, opts);
-            epoch_time += sched.total;
+            epoch_time += step.report.time;
             let record = journal::iteration_record(
                 &label,
                 iter,
-                sched.total,
-                iter_ratio / cfg.layers as f64,
-                engine.timeline(),
+                step.report.time,
+                iter_ratio / exp.layers as f64,
+                step.engine.timeline(),
                 n,
                 opts.effective_chunks(),
             );
             obs.journal.push("iteration", &record);
             obs.registry
                 .inc("laer_rl_train_iterations_total", &[("system", &label)], 1);
+            for (prev, plan) in prev_layouts.iter_mut().zip(step.plans) {
+                *prev = Some(plan.layout);
+            }
             if epoch + 1 == cfg.epochs && t + 1 == rollouts {
-                last_timeline = Some(engine.timeline().clone());
+                last_timeline = Some(step.engine.into_timeline());
             }
         }
 
@@ -429,17 +361,15 @@ pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timelin
         // advances an extra `drift` fraction of an epoch. ---
         if epoch + 1 < cfg.epochs && cfg.drift > 0.0 {
             let skip = (cfg.drift * rollouts as f64).ceil() as usize;
-            for gen in &mut gens {
-                for _ in 0..skip {
-                    let _ = gen.next_iteration();
-                }
+            for _ in 0..skip {
+                let _ = runner.next_demand();
             }
         }
     }
 
     let iters = (cfg.epochs * rollouts) as f64;
     let avg_step_time = all_step_time / iters;
-    let global_tokens = n as u64 * cfg.tokens_per_device;
+    let global_tokens = n as u64 * exp.tokens_per_device;
     obs.registry.set(
         "laer_rl_avg_step_seconds",
         &[("system", &label)],
@@ -463,12 +393,31 @@ pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timelin
         tokens_per_second: global_tokens as f64 / avg_step_time,
         audit_mean_abs_rel_error: all_err / all_decisions as f64,
         relocation_moves: all_moves,
-        avg_max_token_ratio: ratio_acc / (iters * cfg.layers as f64),
+        avg_max_token_ratio: ratio_acc / (iters * exp.layers as f64),
     };
     (
         result,
         last_timeline.unwrap_or_else(|| unreachable!("at least one iteration ran")),
     )
+}
+
+/// Rollout phase: generates this epoch's prompts from the runner's
+/// demand process and records their routing, one trace per layer.
+fn rollout(runner: &mut FaultRunner, cfg: &RlConfig, epoch: usize) -> Vec<RoutingTrace> {
+    let mut traces: Vec<RoutingTrace> = (0..cfg.experiment.layers)
+        .map(|l| {
+            RoutingTrace::new(TraceMeta {
+                description: format!("rl rollout epoch {epoch} layer {l}"),
+                seed: Some(cfg.experiment.seed),
+            })
+        })
+        .collect();
+    for _ in 0..cfg.rollouts_per_epoch {
+        for (trace, matrix) in traces.iter_mut().zip(runner.next_demand()) {
+            trace.push(matrix);
+        }
+    }
+    traces
 }
 
 /// Seeded Fisher–Yates permutation of `0..n`.
@@ -600,5 +549,52 @@ mod tests {
             replay_drift.audit_mean_abs_rel_error,
             ema_drift.audit_mean_abs_rel_error
         );
+    }
+
+    /// An EMA epoch without shuffle or drift replays exactly the
+    /// pre-training run of the same configuration, at a non-default
+    /// token count too: the rollouts draw the configured 8,192 tokens ×
+    /// top-2 = 16,384 assignments per device, the count the context
+    /// prices.
+    #[test]
+    fn rl_honours_the_configured_tokens_per_device() {
+        use crate::runner::run_experiment;
+        use laer_cluster::DeviceId;
+
+        let mut cfg = quick().with_epochs(1);
+        cfg.experiment.tokens_per_device = 8192;
+        let mut runner = FaultRunner::new(cfg.experiment.clone(), FaultPlan::new());
+        for trace in rollout(&mut runner, &cfg, 0) {
+            for matrix in trace.iter() {
+                for d in 0..matrix.num_devices() {
+                    assert_eq!(matrix.device_total(DeviceId::new(d)), 16_384);
+                }
+            }
+        }
+        let rl = run_rl(&cfg);
+        let pretraining = run_experiment(
+            &cfg.experiment
+                .clone()
+                .with_iterations(cfg.rollouts_per_epoch, 0),
+        );
+        assert_eq!(rl.avg_step_time, pretraining.avg_iteration_time);
+        assert_eq!(rl.tokens_per_second, pretraining.tokens_per_second);
+    }
+
+    /// The experiment's system, iteration counts and dependency
+    /// recording do not reach an RL run: it trains LAER either way, and
+    /// replay foresight still applies.
+    #[test]
+    fn rl_trains_laer_whatever_the_experiment_names() {
+        for predictor in [PredictorKind::Ema, PredictorKind::Replay] {
+            let cfg = quick().with_predictor(predictor);
+            let mut other = cfg.clone();
+            other.experiment = other
+                .experiment
+                .with_iterations(1, 7)
+                .with_record_deps(true);
+            other.experiment.system = SystemKind::VanillaEp;
+            assert_eq!(run_rl(&cfg), run_rl(&other), "{predictor:?}");
+        }
     }
 }

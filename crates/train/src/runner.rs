@@ -1,17 +1,20 @@
-//! The experiment driver.
+//! The experiment drivers: every `run_experiment*` steps one fault-free
+//! [`FaultRunner`] and aggregates what its steps return.
 
+use crate::faults::{FaultRunner, TrainError};
 use laer_baselines::{
     predicted_bottleneck_device, FasterMoeSystem, FlexMoeSystem, FsdpEpSystem, LaerSystem,
-    MegatronSystem, MoeSystem, SmartMoeSystem, SystemContext, SystemKind, VanillaEpSystem,
+    LayerPlan, MegatronSystem, MoeSystem, SmartMoeSystem, SystemContext, SystemKind,
+    VanillaEpSystem,
 };
 use laer_cluster::Topology;
-use laer_fsep::{schedule_iteration, LayerTimings, ScheduleOptions};
+use laer_fsep::ScheduleOptions;
 use laer_model::{GpuSpec, ModelPreset};
 use laer_obs::{
     critpath, journal, AuditRecord, BlameEntry, CritPathRecord, Histogram, Observer, WhatIf,
 };
-use laer_routing::{DatasetProfile, RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
-use laer_sim::{Breakdown, Engine, EngineOptions, Timeline};
+use laer_routing::{DatasetProfile, RoutingGenerator, RoutingGeneratorConfig, RoutingTrace};
+use laer_sim::{Breakdown, FaultPlan, Timeline};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -163,38 +166,18 @@ impl ExperimentConfig {
     pub(crate) fn build_system(&self) -> Box<dyn MoeSystem> {
         let ctx = self.context();
         match self.system {
-            SystemKind::Laer => Box::new(self.laer_system(ctx)),
+            // Chunked pipelining reaches LAER's planner pricing too; the
+            // other systems only chunk their schedules.
+            SystemKind::Laer if self.num_chunks > 0 => {
+                Box::new(LaerSystem::new(ctx).with_num_chunks(self.num_chunks))
+            }
+            SystemKind::Laer => Box::new(LaerSystem::new(ctx)),
             SystemKind::Flex => Box::new(FlexMoeSystem::new(ctx, self.layers)),
             SystemKind::FsdpEp => Box::new(FsdpEpSystem::new(ctx)),
             SystemKind::Megatron => Box::new(MegatronSystem::new(ctx)),
             SystemKind::VanillaEp => Box::new(VanillaEpSystem::new(ctx)),
             SystemKind::SmartMoe => Box::new(SmartMoeSystem::new(ctx, self.layers, 100)),
             SystemKind::FasterMoe => Box::new(FasterMoeSystem::new(ctx, 1)),
-        }
-    }
-
-    /// LAER on `ctx`: chunked pipelining reaches its planner's pricing
-    /// too, where the other systems only chunk their schedules
-    /// ([`Self::schedule_options`]).
-    pub(crate) fn laer_system(&self, ctx: SystemContext) -> LaerSystem {
-        let sys = LaerSystem::new(ctx);
-        if self.num_chunks > 0 {
-            sys.with_num_chunks(self.num_chunks)
-        } else {
-            sys
-        }
-    }
-
-    /// The stream-scheduling options `system` runs under in this
-    /// experiment: its own, with the configured chunk count applied.
-    /// Every training loop (`run_experiment`, `run_rl`, [`crate::FaultRunner`])
-    /// schedules with these.
-    pub(crate) fn schedule_options(&self, system: &dyn MoeSystem) -> ScheduleOptions {
-        let opts = system.schedule_options();
-        if self.num_chunks > 0 {
-            opts.with_num_chunks(self.num_chunks)
-        } else {
-            opts
         }
     }
 
@@ -274,8 +257,22 @@ pub struct TrainDiagnosis {
 ///
 /// Panics if the configuration is degenerate (zero layers/iterations).
 pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    let mut gens = cfg.layer_generators();
-    run_with_demands(cfg, |l, _| gens[l].next_iteration())
+    drive(cfg, cfg.build_system(), None, None).0
+}
+
+/// [`run_experiment`] for a prebuilt `system` on its context's cluster:
+/// the Fig. 12 ablation variants and racked topologies, which
+/// [`SystemKind`] and the node × device shape cannot name. The layers,
+/// routing generators, chunk count, dependency recording and token
+/// count still come from `cfg`.
+///
+/// # Panics
+///
+/// Panics if the configuration is degenerate (zero layers/iterations),
+/// or its device count, expert count or tokens per device disagree with
+/// the system's context.
+pub fn run_experiment_with(cfg: &ExperimentConfig, system: Box<dyn MoeSystem>) -> ExperimentResult {
+    drive(cfg, system, None, None).0
 }
 
 /// [`run_experiment`] plus a telemetry sink: every measured iteration
@@ -294,9 +291,7 @@ pub fn run_experiment_observed(
     cfg: &ExperimentConfig,
     obs: &mut Observer,
 ) -> (ExperimentResult, Timeline) {
-    let mut gens = cfg.layer_generators();
-    let (result, timeline, _) =
-        run_with_demands_observed(cfg, |l, _| gens[l].next_iteration(), Some(obs));
+    let (result, timeline, _) = drive(cfg, cfg.build_system(), None, Some(obs));
     (
         result,
         timeline.unwrap_or_else(|| unreachable!("observed runs capture a timeline")),
@@ -321,9 +316,7 @@ pub fn run_experiment_diagnosed(
         cfg.record_deps,
         "run_experiment_diagnosed requires cfg.record_deps"
     );
-    let mut gens = cfg.layer_generators();
-    let (result, timeline, diagnosis) =
-        run_with_demands_observed(cfg, |l, _| gens[l].next_iteration(), Some(obs));
+    let (result, timeline, diagnosis) = drive(cfg, cfg.build_system(), None, Some(obs));
     (
         result,
         timeline.unwrap_or_else(|| unreachable!("observed runs capture a timeline")),
@@ -335,40 +328,70 @@ pub fn run_experiment_diagnosed(
 /// layer of iteration `i` consumes the trace's matrix `i` (Appendix D's
 /// trace-driven methodology). Iterations beyond the trace wrap around.
 ///
+/// # Errors
+///
+/// [`TrainError::Trace`] if the trace is empty or a matrix's device or
+/// expert count disagrees with the configuration's cluster and model.
+///
 /// # Panics
 ///
-/// Panics if the trace is empty or its shape disagrees with the
-/// configuration's cluster and model.
+/// Panics if the configuration is degenerate (zero layers/iterations).
 pub fn run_experiment_on_trace(
     cfg: &ExperimentConfig,
-    trace: &laer_routing::RoutingTrace,
-) -> ExperimentResult {
-    let Some(first) = trace.get(0) else {
-        panic!("trace must contain iterations");
-    };
-    assert_eq!(
-        first.num_devices(),
-        cfg.nodes * cfg.devices_per_node,
-        "trace device count"
-    );
-    assert_eq!(
-        first.num_experts(),
-        cfg.preset.config().experts(),
-        "trace expert count"
-    );
-    run_with_demands(cfg, |_, iter| {
-        trace
-            .get(iter as usize % trace.len())
-            .unwrap_or_else(|| unreachable!("wrapped index in range"))
-            .clone()
-    })
+    trace: &RoutingTrace,
+) -> Result<ExperimentResult, TrainError> {
+    if trace.is_empty() {
+        return Err(TrainError::Trace("the trace has no iterations".into()));
+    }
+    let devices = cfg.nodes * cfg.devices_per_node;
+    let experts = cfg.preset.config().experts();
+    for (i, m) in trace.iter().enumerate() {
+        if (m.num_devices(), m.num_experts()) != (devices, experts) {
+            return Err(TrainError::Trace(format!(
+                "iteration {i} routes {} devices x {} experts, the experiment has {devices} x {experts}",
+                m.num_devices(),
+                m.num_experts()
+            )));
+        }
+    }
+    Ok(drive(cfg, cfg.build_system(), Some(trace), None).0)
 }
 
-fn run_with_demands(
-    cfg: &ExperimentConfig,
-    demand_for: impl FnMut(usize, u64) -> RoutingMatrix,
-) -> ExperimentResult {
-    run_with_demands_observed(cfg, demand_for, None).0
+/// Joins one layer decision's planning-time belief with what the
+/// executor was actually charged into the decision audit, and counts the
+/// decision by trigger. The layer's four A2A passes are the dispatch +
+/// combine stragglers twice (forward and backward); expert compute is
+/// the forward straggler times the schedule's roundtrip factor. Returns
+/// the row's |relative error|.
+pub(crate) fn audit_decision(
+    obs: &mut Observer,
+    system: &str,
+    iteration: u64,
+    layer: usize,
+    plan: &LayerPlan,
+    imbalance: f64,
+    opts: ScheduleOptions,
+) -> f64 {
+    let max = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
+    let record = AuditRecord {
+        system: system.to_string(),
+        iteration,
+        layer,
+        trigger: plan.audit.trigger.clone(),
+        predicted_comm: plan.audit.predicted_comm,
+        predicted_comp: plan.audit.predicted_comp,
+        actual_comm: 2.0 * max(&plan.timings.dispatch) + 2.0 * max(&plan.timings.combine),
+        actual_comp: opts.expert_roundtrip_factor() * max(&plan.timings.expert_forward),
+        actual_imbalance: imbalance,
+    };
+    let error = record.rel_error().abs();
+    obs.registry.inc(
+        "laer_plan_decisions_total",
+        &[("system", system), ("trigger", &plan.audit.trigger)],
+        1,
+    );
+    obs.audit.push(record);
+    error
 }
 
 /// Blame accumulator keyed by `(label, device, stream)`, merged across
@@ -428,18 +451,24 @@ fn declare_train_metrics(obs: &mut Observer) {
     );
 }
 
-fn run_with_demands_observed(
+/// The driver behind every `run_experiment*`: steps a fault-free
+/// [`FaultRunner`] around `system` through `cfg.warmup + cfg.iterations`
+/// iterations, on the configuration's routing generators or, with
+/// `trace`, on the trace's matrix `i % len` for every layer of iteration
+/// `i`. Aggregates the measured iterations and, with `obs`, audits every
+/// decision and journals (and, with `cfg.record_deps`, diagnoses) every
+/// measured iteration.
+fn drive(
     cfg: &ExperimentConfig,
-    mut demand_for: impl FnMut(usize, u64) -> RoutingMatrix,
+    system: Box<dyn MoeSystem>,
+    trace: Option<&RoutingTrace>,
     mut obs: Option<&mut Observer>,
 ) -> (ExperimentResult, Option<Timeline>, Option<TrainDiagnosis>) {
-    assert!(cfg.layers > 0, "at least one layer");
     assert!(cfg.iterations > 0, "at least one measured iteration");
-    let topo = cfg.topology();
-    let n = topo.num_devices();
-    let mut system = cfg.build_system();
     let name = system.name();
-    let opts = cfg.schedule_options(system.as_ref());
+    let n = system.context().topology().num_devices();
+    let mut runner = FaultRunner::with_system(cfg.clone(), FaultPlan::new(), system);
+    let opts = runner.schedule_options();
     if let Some(o) = obs.as_deref_mut() {
         declare_train_metrics(o);
         if cfg.record_deps {
@@ -453,7 +482,6 @@ fn run_with_demands_observed(
     let mut iteration_times = Vec::with_capacity(cfg.iterations);
     let mut breakdown_acc = Breakdown::default();
     let mut ratio_acc = 0.0f64;
-    let mut ratio_count = 0usize;
     let mut last_timeline = None;
     let mut diag_agreements = 0u64;
     let mut diag_iterations = 0u64;
@@ -464,107 +492,89 @@ fn run_with_demands_observed(
 
     let total_iters = cfg.warmup + cfg.iterations;
     for iter in 0..total_iters {
+        let demand = match trace {
+            Some(t) => {
+                let matrix = t
+                    .get(iter % t.len())
+                    .unwrap_or_else(|| unreachable!("wrapped index in range"));
+                vec![matrix.clone(); cfg.layers]
+            }
+            None => runner.next_demand(),
+        };
+        let step = runner
+            .step(demand)
+            .unwrap_or_else(|e| unreachable!("a fault-free step cannot fail: {e}"));
         let measured = iter >= cfg.warmup;
         let mut iter_ratio = 0.0f64;
-        let mut layer_timings: Vec<LayerTimings> = Vec::with_capacity(cfg.layers);
         let mut iter_loads: Vec<Vec<u64>> = Vec::new();
-        for l in 0..cfg.layers {
-            let demand = demand_for(l, iter as u64);
-            let plan = system.plan_layer(l, iter as u64, &demand);
+        for (l, plan) in step.plans.iter().enumerate() {
             let ratio = plan.max_token_ratio();
             iter_ratio += ratio;
             if measured {
                 ratio_acc += ratio;
-                ratio_count += 1;
-            }
-            if cfg.record_deps && measured {
-                iter_loads.push(plan.audit.predicted_loads.clone());
+                if cfg.record_deps {
+                    iter_loads.push(plan.audit.predicted_loads.clone());
+                }
             }
             if let Some(o) = obs.as_deref_mut() {
-                // Join the decision's belief with what the executor was
-                // actually charged: the layer's four A2A passes are the
-                // dispatch + combine stragglers twice (forward and
-                // backward), expert compute is the forward straggler
-                // times the schedule's roundtrip factor.
-                let max = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
-                o.audit.push(AuditRecord {
+                audit_decision(o, name, iter as u64, l, plan, ratio, opts);
+            }
+        }
+        if !measured {
+            continue;
+        }
+        let t = step.report.time;
+        let timeline = step.engine.timeline();
+        iteration_times.push(t);
+        breakdown_acc.accumulate(&timeline.breakdown(n));
+        let Some(o) = obs.as_deref_mut() else {
+            continue;
+        };
+        let record = journal::iteration_record(
+            name,
+            iter as u64,
+            t,
+            iter_ratio / cfg.layers as f64,
+            timeline,
+            n,
+            opts.effective_chunks(),
+        );
+        o.journal.push("iteration", &record);
+        o.registry
+            .inc("laer_train_iterations_total", &[("system", name)], 1);
+        o.registry
+            .observe("laer_train_step_seconds", &[("system", name)], t);
+        if cfg.record_deps {
+            let report = critpath::critical_path(timeline)
+                .unwrap_or_else(|| unreachable!("recording engine has a dep log"));
+            let critical_device = report.critical_device().unwrap_or(0);
+            let predicted_device = predicted_bottleneck_device(&iter_loads).unwrap_or(0);
+            let agree = critical_device == predicted_device;
+            o.journal.push(
+                "critpath",
+                &CritPathRecord {
                     system: name.to_string(),
                     iteration: iter as u64,
-                    layer: l,
-                    trigger: plan.audit.trigger.clone(),
-                    predicted_comm: plan.audit.predicted_comm,
-                    predicted_comp: plan.audit.predicted_comp,
-                    actual_comm: 2.0 * max(&plan.timings.dispatch)
-                        + 2.0 * max(&plan.timings.combine),
-                    actual_comp: opts.expert_roundtrip_factor() * max(&plan.timings.expert_forward),
-                    actual_imbalance: ratio,
-                });
-                o.registry.inc(
-                    "laer_plan_decisions_total",
-                    &[("system", name), ("trigger", &plan.audit.trigger)],
-                    1,
-                );
+                    makespan: report.makespan,
+                    residual: report.residual,
+                    critical_device,
+                    predicted_device,
+                    agree,
+                    top_blame: report.top_blame(3).to_vec(),
+                },
+            );
+            diag_iterations += 1;
+            diag_agreements += u64::from(agree);
+            diag_residual += report.residual;
+            merge_blame(&mut diag_blame, &report.blame);
+            if iter + 1 == total_iters {
+                diag_edges = report.edges();
+                diag_what_ifs = critpath::standard_what_ifs(timeline)
+                    .unwrap_or_else(|| unreachable!("recording engine has a dep log"));
             }
-            layer_timings.push(plan.timings);
         }
-        let mut engine = Engine::with_options(
-            &topo,
-            EngineOptions {
-                record_deps: cfg.record_deps,
-            },
-        );
-        let t = schedule_iteration(&mut engine, &topo, &layer_timings, opts);
-        if measured {
-            iteration_times.push(t.total);
-            breakdown_acc.accumulate(&engine.timeline().breakdown(n));
-            if let Some(o) = obs.as_deref_mut() {
-                let record = journal::iteration_record(
-                    name,
-                    iter as u64,
-                    t.total,
-                    iter_ratio / cfg.layers as f64,
-                    engine.timeline(),
-                    n,
-                    opts.effective_chunks(),
-                );
-                o.journal.push("iteration", &record);
-                o.registry
-                    .inc("laer_train_iterations_total", &[("system", name)], 1);
-                o.registry
-                    .observe("laer_train_step_seconds", &[("system", name)], t.total);
-                if cfg.record_deps {
-                    let report = critpath::critical_path(engine.timeline())
-                        .unwrap_or_else(|| unreachable!("recording engine has a dep log"));
-                    let critical_device = report.critical_device().unwrap_or(0);
-                    let predicted_device = predicted_bottleneck_device(&iter_loads).unwrap_or(0);
-                    let agree = critical_device == predicted_device;
-                    o.journal.push(
-                        "critpath",
-                        &CritPathRecord {
-                            system: name.to_string(),
-                            iteration: iter as u64,
-                            makespan: report.makespan,
-                            residual: report.residual,
-                            critical_device,
-                            predicted_device,
-                            agree,
-                            top_blame: report.top_blame(3).to_vec(),
-                        },
-                    );
-                    diag_iterations += 1;
-                    diag_agreements += u64::from(agree);
-                    diag_residual += report.residual;
-                    merge_blame(&mut diag_blame, &report.blame);
-                    if iter + 1 == total_iters {
-                        diag_edges = report.edges();
-                        diag_what_ifs = critpath::standard_what_ifs(engine.timeline())
-                            .unwrap_or_else(|| unreachable!("recording engine has a dep log"));
-                    }
-                }
-                if iter + 1 == total_iters {
-                    last_timeline = Some(engine.timeline().clone());
-                }
-            }
+        if iter + 1 == total_iters {
+            last_timeline = Some(step.engine.into_timeline());
         }
     }
 
@@ -611,7 +621,7 @@ fn run_with_demands_observed(
         avg_iteration_time,
         tokens_per_second: global_tokens as f64 / avg_iteration_time,
         breakdown: breakdown_acc.scale(1.0 / cfg.iterations as f64),
-        avg_max_token_ratio: ratio_acc / ratio_count as f64,
+        avg_max_token_ratio: ratio_acc / (cfg.iterations * cfg.layers) as f64,
         iteration_times,
     };
     (result, last_timeline, diagnosis)
@@ -764,17 +774,36 @@ mod tests {
             .with_seed(3),
             4, // shorter than warmup+iterations: exercises wrap-around
         );
-        let r = run_experiment_on_trace(&cfg, &trace);
+        let r = run_experiment_on_trace(&cfg, &trace).unwrap();
         assert!(r.tokens_per_second > 0.0);
         assert_eq!(r.iteration_times.len(), cfg.iterations);
     }
 
+    /// A prebuilt system whose context disagrees with the configuration
+    /// is refused before the run starts.
     #[test]
-    #[should_panic(expected = "trace device count")]
-    fn trace_shape_mismatch_panics() {
-        use laer_routing::{RoutingGeneratorConfig, RoutingTrace};
+    #[should_panic(expected = "does not fit the system's context")]
+    fn prebuilt_system_on_another_cluster_is_refused() {
+        let cfg = quick(SystemKind::Laer);
+        run_experiment_with(&cfg, cfg.clone().with_cluster(2, 8).build_system());
+    }
+
+    /// A trace that does not fit the experiment is a typed error, not a
+    /// panic: an empty trace, a device-count and an expert-count
+    /// mismatch.
+    #[test]
+    fn trace_shape_mismatch_is_an_error() {
+        use laer_routing::{RoutingGeneratorConfig, RoutingTrace, TraceMeta};
         let cfg = quick(SystemKind::FsdpEp);
-        let trace = RoutingTrace::record(RoutingGeneratorConfig::new(8, 8, 64).with_seed(1), 2);
-        let _ = run_experiment_on_trace(&cfg, &trace);
+        let empty = RoutingTrace::new(TraceMeta {
+            description: String::new(),
+            seed: None,
+        });
+        let devices = RoutingTrace::record(RoutingGeneratorConfig::new(8, 8, 64).with_seed(1), 2);
+        let experts = RoutingTrace::record(RoutingGeneratorConfig::new(32, 16, 64).with_seed(1), 2);
+        for trace in [empty, devices, experts] {
+            let err = run_experiment_on_trace(&cfg, &trace).unwrap_err();
+            assert!(matches!(err, TrainError::Trace(_)), "{err}");
+        }
     }
 }
