@@ -16,9 +16,9 @@
 //!    across racks would arrange.
 
 use crate::pool::{Batch, Slot};
-use laer_baselines::{LaerSystem, SystemContext, SystemKind};
+use laer_baselines::{LaerSystem, SystemKind};
 use laer_cluster::Topology;
-use laer_model::{GpuSpec, ModelPreset};
+use laer_model::ModelPreset;
 use laer_train::{run_experiment_with, ExperimentConfig};
 use serde::{Deserialize, Serialize};
 
@@ -46,14 +46,8 @@ fn measure(topo: &Topology, layers: usize, iters: usize, seed: u64) -> f64 {
         .with_layers(layers)
         .with_iterations(iters, 3)
         .with_seed(seed.wrapping_sub(1));
-    let ctx = SystemContext::new(
-        topo.clone(),
-        cfg.preset.config(),
-        GpuSpec::a100(),
-        cfg.tokens_per_device,
-        cfg.seq_len,
-    );
-    run_experiment_with(&cfg, Box::new(LaerSystem::new(ctx))).avg_iteration_time
+    let system = LaerSystem::new(cfg.context_on(topo.clone()));
+    run_experiment_with(&cfg, Box::new(system)).avg_iteration_time
 }
 
 fn flat_topology() -> Topology {

@@ -14,18 +14,18 @@
 //! * [`serving`] — a continuous-batching scheduler with separate prefill
 //!   and decode phases on the sim's per-device streams, a bounded
 //!   admission queue, and per-request latency accounting (TTFT, TPOT,
-//!   percentiles, goodput under an SLO);
+//!   percentiles, goodput under the [`SLA`]), stepped phase by phase;
 //! * [`systems`] — the [`ServingSystem`] trait with `static-ep`,
 //!   `replicate-hot` (FasterMoE-style reactive replication) and `laer`
 //!   (the [`laer_planner::LayoutPolicy`] training's LAER drives too: EMA
 //!   predictor + the full planner of Alg. 1–4) implementations;
-//! * [`sla`] — SLO configuration and latency summaries;
+//! * [`sla`] — the SLO and latency summaries;
 //! * [`resilience`] — the fault-tolerance building blocks: retry
 //!   buffering with exponential backoff, shed-cause accounting, the
 //!   SLO-aware brownout estimator and recovery-episode records. An
 //!   optional [`laer_sim::FaultPlan`] threaded through [`ServeConfig`]
 //!   drives the detect → drain → re-plan → brownout → recover state
-//!   machine inside [`run_serving`].
+//!   machine in the step's fault-edge and admit phases.
 //!
 //! Re-layout is *charged, not assumed*: when a system adopts a new
 //! layout, the weight movement is priced through `sim::collective` and
@@ -60,6 +60,6 @@ pub use resilience::{
 pub use serving::{
     record_observability, run_serving, step_records, ServeConfig, ServeReport, ServingOutcome,
 };
-pub use sla::{LatencySummary, SlaConfig};
+pub use sla::{LatencySummary, SlaConfig, SLA};
 pub use systems::{ServingSystem, ServingSystemKind};
 pub use workload::{generate_requests, Request, TopicMix, WorkloadConfig};

@@ -3,11 +3,12 @@
 //! brownout estimator and recovery-episode records.
 //!
 //! The state machine itself (detect → drain → re-plan → brownout →
-//! recover) lives in [`crate::serving::run_serving`]; this module holds
-//! its deterministic data structures so each piece can be tested in
-//! isolation. Everything here is a pure function of its inputs — no
-//! clocks, no randomness — which is what keeps chaos runs byte-identical
-//! across `--jobs` counts.
+//! recover) is the fault-edge and admit phases of the serving step
+//! [`crate::serving::run_serving`] loops over; this module holds its
+//! deterministic data structures so each piece can be tested alone.
+//! Everything here is a pure function of its inputs — no clocks, no
+//! randomness — which is what keeps chaos runs byte-identical across
+//! `--jobs` counts.
 
 use serde::{Deserialize, Serialize};
 
@@ -29,12 +30,13 @@ pub const SERVE_FAILOVER_TIMEOUT: f64 = 0.25;
 /// holder died (drain path).
 pub const SERVE_RELOAD_TIME: f64 = 0.235;
 
-/// Default cap on per-request retries after failure interruptions.
-pub const DEFAULT_MAX_RETRIES: u32 = 3;
+/// Cap on per-request retries after failure interruptions; beyond it
+/// the request is shed as `retry_exhausted`.
+pub const MAX_RETRIES: u32 = 3;
 
-/// Default base of the exponential retry backoff, in virtual seconds:
-/// retry `k` becomes eligible `backoff * 2^(k-1)` after interruption.
-pub const DEFAULT_RETRY_BACKOFF: f64 = 5.0e-3;
+/// Base of the exponential retry backoff, in virtual seconds: retry `k`
+/// becomes eligible `RETRY_BACKOFF * 2^(k-1)` after interruption.
+pub const RETRY_BACKOFF: f64 = 5.0e-3;
 
 /// A request interrupted by a device failure, waiting out its backoff
 /// before re-entering the admission queue.

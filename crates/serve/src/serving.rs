@@ -5,17 +5,22 @@
 //! for every running request — then walks the step through the sim's
 //! per-device streams: attention on S1, dispatch All-to-All on S3,
 //! expert compute on S1, combine All-to-All on S3, and a fixed host-side
-//! overhead closing the step. When the active
-//! [`ServingSystem`](crate::ServingSystem) adopts a new expert layout,
-//! the weight movement is priced through `sim::collective` and enqueued
-//! as [`SpanLabel::Relayout`] spans on the prefetch stream. The
-//! transfer overlaps serving — the scheduler keeps routing against the
-//! *stale* layout until the transfer's simulated finish time has
-//! passed — so re-layout is charged, never assumed free: the spans
-//! occupy the prefetch stream, consecutive moves serialise on it, and
-//! the old (worse) placement stays live for the whole copy.
+//! overhead closing the step. When the active [`ServingSystem`] adopts
+//! a new expert layout, the weight movement is priced through
+//! `sim::collective` and enqueued as [`SpanLabel::Relayout`] spans on
+//! the prefetch stream. The transfer overlaps serving — the scheduler
+//! keeps routing against the *stale* layout until the transfer's
+//! simulated finish time has passed — so re-layout is charged, never
+//! assumed free: the spans occupy the prefetch stream, consecutive
+//! moves serialise on it, and the old (worse) placement stays live for
+//! the whole copy.
+//!
+//! [`run_serving`] loops over one private `ServingState`, which owns the
+//! clock, queues, layouts and recovery state. Its `step` runs the phases
+//! *fault edges*, *admit*, *relayout*, *execute* and *retire* in order,
+//! or fast-forwards the clock when nothing is queued or running.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use laer_cluster::{DegradedView, DeviceId, Interconnect, Topology};
 use laer_model::{CostModel, GpuSpec, ModelPreset, BF16_BYTES};
@@ -23,20 +28,35 @@ use laer_obs::{
     Histogram, HistogramSnapshot, Observer, ResilienceRecord, ServeStepRecord, ServingRecord,
 };
 use laer_planner::{lite_route, relocation_moves, CapacityResponse, ExpertLayout, RelocationMove};
+use laer_routing::RoutingMatrix;
 use laer_sim::{
     all_to_all_time, record_timed_fault_spans, token_a2a_times, A2aMatrix, ActiveFaults, Engine,
-    FaultPlan, Span, SpanHandle, SpanLabel, StreamKind, Timeline,
+    FaultPlan, HandledFailures, Span, SpanHandle, SpanLabel, StreamKind, Timeline,
 };
 use laer_train::ExperimentConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::resilience::{
-    RecoveryEvent, RetryBuffer, RetryEntry, ServiceRate, ShedBreakdown, DEFAULT_MAX_RETRIES,
-    DEFAULT_RETRY_BACKOFF, SERVE_DETECTION_DELAY, SERVE_FAILOVER_TIMEOUT, SERVE_RELOAD_TIME,
+    RecoveryEvent, RetryBuffer, RetryEntry, ServiceRate, ShedBreakdown, MAX_RETRIES, RETRY_BACKOFF,
+    SERVE_DETECTION_DELAY, SERVE_FAILOVER_TIMEOUT, SERVE_RELOAD_TIME,
 };
-use crate::sla::{LatencySummary, SlaConfig};
-use crate::systems::ServingSystemKind;
+use crate::sla::{LatencySummary, SLA};
+use crate::systems::{ServingSystem, ServingSystemKind};
 use crate::workload::{generate_requests, Request, TopicMix, WorkloadConfig};
+
+/// Steps between re-layout decisions.
+const RELAYOUT_PERIOD: u64 = 8;
+
+/// Recent steps whose served statistics feed each re-layout decision
+/// and the brownout's service-rate estimate.
+const STATS_WINDOW: usize = 8;
+
+/// Context length used to price attention per token.
+const ATTENTION_CONTEXT: usize = 512;
+
+/// Hard cap on scheduler steps (safety valve; requests still pending
+/// when it trips are shed as `unserved`).
+const MAX_STEPS: u64 = 200_000;
 
 /// Configuration of one serving run.
 #[derive(Debug, Clone)]
@@ -51,32 +71,16 @@ pub struct ServeConfig {
     pub devices_per_node: usize,
     /// Request workload and topic mix.
     pub workload: WorkloadConfig,
-    /// The SLO defining goodput.
-    pub sla: SlaConfig,
     /// Admission-queue bound; arrivals beyond it are rejected.
     pub queue_capacity: usize,
     /// Prefill token budget per step (continuous batching's chunk size).
     pub max_prefill_tokens: u64,
-    /// Steps between re-layout decisions.
-    pub relayout_period: u64,
-    /// Recent steps whose served statistics feed each decision.
-    pub stats_window: usize,
     /// Host-side per-step overhead in seconds (kernel launches, sampling).
     pub step_overhead: f64,
-    /// Context length used to price attention per token.
-    pub attention_context: usize,
-    /// Hard cap on scheduler steps (safety valve; requests still pending
-    /// when it trips are counted as rejected).
-    pub max_steps: u64,
     /// Optional chaos schedule: time-stamped faults injected into the
     /// run. `None` (the default) serves fault-free and byte-identically
     /// to a plan-less build.
     pub faults: Option<FaultPlan>,
-    /// Cap on per-request retries after failure interruptions; beyond it
-    /// the request is shed as `retry_exhausted`.
-    pub max_retries: u32,
-    /// Base of the exponential retry backoff in virtual seconds.
-    pub retry_backoff: f64,
     /// SLO-aware brownout: while capacity is degraded, shed arrivals
     /// whose estimated queueing wait exceeds this fraction of the TTFT
     /// budget. `None` disables brownout.
@@ -92,17 +96,10 @@ impl ServeConfig {
             nodes: 2,
             devices_per_node: 8,
             workload: WorkloadConfig::default(),
-            sla: SlaConfig::default(),
             queue_capacity: 64,
             max_prefill_tokens: 4096,
-            relayout_period: 8,
-            stats_window: 8,
             step_overhead: 1.0e-3,
-            attention_context: 512,
-            max_steps: 200_000,
             faults: None,
-            max_retries: DEFAULT_MAX_RETRIES,
-            retry_backoff: DEFAULT_RETRY_BACKOFF,
             brownout_ttft_margin: Some(0.8),
         }
     }
@@ -136,20 +133,6 @@ impl ServeConfig {
             Err(e) => panic!("serving topology: {e}"),
         }
     }
-
-    /// Sets the workload (builder style).
-    #[must_use]
-    pub fn with_workload(mut self, workload: WorkloadConfig) -> Self {
-        self.workload = workload;
-        self
-    }
-
-    /// Sets the SLO (builder style).
-    #[must_use]
-    pub fn with_sla(mut self, sla: SlaConfig) -> Self {
-        self.sla = sla;
-        self
-    }
 }
 
 /// Summary of one serving run (the JSON row of `repro -- ext-serve`).
@@ -163,7 +146,7 @@ pub struct ServeReport {
     pub requests: usize,
     /// Requests served to completion.
     pub completed: usize,
-    /// Requests rejected at admission (or still pending at `max_steps`).
+    /// Requests rejected at admission (or still pending at the step cap).
     pub rejected: usize,
     /// Scheduler steps executed.
     pub steps: u64,
@@ -260,32 +243,6 @@ struct Active {
     retries: u32,
 }
 
-/// Splits `total` across `n` devices as evenly as possible (first
-/// `total % n` devices get one extra).
-fn split_even(total: u64, n: usize) -> Vec<u64> {
-    let base = total / n as u64;
-    let rem = (total % n as u64) as usize;
-    (0..n).map(|i| base + u64::from(i < rem)).collect()
-}
-
-/// The network view serving prices a step on: active link degradations
-/// plus the devices the scheduler has actually removed. Failures enter
-/// through `live_mask`, not `active`, because a restarted (non-elastic)
-/// system runs on replacement hardware — its device set never shrinks
-/// even while the fault window is open.
-fn capacity_view(topo: &Topology, active: &ActiveFaults, live_mask: &[bool]) -> DegradedView {
-    let mut view = DegradedView::new(topo.clone());
-    for (a, b, factor) in active.degraded_links() {
-        view.degrade_link(a, b, factor);
-    }
-    for (i, &live) in live_mask.iter().enumerate() {
-        if !live {
-            view.fail_device(DeviceId::new(i));
-        }
-    }
-    view
-}
-
 /// A run's relayout weight transfers: the bytes one expert's weights
 /// occupy, and the bytes and seconds charged so far.
 struct RelocationLedger {
@@ -328,10 +285,7 @@ impl RelocationLedger {
             .unwrap_or_else(|e| unreachable!("matrix sized from the run's topology: {e}"));
         self.bytes += traffic.total();
         self.time += durations.iter().fold(0.0f64, |a, &b| a.max(b));
-        let devices: Vec<DeviceId> = (0..live_mask.len())
-            .map(DeviceId::new)
-            .filter(live)
-            .collect();
+        let devices = live_devices(live_mask);
         let durs: Vec<f64> = devices.iter().map(|d| durations[d.index()]).collect();
         let handles = engine.enqueue_collective(
             &devices,
@@ -344,11 +298,8 @@ impl RelocationLedger {
             .iter()
             .map(|&h| engine.span(h).end)
             .fold(clock, f64::max);
-        if host_fetch {
-            finish + SERVE_RELOAD_TIME
-        } else {
-            finish
-        }
+        let reload = if host_fetch { SERVE_RELOAD_TIME } else { 0.0 };
+        finish + reload
     }
 }
 
@@ -364,28 +315,18 @@ struct Resilience {
 
 impl Resilience {
     /// Interrupts every running request matched by `dead`: requests
-    /// under the retry cap re-enqueue with exponential backoff, the
+    /// under [`MAX_RETRIES`] re-enqueue with exponential backoff, the
     /// rest are shed as `retry_exhausted`.
-    fn interrupt(
-        &mut self,
-        running: &mut Vec<Active>,
-        dead: impl Fn(&Active) -> bool,
-        clock: f64,
-        max_retries: u32,
-        retry_backoff: f64,
-    ) {
-        let mut kept = Vec::with_capacity(running.len());
-        for a in running.drain(..) {
-            if !dead(&a) {
-                kept.push(a);
-                continue;
-            }
+    fn interrupt(&mut self, running: &mut Vec<Active>, dead: impl Fn(&Active) -> bool, clock: f64) {
+        let (interrupted, kept): (Vec<Active>, _) = running.drain(..).partition(|a| dead(a));
+        *running = kept;
+        for a in interrupted {
             self.interrupted += 1;
-            if a.retries >= max_retries {
+            if a.retries >= MAX_RETRIES {
                 self.shed.retry_exhausted += 1;
             } else {
                 self.retries += 1;
-                let backoff = retry_backoff * (1u64 << a.retries.min(32)) as f64;
+                let backoff = RETRY_BACKOFF * (1u64 << a.retries.min(32)) as f64;
                 self.retry_buf.push(RetryEntry {
                     req: a.req,
                     retries: a.retries + 1,
@@ -394,569 +335,618 @@ impl Resilience {
                 });
             }
         }
-        *running = kept;
     }
 }
 
-/// Runs the serving loop to completion (every request finished or
-/// rejected, or `max_steps` reached).
-///
-/// Deterministic: the outcome is a pure function of the configuration.
-pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
-    let requests = generate_requests(&cfg.workload);
-    let topo = cfg.topology();
-    let n = topo.num_devices();
-    let model = cfg.preset.config();
-    let gpu = GpuSpec::a100();
-    let cost = CostModel::new(&model, gpu);
-    let capacity = model.default_capacity();
-    let top_k = model.top_k() as u64;
-    let att_per_token =
-        model.attention_flops_per_token(cfg.attention_context) as f64 / gpu.effective_flops();
+/// The devices `live_mask` keeps in service, ascending.
+fn live_devices(live_mask: &[bool]) -> Vec<DeviceId> {
+    let live = live_mask.iter().enumerate().filter(|&(_, &l)| l);
+    live.map(|(d, _)| DeviceId::new(d)).collect()
+}
 
-    let mut system = cfg.system.build(
-        &topo,
-        &model,
-        gpu,
-        capacity,
-        cfg.relayout_period,
-        cfg.stats_window,
-    );
-    let mut mix = TopicMix::new(&cfg.workload, n, model.experts());
-    let mut engine = Engine::new(&topo);
+/// The network a step is priced on: its degraded view, else the
+/// nominal topology.
+fn priced_on<'n>(view: Option<&'n DegradedView>, topo: &'n Topology) -> &'n dyn Interconnect {
+    match view {
+        Some(v) => v,
+        None => topo,
+    }
+}
 
-    let mut applied: ExpertLayout = system.layout().clone();
-    let mut layouts = vec![applied.replica_vector()];
+/// The whole mutable state of one serving run, stepped by
+/// [`run_serving`].
+pub(crate) struct ServingState<'a> {
+    cfg: &'a ServeConfig,
+    /// The fault plan; `None` when absent or empty.
+    plan: Option<&'a FaultPlan>,
+    requests: Vec<Request>,
+    topo: Topology,
+    cost: CostModel,
+    top_k: u64,
+    /// Attention seconds per token at [`ATTENTION_CONTEXT`].
+    att_per_token: f64,
+    system: Box<dyn ServingSystem>,
+    mix: TopicMix,
+    engine: Engine,
+    relocation: RelocationLedger,
+    /// Virtual wall clock: end of the last step or idle wait. Not the
+    /// engine makespan, so a background relocation that outlasts the
+    /// step that launched it never stalls the serving steps.
+    clock: f64,
+    steps: u64,
+    /// Index of the first request that has not arrived yet.
+    next_arrival: usize,
+    queue: VecDeque<QueueEntry>,
+    running: Vec<Active>,
+    rate: ServiceRate,
+    res: Resilience,
+    /// The layout serving routes against.
+    applied: ExpertLayout,
+    /// Replica-count vectors of every applied layout (initial first).
+    layouts: Vec<Vec<usize>>,
+    /// A re-layout in flight on the prefetch stream: target layout and
+    /// the virtual time its weight transfer completes.
+    pending: Option<(ExpertLayout, f64)>,
+    /// The faults in force this step; empty without a plan.
+    active: ActiveFaults,
+    /// The devices serving runs on: failures enter only through an
+    /// elastic re-plan, because a restarted system runs on replacement
+    /// hardware and its device set never shrinks.
+    live_mask: Vec<bool>,
+    handled: HandledFailures,
+    /// Degraded links at the last fault-edge sample.
+    links: Vec<(DeviceId, DeviceId, f64)>,
+    failures: u64,
+    rejoins: u64,
+    recovery_events: Vec<RecoveryEvent>,
+    /// `Recovery` annotation spans of the devices each episode stalled.
+    recovery_spans: Vec<Span>,
+    queue_depth: Vec<(f64, usize)>,
+    live_trace: Vec<(f64, usize)>,
+    ttft: Vec<f64>,
+    tpot: Vec<f64>,
+    completed: usize,
+    good: usize,
+    generated_tokens: u64,
+}
 
-    let mut queue: VecDeque<QueueEntry> = VecDeque::new();
-    let mut running: Vec<Active> = Vec::new();
-    let mut next_arrival = 0usize;
-    let mut queue_depth: Vec<(f64, usize)> = Vec::new();
-    let mut live_trace: Vec<(f64, usize)> = Vec::new();
+impl<'a> ServingState<'a> {
+    /// A run of `cfg` before its first step.
+    pub(crate) fn new(cfg: &'a ServeConfig) -> Self {
+        let requests = generate_requests(&cfg.workload);
+        let topo = cfg.topology();
+        let n = topo.num_devices();
+        let model = cfg.preset.config();
+        let gpu = GpuSpec::a100();
+        let capacity = model.default_capacity();
+        let system = cfg
+            .system
+            .build(&topo, &model, gpu, capacity, RELAYOUT_PERIOD, STATS_WINDOW);
+        let applied = system.layout().clone();
+        Self {
+            cfg,
+            plan: cfg.faults.as_ref().filter(|p| !p.is_empty()),
+            requests,
+            cost: CostModel::new(&model, gpu),
+            top_k: model.top_k() as u64,
+            att_per_token: model.attention_flops_per_token(ATTENTION_CONTEXT) as f64
+                / gpu.effective_flops(),
+            system,
+            mix: TopicMix::new(&cfg.workload, n, model.experts()),
+            engine: Engine::new(&topo),
+            relocation: RelocationLedger {
+                expert_bytes: (model.expert_params() * BF16_BYTES) as f64,
+                bytes: 0.0,
+                time: 0.0,
+            },
+            clock: 0.0,
+            steps: 0,
+            next_arrival: 0,
+            queue: VecDeque::new(),
+            running: Vec::new(),
+            rate: ServiceRate::new(STATS_WINDOW),
+            res: Resilience::default(),
+            layouts: vec![applied.replica_vector()],
+            applied,
+            pending: None,
+            active: ActiveFaults::default(),
+            live_mask: vec![true; n],
+            handled: HandledFailures::default(),
+            links: Vec::new(),
+            failures: 0,
+            rejoins: 0,
+            recovery_events: Vec::new(),
+            recovery_spans: Vec::new(),
+            queue_depth: Vec::new(),
+            live_trace: Vec::new(),
+            ttft: Vec::new(),
+            tpot: Vec::new(),
+            completed: 0,
+            good: 0,
+            generated_tokens: 0,
+            topo,
+        }
+    }
 
-    let mut ttft_samples = Vec::new();
-    let mut tpot_samples = Vec::new();
-    let mut completed = 0usize;
-    let mut good = 0usize;
-    let mut generated_tokens = 0u64;
-    let mut relayouts = 0u64;
-    let mut relocation = RelocationLedger {
-        expert_bytes: (model.expert_params() * BF16_BYTES) as f64,
-        bytes: 0.0,
-        time: 0.0,
-    };
-    let mut steps = 0u64;
-    // Virtual wall clock: end of the last scheduler step, or later when
-    // the scheduler sat idle waiting for an arrival. Kept separately
-    // from the engine makespan so an in-flight background relocation
-    // (which may outlast the step that launched it) never stalls the
-    // serving steps themselves.
-    let mut clock = 0.0f64;
-    // A re-layout in flight on the prefetch stream: target layout and
-    // the virtual time its weight transfer completes.
-    let mut pending: Option<(ExpertLayout, f64)> = None;
+    /// One scheduler step: fault edges, admit, then either an idle
+    /// fast-forward or one executed batch (relayout, execute, retire).
+    /// Returns `false` once every request is resolved or the step cap
+    /// tripped.
+    pub(crate) fn step(&mut self) -> bool {
+        if self.steps >= MAX_STEPS {
+            return false;
+        }
+        if let Some(plan) = self.plan {
+            self.fault_edges(plan);
+        }
+        self.admit();
+        if self.queue.is_empty() && self.running.is_empty() {
+            return self.idle();
+        }
+        // Telemetry once per executed step, at step start
+        // (post-admission, pre-batching).
+        let live_devs = live_devices(&self.live_mask);
+        self.sample(live_devs.len());
+        let prefills = self.prefill_batch();
+        // The network view this step is priced on; a fault-free step
+        // builds none.
+        let degraded =
+            live_devs.len() < self.live_mask.len() || self.active.degraded_links().next().is_some();
+        let view = degraded.then(|| self.view_on(&self.live_mask));
+        self.relayout(view.as_ref());
+        let demand = self.execute(&prefills, &live_devs, view.as_ref());
+        self.retire(prefills, &live_devs);
+        self.system.observe(self.steps, &demand);
+        self.steps += 1;
+        true
+    }
 
-    // --- resilience state (inert when no fault plan is set) ---
-    let fault_plan = cfg.faults.as_ref().filter(|p| !p.is_empty());
-    let mut live_mask = vec![true; n];
-    let mut handled_failed: BTreeSet<usize> = BTreeSet::new();
-    let mut prev_links: Vec<(DeviceId, DeviceId, f64)> = Vec::new();
-    let mut res = Resilience::default();
-    let mut rate = ServiceRate::new(cfg.stats_window.max(1));
-    let mut failures = 0u64;
-    let mut rejoins = 0u64;
-    let mut recovery_events: Vec<RecoveryEvent> = Vec::new();
-    let mut recovery_spans: Vec<(usize, f64, f64)> = Vec::new();
+    /// The network view serving prices on when `live_mask` says which
+    /// devices are in service.
+    fn view_on(&self, live_mask: &[bool]) -> DegradedView {
+        let removed = live_mask.iter().enumerate().filter(|&(_, &l)| !l);
+        let removed = removed.map(|(d, _)| DeviceId::new(d));
+        self.active.view(&self.topo, removed)
+    }
 
-    while steps < cfg.max_steps {
-        // ---- Fault edges: sample the plan at the current virtual time
-        // and run the detect → respond transitions before admission.
-        let mut active = ActiveFaults::default();
-        if let Some(plan) = fault_plan {
-            active = plan.active_in(clock, clock);
-            system.set_planner_available(!active.planner_outage());
+    /// Samples the admission-queue depth and the live-device count.
+    fn sample(&mut self, live: usize) {
+        self.queue_depth.push((self.clock, self.queue.len()));
+        self.live_trace.push((self.clock, live));
+    }
 
-            let failed_now: BTreeSet<usize> = active.failed_devices().map(|d| d.index()).collect();
+    /// Fault edges: samples the plan at the current virtual time and
+    /// runs the rejoin, link and failure transitions before admission.
+    fn fault_edges(&mut self, plan: &FaultPlan) {
+        self.active = plan.active_in(self.clock, self.clock);
+        self.system
+            .set_planner_available(!self.active.planner_outage());
+        let edges = self.handled.edges(&self.active);
 
-            // Recovery edge: devices whose failure window closed rejoin;
-            // an elastic system re-plans for the regained capacity as a
-            // hitless background re-layout picked up below.
-            let rejoined: Vec<usize> = handled_failed
-                .iter()
-                .copied()
-                .filter(|d| !failed_now.contains(d))
-                .collect();
-            let mut grew = false;
-            for d in rejoined {
-                handled_failed.remove(&d);
-                if !live_mask[d] {
-                    live_mask[d] = true;
-                    rejoins += 1;
-                    grew = true;
-                }
-            }
-            if grew {
-                let view = capacity_view(&topo, &active, &live_mask);
-                let _ = system.handle_capacity_change(&view);
-            }
-
-            // Link-profile edge: re-plan (in the background) when the
-            // set of degraded links changes.
-            let links_now: Vec<(DeviceId, DeviceId, f64)> = active.degraded_links().collect();
-            if links_now != prev_links {
-                prev_links = links_now;
-                let view = capacity_view(&topo, &active, &live_mask);
-                let _ = system.handle_capacity_change(&view);
-            }
-
-            // Failure edge: detect, then let the system choose between
-            // an elastic survivor re-plan and a full restart.
-            let newly: Vec<usize> = failed_now
-                .iter()
-                .copied()
-                .filter(|d| !handled_failed.contains(d))
-                .collect();
-            if !newly.is_empty() {
-                failures += newly.len() as u64;
-                handled_failed.extend(newly.iter().copied());
-                let detected = clock;
-                clock += SERVE_DETECTION_DELAY;
-                let mut trial = live_mask.clone();
-                for &d in &newly {
-                    trial[d] = false;
-                }
-                // The detection instant is telemetry too: without this
-                // edge sample the next regular per-step sample lands
-                // only after the (much longer) recovery response, so no
-                // step-series detector could ever observe the live-set
-                // drop at the detection delay.
-                queue_depth.push((clock, queue.len()));
-                live_trace.push((clock, trial.iter().filter(|&&l| l).count()));
-                let view = capacity_view(&topo, &active, &trial);
-                match system.handle_capacity_change(&view) {
-                    CapacityResponse::Replan => {
-                        live_mask = trial;
-                        // In-flight requests homed on a dead device are
-                        // interrupted: re-enqueued with backoff, or shed
-                        // at the retry cap.
-                        res.interrupt(
-                            &mut running,
-                            |a| !live_mask[a.home],
-                            clock,
-                            cfg.max_retries,
-                            cfg.retry_backoff,
-                        );
-                        // Blocking drain: the applied layout holds
-                        // replicas on the dead device, so serving stops
-                        // until the survivor layout lands. The movement
-                        // is charged on the prefetch stream; moves whose
-                        // planned source died are re-fetched from a
-                        // surviving replica, or from host storage when
-                        // the sole replica died with the device.
-                        pending = None;
-                        let target = system.layout().clone();
-                        let moves = relocation_moves(&topo, &applied, &target);
-                        clock = relocation.charge(
-                            &mut engine,
-                            &view,
-                            &applied,
-                            &moves,
-                            &live_mask,
-                            clock,
-                        );
-                        applied = target;
-                        relayouts += 1;
-                        layouts.push(applied.replica_vector());
-                        recovery_events.push(RecoveryEvent {
-                            kind: "drain-replan".to_string(),
-                            detected,
-                            resumed: clock,
-                        });
-                        for d in (0..n).filter(|&d| live_mask[d]) {
-                            recovery_spans.push((d, detected, clock));
-                        }
-                    }
-                    CapacityResponse::Restart => {
-                        // Non-elastic: every in-flight request dies with
-                        // the job; the cluster waits out the collective
-                        // timeout and reloads onto replacement hardware
-                        // (the device set does not shrink).
-                        res.interrupt(
-                            &mut running,
-                            |_| true,
-                            clock,
-                            cfg.max_retries,
-                            cfg.retry_backoff,
-                        );
-                        clock = detected + SERVE_FAILOVER_TIMEOUT + SERVE_RELOAD_TIME;
-                        recovery_events.push(RecoveryEvent {
-                            kind: "restart".to_string(),
-                            detected,
-                            resumed: clock,
-                        });
-                        for d in 0..n {
-                            recovery_spans.push((d, detected, clock));
-                        }
-                        // Replacement hardware: tell the system its
-                        // post-restart capacity (links may still be
-                        // degraded, but no devices are missing).
-                        let _ = system
-                            .handle_capacity_change(&capacity_view(&topo, &active, &live_mask));
-                    }
-                    CapacityResponse::Unchanged => {}
-                }
-                engine.barrier_at(clock);
+        // Recovery edge: removed devices whose failure window closed
+        // rejoin; an elastic system re-plans for the regained capacity
+        // as a hitless background re-layout picked up by `relayout`.
+        let mut grew = false;
+        for d in edges.rejoined {
+            if !self.live_mask[d.index()] {
+                self.live_mask[d.index()] = true;
+                self.rejoins += 1;
+                grew = true;
             }
         }
+        if grew {
+            let view = self.view_on(&self.live_mask);
+            let _ = self.system.handle_capacity_change(&view);
+        }
 
-        // Re-admit retries whose backoff expired: they were admitted
-        // once already, so they take queue priority over new arrivals.
-        for entry in res.retry_buf.drain_eligible(clock).into_iter().rev() {
-            queue.push_front(QueueEntry {
+        // Link-profile edge: re-plan (in the background) when the set of
+        // degraded links changes.
+        let links: Vec<(DeviceId, DeviceId, f64)> = self.active.degraded_links().collect();
+        if links != self.links {
+            self.links = links;
+            let view = self.view_on(&self.live_mask);
+            let _ = self.system.handle_capacity_change(&view);
+        }
+
+        if !edges.failed.is_empty() {
+            self.detect(&edges.failed);
+        }
+    }
+
+    /// Failure edge: detects `failed`, then lets the system choose
+    /// between an elastic survivor re-plan and a full restart.
+    fn detect(&mut self, failed: &[DeviceId]) {
+        self.failures += failed.len() as u64;
+        self.handled.handle(failed);
+        let detected = self.clock;
+        self.clock += SERVE_DETECTION_DELAY;
+        let mut trial = self.live_mask.clone();
+        for d in failed {
+            trial[d.index()] = false;
+        }
+        // The detection instant is telemetry too: without this sample the
+        // next one lands only after the (much longer) recovery, so no
+        // step-series detector could see the live-set drop at detection.
+        self.sample(trial.iter().filter(|&&l| l).count());
+        let view = self.view_on(&trial);
+        match self.system.handle_capacity_change(&view) {
+            CapacityResponse::Replan => {
+                self.live_mask = trial;
+                // Requests homed on a dead device are interrupted.
+                let live = &self.live_mask;
+                self.res
+                    .interrupt(&mut self.running, |a| !live[a.home], self.clock);
+                // Blocking drain: the applied layout holds replicas on
+                // the dead device, so serving stops until the survivor
+                // layout lands. Moves whose planned source died are
+                // re-fetched from a surviving replica, or from host
+                // storage when the sole replica died with the device.
+                self.pending = None;
+                let target = self.system.layout().clone();
+                let moves = relocation_moves(&self.topo, &self.applied, &target);
+                self.clock = self.relocation.charge(
+                    &mut self.engine,
+                    &view,
+                    &self.applied,
+                    &moves,
+                    &self.live_mask,
+                    self.clock,
+                );
+                self.adopt(target);
+                self.recovered("drain-replan", detected, live_devices(&self.live_mask));
+            }
+            CapacityResponse::Restart => {
+                // Non-elastic: every in-flight request dies with the job,
+                // which waits out the collective timeout and reloads onto
+                // replacement hardware (the device set does not shrink).
+                self.res.interrupt(&mut self.running, |_| true, self.clock);
+                self.clock = detected + SERVE_FAILOVER_TIMEOUT + SERVE_RELOAD_TIME;
+                self.recovered("restart", detected, self.topo.devices().collect());
+                // Replacement hardware: tell the system its post-restart
+                // capacity (links may still be degraded, but no devices
+                // are missing).
+                let view = self.view_on(&self.live_mask);
+                let _ = self.system.handle_capacity_change(&view);
+            }
+            CapacityResponse::Unchanged => {}
+        }
+        self.engine.barrier_at(self.clock);
+    }
+
+    /// Ends a `kind` recovery episode detected at `detected`: serving
+    /// resumes now, and each `stalled` device gets a `Recovery` span.
+    fn recovered(&mut self, kind: &str, detected: f64, stalled: Vec<DeviceId>) {
+        let (start, end) = (detected, self.clock);
+        if end > start {
+            self.recovery_spans
+                .extend(stalled.into_iter().map(|device| Span {
+                    device,
+                    stream: StreamKind::Compute,
+                    label: SpanLabel::Recovery,
+                    start,
+                    end,
+                }));
+        }
+        let kind = kind.to_string();
+        let resumed = end;
+        self.recovery_events.push(RecoveryEvent {
+            kind,
+            detected,
+            resumed,
+        });
+    }
+
+    /// Admit: retries whose backoff expired re-enter at the queue front
+    /// (they were admitted once already), then arrivals up to now join
+    /// its back. While capacity is degraded, the SLO-aware brownout
+    /// sheds arrivals whose estimated queueing wait cannot fit inside
+    /// the TTFT budget.
+    fn admit(&mut self) {
+        let retries = self.res.retry_buf.drain_eligible(self.clock);
+        for entry in retries.into_iter().rev() {
+            self.queue.push_front(QueueEntry {
                 req: entry.req,
                 retries: entry.retries,
                 first_ttft: entry.first_ttft,
             });
         }
-
-        // Admit arrivals up to the current virtual time. While capacity
-        // is degraded, the SLO-aware brownout sheds arrivals whose
-        // estimated queueing wait cannot fit inside the TTFT budget.
-        let degraded = fault_plan.is_some()
-            && (live_mask.iter().any(|&l| !l)
-                || active.straggler_devices().next().is_some()
-                || active.degraded_links().next().is_some());
-        let brownout = if degraded {
-            cfg.brownout_ttft_margin
-        } else {
-            None
-        };
-        while next_arrival < requests.len() && requests[next_arrival].arrival <= clock {
-            let req = requests[next_arrival];
-            next_arrival += 1;
-            if queue.len() >= cfg.queue_capacity {
-                res.shed.queue_full += 1;
+        let degraded = self.live_mask.contains(&false)
+            || self.active.straggler_devices().next().is_some()
+            || self.active.degraded_links().next().is_some();
+        let brownout = self.cfg.brownout_ttft_margin.filter(|_| degraded);
+        while let Some(&req) = self.requests.get(self.next_arrival) {
+            if req.arrival > self.clock {
+                break;
+            }
+            self.next_arrival += 1;
+            if self.queue.len() >= self.cfg.queue_capacity {
+                self.res.shed.queue_full += 1;
                 continue;
             }
-            if let Some(margin) = brownout {
-                if let Some(wait) = rate.estimated_wait(queue.len()) {
-                    if wait > margin * cfg.sla.ttft {
-                        res.shed.brownout += 1;
-                        continue;
-                    }
-                }
+            let over_budget = |margin: f64| {
+                let wait = self.rate.estimated_wait(self.queue.len());
+                wait.is_some_and(|w| w > margin * SLA.ttft)
+            };
+            if brownout.is_some_and(over_budget) {
+                self.res.shed.brownout += 1;
+                continue;
             }
-            queue.push_back(QueueEntry {
+            self.queue.push_back(QueueEntry {
                 req,
                 retries: 0,
                 first_ttft: None,
             });
         }
+    }
 
-        if queue.is_empty() && running.is_empty() {
-            let next_arr = (next_arrival < requests.len()).then(|| requests[next_arrival].arrival);
-            let wake = match (next_arr, res.retry_buf.next_eligible()) {
-                (Some(a), Some(r)) => a.min(r),
-                (Some(a), None) => a,
-                (None, Some(r)) => r,
-                (None, None) => break,
-            };
-            // Idle: fast-forward to the next arrival or retry wakeup.
-            clock = clock.max(wake);
-            engine.barrier_at(clock);
-            continue;
-        }
+    /// Nothing queued or running: fast-forwards the clock to the next
+    /// arrival or retry wakeup. Returns `false` when there is none.
+    fn idle(&mut self) -> bool {
+        let next_arrival = self.requests.get(self.next_arrival).map(|r| r.arrival);
+        let wakeups = [next_arrival, self.res.retry_buf.next_eligible()];
+        let Some(wake) = wakeups.into_iter().flatten().reduce(f64::min) else {
+            return false;
+        };
+        self.clock = self.clock.max(wake);
+        self.engine.barrier_at(self.clock);
+        true
+    }
 
-        // Sample the admission-queue depth and live-device count once
-        // per executed step, at step start (post-admission,
-        // pre-batching).
-        queue_depth.push((clock, queue.len()));
-        live_trace.push((clock, live_mask.iter().filter(|&&l| l).count()));
-
-        // Form the batch: token-budgeted prefills + one decode token per
-        // running request (the continuous-batching mix).
-        let mut prefills: Vec<QueueEntry> = Vec::new();
-        let mut budget = cfg.max_prefill_tokens;
-        loop {
-            let fits = match queue.front() {
-                Some(e) => prefills.is_empty() || e.req.prompt_tokens <= budget,
-                None => false,
-            };
-            if !fits {
+    /// Pops the step's prefills: queued requests within the prefill
+    /// token budget, and always at least one.
+    fn prefill_batch(&mut self) -> Vec<QueueEntry> {
+        let mut prefills = Vec::new();
+        let mut budget = self.cfg.max_prefill_tokens;
+        while let Some(e) = self.queue.front() {
+            if !prefills.is_empty() && e.req.prompt_tokens > budget {
                 break;
             }
-            if let Some(e) = queue.pop_front() {
-                budget = budget.saturating_sub(e.req.prompt_tokens);
-                prefills.push(e);
-            }
+            budget = budget.saturating_sub(e.req.prompt_tokens);
+            prefills.extend(self.queue.pop_front());
         }
-        let decode_count = running.len() as u64;
+        prefills
+    }
+
+    /// Serves `target` from now on.
+    fn adopt(&mut self, target: ExpertLayout) {
+        self.layouts.push(target.replica_vector());
+        self.applied = target;
+    }
+
+    /// Relayout: adopts a weight transfer that has finished by now (the
+    /// new layout only serves traffic once its copy has been paid for),
+    /// then launches the next one if the system wants a different
+    /// layout and the prefetch stream is free of one. The move is
+    /// priced on the step's network as an all-to-all of expert weights;
+    /// serving continues on the stale layout until it finishes.
+    fn relayout(&mut self, view: Option<&DegradedView>) {
+        match self.pending.take() {
+            Some((target, finish)) if finish <= self.clock => self.adopt(target),
+            pending => self.pending = pending,
+        }
+        if self.pending.is_some() || self.system.layout() == &self.applied {
+            return;
+        }
+        let target = self.system.layout().clone();
+        let moves = relocation_moves(&self.topo, &self.applied, &target);
+        if moves.is_empty() {
+            self.adopt(target);
+        } else {
+            let finish = self.relocation.charge(
+                &mut self.engine,
+                priced_on(view, &self.topo),
+                &self.applied,
+                &moves,
+                &self.live_mask,
+                self.clock,
+            );
+            self.pending = Some((target, finish));
+        }
+    }
+
+    /// Execute: routes the batch's tokens (spread over the live devices)
+    /// against the applied layout and walks the step through their
+    /// streams, stretching straggler compute by its multiplier. Advances
+    /// the clock to the step's end and returns the routed demand.
+    fn execute(
+        &mut self,
+        prefills: &[QueueEntry],
+        live_devs: &[DeviceId],
+        view: Option<&DegradedView>,
+    ) -> RoutingMatrix {
         let prefill_tokens: u64 = prefills.iter().map(|e| e.req.prompt_tokens).sum();
-        let step_tokens = prefill_tokens + decode_count;
-
-        // The device subset and network view this step executes on.
-        let live_devs: Vec<DeviceId> = (0..n)
-            .filter(|&i| live_mask[i])
-            .map(DeviceId::new)
-            .collect();
-        let m = live_devs.len();
-        let step_view = fault_plan.map(|_| capacity_view(&topo, &active, &live_mask));
-        let net: &dyn Interconnect = match &step_view {
-            Some(v) => v,
-            None => &topo,
-        };
-
-        // Adopt a weight transfer that has finished by now: the new
-        // layout only serves traffic once its copy has been paid for.
-        if let Some((target, finish)) = &pending {
-            if *finish <= clock {
-                applied = target.clone();
-                relayouts += 1;
-                layouts.push(applied.replica_vector());
-                pending = None;
-            }
-        }
-        // Launch the next transfer if the system wants a different
-        // layout and the prefetch stream is free of one. The move is
-        // priced as an all-to-all of expert weights and charged as
-        // Relayout spans; serving continues on the stale layout until
-        // `finish`.
-        if pending.is_none() && system.layout() != &applied {
-            let target = system.layout().clone();
-            let moves = relocation_moves(&topo, &applied, &target);
-            if moves.is_empty() {
-                applied = target;
-                relayouts += 1;
-                layouts.push(applied.replica_vector());
-            } else {
-                let finish =
-                    relocation.charge(&mut engine, net, &applied, &moves, &live_mask, clock);
-                pending = Some((target, finish));
-            }
-        }
-
-        // Routing demand for the step, routed against the applied
-        // layout. Token budgets land on live devices only.
-        let shares = split_even(step_tokens, m);
-        let mut token_budgets = vec![0u64; n];
+        let step_tokens = prefill_tokens + self.running.len() as u64;
+        // Spread the tokens as evenly as possible over the live devices
+        // (the first `step_tokens % m` get one extra).
+        let m = live_devs.len() as u64;
+        let mut token_budgets = vec![0u64; self.live_mask.len()];
         for (k, d) in live_devs.iter().enumerate() {
-            token_budgets[d.index()] = shares[k];
+            token_budgets[d.index()] = step_tokens / m + u64::from((k as u64) < step_tokens % m);
         }
-        let assignment_budgets: Vec<u64> = token_budgets.iter().map(|&t| t * top_k).collect();
-        let demand = mix.step(&assignment_budgets);
-        let routing = lite_route(&topo, &demand, &applied);
+        let assignment_budgets: Vec<u64> = token_budgets.iter().map(|&t| t * self.top_k).collect();
+        let demand = self.mix.step(&assignment_budgets);
+        let routing = lite_route(&self.topo, &demand, &self.applied);
         let compute_loads = routing.device_compute_loads();
-
         let traffic = routing
             .entries()
             .iter()
             .map(|&(src, _, dst, tokens)| (src, dst, tokens));
-        let (dispatch_times, combine_times) = token_a2a_times(net, traffic, cost.v_comm());
+        let net = priced_on(view, &self.topo);
+        let (dispatch_times, combine_times) = token_a2a_times(net, traffic, self.cost.v_comm());
 
-        // Walk the step through the streams (live devices only;
-        // stragglers stretch compute by their multiplier).
-        let attention: Vec<SpanHandle> = live_devs
-            .iter()
-            .map(|&dev| {
-                engine.enqueue(
-                    dev,
-                    StreamKind::Compute,
-                    SpanLabel::Attention,
-                    token_budgets[dev.index()] as f64
-                        * att_per_token
-                        * active.compute_multiplier(dev),
-                    &[],
-                )
-            })
-            .collect();
-        let dispatch_deps: Vec<Vec<SpanHandle>> = attention.iter().map(|&h| vec![h]).collect();
-        let dispatch_durs: Vec<f64> = live_devs
-            .iter()
-            .map(|d| dispatch_times[d.index()])
-            .collect();
-        let dispatched = engine.enqueue_collective(
-            &live_devs,
-            StreamKind::A2a,
-            SpanLabel::AllToAll,
-            &dispatch_durs,
-            &dispatch_deps,
-        );
-        let expert: Vec<SpanHandle> = live_devs
-            .iter()
-            .enumerate()
-            .map(|(k, &dev)| {
-                engine.enqueue(
-                    dev,
-                    StreamKind::Compute,
-                    SpanLabel::ExpertCompute,
-                    cost.expert_forward_time(compute_loads[dev.index()])
-                        * active.compute_multiplier(dev),
-                    &[dispatched[k]],
-                )
-            })
-            .collect();
-        let combine_deps: Vec<Vec<SpanHandle>> = expert.iter().map(|&h| vec![h]).collect();
-        let combine_durs: Vec<f64> = live_devs.iter().map(|d| combine_times[d.index()]).collect();
-        let combined = engine.enqueue_collective(
-            &live_devs,
-            StreamKind::A2a,
-            SpanLabel::AllToAll,
-            &combine_durs,
-            &combine_deps,
-        );
+        // Each stage's span on a device waits for that device's span of
+        // the stage before.
+        let (engine, active) = (&mut self.engine, &self.active);
+        let compute = |engine: &mut Engine, label, secs: &dyn Fn(DeviceId) -> f64, after: &[_]| {
+            let spans = live_devs.iter().enumerate().map(|(k, &dev)| {
+                let deps = after.get(k).map(std::slice::from_ref).unwrap_or_default();
+                engine.enqueue(dev, StreamKind::Compute, label, secs(dev), deps)
+            });
+            spans.collect::<Vec<SpanHandle>>()
+        };
+        let a2a = |engine: &mut Engine, times: &[f64], after: &[SpanHandle]| {
+            let durs: Vec<f64> = live_devs.iter().map(|d| times[d.index()]).collect();
+            let deps: Vec<Vec<SpanHandle>> = after.iter().map(|&h| vec![h]).collect();
+            engine.enqueue_collective(
+                live_devs,
+                StreamKind::A2a,
+                SpanLabel::AllToAll,
+                &durs,
+                &deps,
+            )
+        };
+        let attention = |dev: DeviceId| {
+            token_budgets[dev.index()] as f64 * self.att_per_token * active.compute_multiplier(dev)
+        };
+        let experts = |dev: DeviceId| {
+            let loads = compute_loads[dev.index()];
+            self.cost.expert_forward_time(loads) * active.compute_multiplier(dev)
+        };
+        let attended = compute(engine, SpanLabel::Attention, &attention, &[]);
+        let dispatched = a2a(engine, &dispatch_times, &attended);
+        let computed = compute(engine, SpanLabel::ExpertCompute, &experts, &dispatched);
+        let combined = a2a(engine, &combine_times, &computed);
+        let overhead = |_| self.cfg.step_overhead;
+        let closing = compute(engine, SpanLabel::Other, &overhead, &combined);
         // The step ends when every device's closing span does — NOT at
         // the engine makespan, which may include a background relocation
         // still in flight past this step.
-        let mut step_end = clock;
-        for (k, &dev) in live_devs.iter().enumerate() {
-            let h = engine.enqueue(
-                dev,
-                StreamKind::Compute,
-                SpanLabel::Other,
-                cfg.step_overhead,
-                &[combined[k]],
-            );
-            step_end = step_end.max(engine.span(h).end);
-        }
+        let step_end = closing.iter().map(|&h| engine.span(h).end);
+        let step_end = step_end.fold(self.clock, f64::max);
         engine.barrier_at(step_end);
-        let step_seconds = step_end - clock;
-        clock = step_end;
-        rate.record(step_seconds, prefills.len());
+        self.rate.record(step_end - self.clock, prefills.len());
+        self.clock = step_end;
+        demand
+    }
 
-        // Account decodes (snapshot taken before this step's prefills).
-        generated_tokens += decode_count + prefills.len() as u64;
-        for active in &mut running {
-            active.decode_left -= 1;
-        }
-        let mut kept = Vec::with_capacity(running.len());
-        for done in running.drain(..) {
-            if done.decode_left > 0 {
-                kept.push(done);
-                continue;
+    /// Retire: every running request decoded one token this step (those
+    /// with none left complete), and the prefills' first tokens land at
+    /// the step's end. A retried request already delivered its first
+    /// token before the interruption, so its original TTFT stands and
+    /// no second sample is emitted.
+    fn retire(&mut self, prefills: Vec<QueueEntry>, live_devs: &[DeviceId]) {
+        let step_end = self.clock;
+        self.generated_tokens += (self.running.len() + prefills.len()) as u64;
+        self.running.retain_mut(|a| {
+            a.decode_left -= 1;
+            if a.decode_left > 0 {
+                return true;
             }
-            let tpot = (step_end - done.first_token) / (done.req.decode_tokens - 1) as f64;
-            tpot_samples.push(tpot);
-            completed += 1;
-            if done.ttft <= cfg.sla.ttft && tpot <= cfg.sla.tpot {
-                good += 1;
+            let tpot = (step_end - a.first_token) / (a.req.decode_tokens - 1) as f64;
+            self.tpot.push(tpot);
+            self.completed += 1;
+            if a.ttft <= SLA.ttft && tpot <= SLA.tpot {
+                self.good += 1;
             }
-        }
-        running = kept;
-
-        // Account prefills: their first token lands at step end. A
-        // retried request already delivered its first token before the
-        // interruption, so its original TTFT stands and no second
-        // sample is emitted.
+            false
+        });
         for entry in prefills {
             let r = entry.req;
-            let ttft = match entry.first_ttft {
-                Some(first) => first,
-                None => {
-                    let t = step_end - r.arrival;
-                    ttft_samples.push(t);
-                    t
-                }
-            };
+            let ttft = entry.first_ttft.unwrap_or_else(|| {
+                self.ttft.push(step_end - r.arrival);
+                step_end - r.arrival
+            });
             if r.decode_tokens <= 1 {
-                completed += 1;
-                if ttft <= cfg.sla.ttft {
-                    good += 1;
+                self.completed += 1;
+                if ttft <= SLA.ttft {
+                    self.good += 1;
                 }
             } else {
-                running.push(Active {
+                self.running.push(Active {
                     req: r,
                     ttft,
                     first_token: step_end,
                     decode_left: r.decode_tokens - 1,
-                    home: live_devs[(r.id as usize) % m].index(),
+                    home: live_devs[(r.id as usize) % live_devs.len()].index(),
                     retries: entry.retries,
                 });
             }
         }
-
-        system.observe(steps, &demand);
-        steps += 1;
     }
 
-    // Anything still pending when the step cap trips is accounted as
-    // unserved shed — nothing is silently lost.
-    res.shed.unserved =
-        queue.len() + running.len() + res.retry_buf.len() + (requests.len() - next_arrival);
-    let rejected = res.shed.total();
-
-    let duration = engine.now();
-    // `Sum<f64>` folds from -0.0 (the IEEE additive identity); pin the
-    // empty case to +0.0 so fault-free reports serialize as plain zero.
-    let recovery_time: f64 = if recovery_events.is_empty() {
-        0.0
-    } else {
-        recovery_events.iter().map(RecoveryEvent::duration).sum()
-    };
-    let report = ServeReport {
-        system: cfg.system.id().to_string(),
-        offered_rps: cfg.workload.arrival_rate,
-        requests: requests.len(),
-        completed,
-        rejected,
-        steps,
-        duration,
-        throughput_tps: if duration > 0.0 {
-            generated_tokens as f64 / duration
-        } else {
-            0.0
-        },
-        ttft: LatencySummary::from_samples(&ttft_samples),
-        tpot: LatencySummary::from_samples(&tpot_samples),
-        slo_attainment: if requests.is_empty() {
-            1.0
-        } else {
-            good as f64 / requests.len() as f64
-        },
-        goodput_rps: if duration > 0.0 {
-            good as f64 / duration
-        } else {
-            0.0
-        },
-        relayouts,
-        relocation_bytes: relocation.bytes,
-        relocation_time: relocation.time,
-        shed: res.shed,
-        retries: res.retries,
-        interrupted: res.interrupted,
-        failures,
-        rejoins,
-        recoveries: recovery_events.len() as u64,
-        recovery_time,
-    };
-    // Faulted runs annotate the timeline with the injected fault
-    // windows and the recovery episodes (excluded from makespan and
-    // occupancy; rendered as their own tracks in the Chrome trace).
-    let mut timeline = engine.into_timeline();
-    if let Some(plan) = fault_plan {
-        record_timed_fault_spans(&mut timeline, plan, duration.max(clock));
-        for &(device, start, end) in &recovery_spans {
-            if end > start {
-                timeline.push(Span {
-                    device: DeviceId::new(device),
-                    stream: StreamKind::Compute,
-                    label: SpanLabel::Recovery,
-                    start,
-                    end,
-                });
+    /// The run's outcome. Anything still pending (the step cap tripped)
+    /// is shed as `unserved`: nothing is silently lost.
+    pub(crate) fn finish(mut self) -> ServingOutcome {
+        self.res.shed.unserved = self.queue.len()
+            + self.running.len()
+            + self.res.retry_buf.len()
+            + (self.requests.len() - self.next_arrival);
+        let duration = self.engine.now();
+        let per_second = |count: f64| {
+            if duration > 0.0 {
+                count / duration
+            } else {
+                0.0
             }
+        };
+        let events = self.recovery_events;
+        // `Sum<f64>` folds from -0.0 (the IEEE additive identity); pin the
+        // empty case to +0.0 so fault-free reports serialize as plain zero.
+        let recovery_time: f64 = if events.is_empty() {
+            0.0
+        } else {
+            events.iter().map(RecoveryEvent::duration).sum()
+        };
+        let report = ServeReport {
+            system: self.cfg.system.id().to_string(),
+            offered_rps: self.cfg.workload.arrival_rate,
+            requests: self.requests.len(),
+            completed: self.completed,
+            rejected: self.res.shed.total(),
+            steps: self.steps,
+            duration,
+            throughput_tps: per_second(self.generated_tokens as f64),
+            ttft: LatencySummary::from_samples(&self.ttft),
+            tpot: LatencySummary::from_samples(&self.tpot),
+            slo_attainment: if self.requests.is_empty() {
+                1.0
+            } else {
+                self.good as f64 / self.requests.len() as f64
+            },
+            goodput_rps: per_second(self.good as f64),
+            relayouts: self.layouts.len() as u64 - 1,
+            relocation_bytes: self.relocation.bytes,
+            relocation_time: self.relocation.time,
+            shed: self.res.shed,
+            retries: self.res.retries,
+            interrupted: self.res.interrupted,
+            failures: self.failures,
+            rejoins: self.rejoins,
+            recoveries: events.len() as u64,
+            recovery_time,
+        };
+        // Faulted runs annotate the timeline with the injected fault
+        // windows and the recovery episodes (excluded from makespan and
+        // occupancy; rendered as their own tracks in the Chrome trace).
+        let mut timeline = self.engine.into_timeline();
+        if let Some(plan) = self.plan {
+            record_timed_fault_spans(&mut timeline, plan, duration.max(self.clock));
+        }
+        for span in self.recovery_spans {
+            timeline.push(span);
+        }
+        ServingOutcome {
+            report,
+            ttft: self.ttft,
+            tpot: self.tpot,
+            layouts: self.layouts,
+            queue_depth: self.queue_depth,
+            timeline,
+            recovery_events: events,
+            live_devices: self.live_trace,
+            faulted: self.plan.is_some(),
         }
     }
-    ServingOutcome {
-        report,
-        ttft: ttft_samples,
-        tpot: tpot_samples,
-        layouts,
-        queue_depth,
-        timeline,
-        recovery_events,
-        live_devices: live_trace,
-        faulted: fault_plan.is_some(),
-    }
+}
+
+/// Runs the serving loop to completion (every request finished or
+/// rejected, or the step cap reached).
+///
+/// Deterministic: the outcome is a pure function of the configuration.
+pub fn run_serving(cfg: &ServeConfig) -> ServingOutcome {
+    let mut state = ServingState::new(cfg);
+    while state.step() {}
+    state.finish()
 }
 
 /// Records a finished serving run into an [`Observer`]: TTFT / TPOT /
@@ -971,60 +961,18 @@ pub fn record_observability(out: &ServingOutcome, obs: &mut Observer) {
     let system: &str = &report.system;
     let labels: [(&str, &str); 1] = [("system", system)];
 
-    // Local histograms back the journal snapshot; the registry gets the
-    // same observations under fixed, pre-declared bucket layouts.
-    let mut ttft_hist = Histogram::exponential(1e-3, 2.0, 14);
-    for &v in &out.ttft {
-        ttft_hist.observe(v);
-    }
-    let mut tpot_hist = Histogram::exponential(1e-4, 2.0, 14);
-    for &v in &out.tpot {
-        tpot_hist.observe(v);
-    }
-    let mut queue_hist = Histogram::linear(0.0, 4.0, 16);
-    for &(_, depth) in &out.queue_depth {
-        queue_hist.observe(depth as f64);
-    }
-
     let r = &mut obs.registry;
     r.declare_counter(
         "laer_serve_requests_total",
         "Serving requests by final disposition.",
     );
-    r.inc(
-        "laer_serve_requests_total",
-        &[("system", system), ("outcome", "completed")],
-        report.completed as u64,
-    );
-    r.inc(
-        "laer_serve_requests_total",
-        &[("system", system), ("outcome", "rejected")],
-        report.rejected as u64,
-    );
-    r.declare_counter("laer_serve_steps_total", "Scheduler steps executed.");
-    r.inc("laer_serve_steps_total", &labels, report.steps);
-    r.declare_counter("laer_serve_relayouts_total", "Expert re-layouts applied.");
-    r.inc("laer_serve_relayouts_total", &labels, report.relayouts);
-    r.declare_gauge(
-        "laer_serve_goodput_rps",
-        "SLO-meeting completions per virtual second.",
-    );
-    r.set("laer_serve_goodput_rps", &labels, report.goodput_rps);
-    r.declare_gauge(
-        "laer_serve_throughput_tps",
-        "Output tokens generated per virtual second.",
-    );
-    r.set("laer_serve_throughput_tps", &labels, report.throughput_tps);
-    r.declare_gauge(
-        "laer_serve_relocation_seconds",
-        "Virtual seconds of charged re-layout weight traffic.",
-    );
-    r.set(
-        "laer_serve_relocation_seconds",
-        &labels,
-        report.relocation_time,
-    );
-
+    for (outcome, count) in [
+        ("completed", report.completed),
+        ("rejected", report.rejected),
+    ] {
+        let series = [("system", system), ("outcome", outcome)];
+        r.inc("laer_serve_requests_total", &series, count as u64);
+    }
     r.declare_counter("laer_serve_shed_total", "Shed requests by cause.");
     for (cause, count) in [
         ("queue-full", report.shed.queue_full),
@@ -1032,63 +980,104 @@ pub fn record_observability(out: &ServingOutcome, obs: &mut Observer) {
         ("retry-exhausted", report.shed.retry_exhausted),
         ("unserved", report.shed.unserved),
     ] {
-        r.inc(
-            "laer_serve_shed_total",
-            &[("system", system), ("cause", cause)],
-            count as u64,
-        );
+        let series = [("system", system), ("cause", cause)];
+        r.inc("laer_serve_shed_total", &series, count as u64);
     }
-    r.declare_counter(
-        "laer_serve_retries_total",
-        "Retry re-enqueues after failure interruptions.",
-    );
-    r.inc("laer_serve_retries_total", &labels, report.retries);
-    r.declare_counter("laer_serve_failures_total", "Device failures detected.");
-    r.inc("laer_serve_failures_total", &labels, report.failures);
-    r.declare_counter(
-        "laer_serve_recoveries_total",
-        "Completed recovery episodes (drain-replan or restart).",
-    );
-    r.inc("laer_serve_recoveries_total", &labels, report.recoveries);
-    r.declare_gauge(
-        "laer_serve_recovery_seconds",
-        "Virtual seconds from failure detection to serving resuming.",
-    );
-    r.set("laer_serve_recovery_seconds", &labels, report.recovery_time);
+    for (name, help, count) in [
+        (
+            "laer_serve_steps_total",
+            "Scheduler steps executed.",
+            report.steps,
+        ),
+        (
+            "laer_serve_relayouts_total",
+            "Expert re-layouts applied.",
+            report.relayouts,
+        ),
+        (
+            "laer_serve_retries_total",
+            "Retry re-enqueues after failure interruptions.",
+            report.retries,
+        ),
+        (
+            "laer_serve_failures_total",
+            "Device failures detected.",
+            report.failures,
+        ),
+        (
+            "laer_serve_recoveries_total",
+            "Completed recovery episodes (drain-replan or restart).",
+            report.recoveries,
+        ),
+    ] {
+        r.declare_counter(name, help);
+        r.inc(name, &labels, count);
+    }
+    for (name, help, value) in [
+        (
+            "laer_serve_goodput_rps",
+            "SLO-meeting completions per virtual second.",
+            report.goodput_rps,
+        ),
+        (
+            "laer_serve_throughput_tps",
+            "Output tokens generated per virtual second.",
+            report.throughput_tps,
+        ),
+        (
+            "laer_serve_relocation_seconds",
+            "Virtual seconds of charged re-layout weight traffic.",
+            report.relocation_time,
+        ),
+        (
+            "laer_serve_recovery_seconds",
+            "Virtual seconds from failure detection to serving resuming.",
+            report.recovery_time,
+        ),
+    ] {
+        r.declare_gauge(name, help);
+        r.set(name, &labels, value);
+    }
 
-    r.declare_histogram(
-        "laer_serve_ttft_seconds",
-        "Time to first token over admitted requests.",
-        Histogram::exponential(1e-3, 2.0, 14),
-    );
-    for &v in &out.ttft {
-        r.observe("laer_serve_ttft_seconds", &labels, v);
-    }
-    r.declare_histogram(
-        "laer_serve_tpot_seconds",
-        "Time per output token over multi-token completions.",
-        Histogram::exponential(1e-4, 2.0, 14),
-    );
-    for &v in &out.tpot {
-        r.observe("laer_serve_tpot_seconds", &labels, v);
-    }
-    r.declare_histogram(
-        "laer_serve_queue_depth",
-        "Admission-queue depth sampled once per scheduler step.",
-        Histogram::linear(0.0, 4.0, 16),
-    );
-    for &(_, depth) in &out.queue_depth {
-        r.observe("laer_serve_queue_depth", &labels, depth as f64);
-    }
-
+    // Each distribution is observed into the registry and into a local
+    // copy of its bucket layout, which the journal snapshots.
+    let depths: Vec<f64> = out.queue_depth.iter().map(|&(_, d)| d as f64).collect();
+    let [ttft, tpot, queue_depth] = [
+        (
+            "laer_serve_ttft_seconds",
+            "Time to first token over admitted requests.",
+            Histogram::exponential(1e-3, 2.0, 14),
+            &out.ttft,
+        ),
+        (
+            "laer_serve_tpot_seconds",
+            "Time per output token over multi-token completions.",
+            Histogram::exponential(1e-4, 2.0, 14),
+            &out.tpot,
+        ),
+        (
+            "laer_serve_queue_depth",
+            "Admission-queue depth sampled once per scheduler step.",
+            Histogram::linear(0.0, 4.0, 16),
+            &depths,
+        ),
+    ]
+    .map(|(name, help, mut hist, samples)| {
+        r.declare_histogram(name, help, hist.clone());
+        for &v in samples {
+            hist.observe(v);
+            r.observe(name, &labels, v);
+        }
+        HistogramSnapshot::of(&hist)
+    });
     obs.journal.push(
         "serving",
         &ServingRecord {
             system: system.to_string(),
             steps: report.steps,
-            queue_depth: HistogramSnapshot::of(&queue_hist),
-            ttft: HistogramSnapshot::of(&ttft_hist),
-            tpot: HistogramSnapshot::of(&tpot_hist),
+            queue_depth,
+            ttft,
+            tpot,
         },
     );
 
@@ -1608,6 +1597,101 @@ mod tests {
             let full_live = out.live_devices.first().map_or(0, |&(_, l)| l);
             assert!(sample.1 < full_live, "edge sample shows the drop");
             assert_eq!(step_records(&out).len(), out.queue_depth.len());
+        }
+
+        /// An interrupted request retries with exponential backoff until
+        /// `MAX_RETRIES`; past it, it is shed as `retry_exhausted`.
+        #[test]
+        fn interrupts_retry_until_the_cap_then_shed() {
+            let active = |id: u64, retries: u32| Active {
+                req: Request {
+                    id,
+                    arrival: 0.0,
+                    prompt_tokens: 8,
+                    decode_tokens: 4,
+                },
+                ttft: 0.01,
+                first_token: 0.01,
+                decode_left: 2,
+                home: id as usize,
+                retries,
+            };
+            let mut res = Resilience::default();
+            let mut running = vec![active(0, 2), active(1, MAX_RETRIES), active(2, 0)];
+            res.interrupt(&mut running, |a| a.home != 2, 1.0);
+            assert_eq!(running.len(), 1);
+            assert_eq!((res.interrupted, res.retries), (2, 1));
+            assert_eq!(res.shed.retry_exhausted, 1);
+            let retry = res.retry_buf.drain_eligible(f64::INFINITY);
+            assert_eq!(retry.len(), 1);
+            assert_eq!((retry[0].req.id, retry[0].retries), (0, 3));
+            assert_eq!(retry[0].eligible, 1.0 + 4.0 * RETRY_BACKOFF);
+            assert_eq!(retry[0].first_ttft, Some(0.01));
+        }
+
+        /// Every request is in exactly one place after each step.
+        fn accounted(state: &ServingState) -> usize {
+            let shed = &state.res.shed;
+            state.completed
+                + shed.queue_full
+                + shed.brownout
+                + shed.retry_exhausted
+                + state.queue.len()
+                + state.running.len()
+                + state.res.retry_buf.len()
+                + (state.requests.len() - state.next_arrival)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            /// Under a random plan (a failure that rejoins, a straggler,
+            /// a degraded link and a planner outage), every step keeps
+            /// each request accounted for exactly once and every running
+            /// request homed on a live device, and the stepped run ends
+            /// exactly as `run_serving` does.
+            #[test]
+            fn serving_invariants_hold_after_every_step(
+                failed in 0usize..16,
+                slow in 0usize..16,
+                link in (0usize..16, 1usize..16),
+                starts in proptest::collection::vec(0.0f64..0.08, 4),
+                lens in proptest::collection::vec(0.01f64..0.06, 4),
+                factors in (1.5f64..4.0, 0.1f64..0.9),
+                sys in prop_oneof![
+                    Just(ServingSystemKind::ReplicateHot),
+                    Just(ServingSystemKind::Laer),
+                ],
+            ) {
+                let d = DeviceId::new;
+                let kinds = [
+                    FaultKind::DeviceFailure { device: d(failed) },
+                    FaultKind::Straggler { device: d(slow), factor: factors.0 },
+                    FaultKind::LinkDegrade {
+                        a: d(link.0),
+                        b: d((link.0 + link.1) % 16),
+                        factor: factors.1,
+                    },
+                    FaultKind::PlannerOutage,
+                ];
+                let mut plan = FaultPlan::new();
+                for ((kind, start), len) in kinds.into_iter().zip(starts).zip(lens) {
+                    plan.push_timed(timed(kind, start, start + len)).unwrap();
+                }
+                let cfg = chaos_cfg(sys, plan);
+                let mut state = ServingState::new(&cfg);
+                loop {
+                    let more = state.step();
+                    prop_assert_eq!(accounted(&state), state.requests.len());
+                    prop_assert!(state.running.iter().all(|a| state.live_mask[a.home]));
+                    if !more {
+                        break;
+                    }
+                }
+                prop_assert!(state.failures > 0 && state.rejoins <= state.failures);
+                let stepped = format!("{:?}", state.finish());
+                prop_assert_eq!(stepped, format!("{:?}", run_serving(&cfg)));
+            }
         }
     }
 

@@ -11,21 +11,11 @@ pub struct SlaConfig {
     pub tpot: f64,
 }
 
-impl Default for SlaConfig {
-    fn default() -> Self {
-        Self {
-            ttft: 0.050,
-            tpot: 0.010,
-        }
-    }
-}
-
-impl SlaConfig {
-    /// Creates an SLO from explicit TTFT and TPOT budgets (seconds).
-    pub fn new(ttft: f64, tpot: f64) -> Self {
-        Self { ttft, tpot }
-    }
-}
+/// The SLO every serving run's goodput is measured against.
+pub const SLA: SlaConfig = SlaConfig {
+    ttft: 0.050,
+    tpot: 0.010,
+};
 
 /// Order statistics of a latency sample set (seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

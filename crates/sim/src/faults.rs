@@ -5,10 +5,12 @@
 //! failures and planner outages — each active over a half-open
 //! iteration window `[start, end)`. The plan is *data*, not behaviour:
 //! the training runner queries [`FaultPlan::active_at`] every iteration
-//! and applies the returned [`ActiveFaults`] to compute timings, the
-//! network view ([`laer_cluster::DegradedView`]) and the planner. Two
-//! runs over the same `(seed, FaultPlan)` therefore schedule byte-
-//! identical iterations — the property the replay tests pin down.
+//! (the serving loop [`FaultPlan::active_in`] every step) and applies
+//! the returned [`ActiveFaults`] to compute timings, the network view
+//! ([`ActiveFaults::view`]) and the planner; [`HandledFailures::edges`]
+//! tells both which failures are new. Two runs over the same
+//! `(seed, FaultPlan)` therefore schedule byte-identical iterations —
+//! the property the replay tests pin down.
 //!
 //! Fault windows are also recorded onto the [`Timeline`] as
 //! [`SpanLabel::Fault`] annotation spans so
@@ -322,18 +324,6 @@ impl FaultPlan {
         }
         active
     }
-
-    /// The earliest timed-event window end strictly after `t`, if any.
-    /// This is the next moment the active fault set can shrink — the
-    /// serving loop uses it to fast-forward an idle (or fully failed)
-    /// cluster to the next recovery edge instead of spinning.
-    pub fn next_timed_clear_after(&self, t: f64) -> Option<f64> {
-        self.timed
-            .iter()
-            .map(|e| e.end)
-            .filter(|&end| end > t)
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    }
 }
 
 /// Shared per-kind parameter validation for both event flavours.
@@ -427,31 +417,72 @@ impl ActiveFaults {
         self.failed.iter().map(|&i| DeviceId::new(i))
     }
 
-    /// Surviving devices out of `num_devices`, ascending.
-    pub fn survivors(&self, num_devices: usize) -> Vec<DeviceId> {
-        (0..num_devices)
-            .filter(|i| !self.failed.contains(i))
-            .map(DeviceId::new)
-            .collect()
-    }
-
     /// Whether the planner host is down this iteration.
     pub fn planner_outage(&self) -> bool {
         self.planner_outage
     }
 
-    /// Builds the network view the cost models should price this
-    /// iteration: `topo` with active link degradations applied and
-    /// failed devices marked.
-    pub fn degraded_view(&self, topo: &Topology) -> DegradedView {
+    /// The network view a step is priced on: `topo` with the active
+    /// link degradations applied and `removed` marked failed. `removed`
+    /// is what the executor took out of service, not the active
+    /// failures: a restarted job runs on replacement hardware, so its
+    /// device set does not shrink while a failure window is open.
+    pub fn view(
+        &self,
+        topo: &Topology,
+        removed: impl IntoIterator<Item = DeviceId>,
+    ) -> DegradedView {
         let mut view = DegradedView::new(topo.clone());
         for (a, b, factor) in self.degraded_links() {
             view.degrade_link(a, b, factor);
         }
-        for device in self.failed_devices() {
+        for device in removed {
             view.fail_device(device);
         }
         view
+    }
+}
+
+/// The device failures a loop has already responded to.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HandledFailures(BTreeSet<usize>);
+
+/// What [`HandledFailures::edges`] found in a fresh sample.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FailureEdges {
+    /// Handled devices whose failure window closed, ascending.
+    pub rejoined: Vec<DeviceId>,
+    /// Active failures not handled yet, ascending.
+    pub failed: Vec<DeviceId>,
+}
+
+impl HandledFailures {
+    /// The one rule for which failures are new and which devices
+    /// rejoined: forgets (and reports) each handled failure `active` no
+    /// longer holds, then reports `active`'s unhandled failures. One
+    /// stays new until [`HandledFailures::handle`] marks it.
+    pub fn edges(&mut self, active: &ActiveFaults) -> FailureEdges {
+        let ids = |d: &usize| DeviceId::new(*d);
+        let rejoined = self.0.difference(&active.failed).map(ids).collect();
+        self.0.retain(|d| active.failed.contains(d));
+        let failed = active.failed.difference(&self.0).map(ids).collect();
+        FailureEdges { rejoined, failed }
+    }
+
+    /// Marks `devices` as handled.
+    pub fn handle(&mut self, devices: &[DeviceId]) {
+        self.0.extend(devices.iter().map(|d| d.index()));
+    }
+
+    /// The handled devices, ascending.
+    pub fn devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
+        self.0.iter().map(|&d| DeviceId::new(d))
+    }
+}
+
+impl FromIterator<DeviceId> for HandledFailures {
+    fn from_iter<I: IntoIterator<Item = DeviceId>>(devices: I) -> Self {
+        Self(devices.into_iter().map(|d| d.index()).collect())
     }
 }
 
@@ -633,12 +664,45 @@ mod tests {
             end: u64::MAX,
         })
         .unwrap();
-        let before = plan.active_at(2);
-        assert_eq!(before.survivors(4).len(), 4);
+        let topo = Topology::new(1, 4).unwrap();
+        assert_eq!(plan.active_at(2).failed_devices().count(), 0);
         let after = plan.active_at(100);
         assert!(after.is_failed(d(2)));
-        assert_eq!(after.survivors(4), vec![d(0), d(1), d(3)]);
+        let view = after.view(&topo, after.failed_devices());
+        assert_eq!(view.survivors(), vec![d(0), d(1), d(3)]);
         assert_eq!(after.failed_devices().collect::<Vec<_>>(), vec![d(2)]);
+        // A restarted job removes nothing: every device executes.
+        assert_eq!(after.view(&topo, []).survivors().len(), 4);
+    }
+
+    /// Handled failures are forgotten when their window closes, and a
+    /// failure stays new until it is handled.
+    #[test]
+    fn failure_edges_report_new_failures_and_rejoins() {
+        let mut plan = FaultPlan::new();
+        for (device, start, end) in [(1, 2, 6), (3, 4, u64::MAX), (1, 8, u64::MAX)] {
+            plan.push(FaultEvent {
+                kind: FaultKind::DeviceFailure { device: d(device) },
+                start,
+                end,
+            })
+            .unwrap();
+        }
+        let mut handled = HandledFailures::default();
+        let edges = |handled: &mut HandledFailures, at: u64| handled.edges(&plan.active_at(at));
+        assert_eq!(edges(&mut handled, 0), FailureEdges::default());
+        assert_eq!(edges(&mut handled, 2).failed, vec![d(1)]);
+        // Unhandled, the failure is new again.
+        assert_eq!(edges(&mut handled, 3).failed, vec![d(1)]);
+        handled.handle(&[d(1)]);
+        assert_eq!(edges(&mut handled, 4).failed, vec![d(3)]);
+        handled.handle(&[d(3)]);
+        let closed = edges(&mut handled, 6);
+        assert_eq!((closed.rejoined, closed.failed), (vec![d(1)], vec![]));
+        assert_eq!(handled.devices().collect::<Vec<_>>(), vec![d(3)]);
+        assert_eq!(edges(&mut handled, 8).failed, vec![d(1)]);
+        let restored: HandledFailures = handled.devices().collect();
+        assert_eq!(restored, handled);
     }
 
     #[test]
@@ -675,12 +739,14 @@ mod tests {
             end: u64::MAX,
         })
         .unwrap();
-        let view = plan.active_at(0).degraded_view(&topo);
+        let active = plan.active_at(0);
+        let view = active.view(&topo, active.failed_devices());
         assert_eq!(view.link_factor(d(0), d(9)), 0.25);
         assert!(view.is_failed(d(31)));
         assert_eq!(view.survivors().len(), 31);
         // After the link window closes only the failure remains.
-        let later = plan.active_at(6).degraded_view(&topo);
+        let active = plan.active_at(6);
+        let later = active.view(&topo, active.failed_devices());
         assert_eq!(later.link_factor(d(0), d(9)), 1.0);
         assert!(later.is_failed(d(31)));
     }
@@ -845,10 +911,11 @@ mod tests {
             .unwrap();
         assert_eq!(plan.active_in(1.5, 1.5).compute_multiplier(d(0)), 3.0);
         assert!(plan.active_in(1.5, 1.5).is_failed(d(3)));
-        assert_eq!(plan.next_timed_clear_after(0.0), Some(2.0));
-        assert_eq!(plan.next_timed_clear_after(2.0), Some(3.0));
-        assert_eq!(plan.next_timed_clear_after(3.5), Some(4.0));
-        assert_eq!(plan.next_timed_clear_after(4.0), None);
+        // Each window clears at its own end.
+        assert_eq!(plan.active_in(2.0, 2.0).compute_multiplier(d(0)), 1.5);
+        assert_eq!(plan.active_in(3.0, 3.0).compute_multiplier(d(0)), 1.0);
+        assert!(plan.active_in(3.5, 3.5).is_failed(d(3)));
+        assert!(plan.active_in(4.0, 4.0).is_empty());
     }
 
     #[test]

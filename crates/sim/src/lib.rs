@@ -50,7 +50,7 @@ pub use collective::{
 };
 pub use engine::{Engine, EngineOptions, SpanHandle, StreamKind};
 pub use faults::{
-    record_fault_spans, record_timed_fault_spans, ActiveFaults, FaultError, FaultEvent, FaultKind,
-    FaultPlan, TimedFaultEvent,
+    record_fault_spans, record_timed_fault_spans, ActiveFaults, FailureEdges, FaultError,
+    FaultEvent, FaultKind, FaultPlan, HandledFailures, TimedFaultEvent,
 };
 pub use timeline::{Breakdown, CollectiveGroup, DepLog, Span, SpanLabel, Timeline};

@@ -39,11 +39,13 @@
 
 use crate::runner::ExperimentConfig;
 use laer_baselines::{LayerPlan, MoeSystem, SystemError};
-use laer_cluster::{DegradedView, DeviceId, ExpertId, Topology};
+use laer_cluster::{DeviceId, ExpertId, Topology};
 use laer_fsep::{schedule_iteration_on, LayerTimings, ScheduleOptions};
 use laer_planner::CapacityResponse;
 use laer_routing::{CheckpointError, GeneratorCheckpoint, RoutingGenerator, RoutingMatrix};
-use laer_sim::{record_fault_spans, ActiveFaults, Engine, EngineOptions, FaultPlan};
+use laer_sim::{
+    record_fault_spans, ActiveFaults, Engine, EngineOptions, FaultPlan, HandledFailures,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -139,8 +141,9 @@ pub struct RunnerCheckpoint {
     pub generators: Vec<GeneratorCheckpoint>,
     /// System-specific state ([`MoeSystem::snapshot`]).
     pub system_state: serde::Value,
-    /// Per-iteration seconds so far.
-    pub iteration_times: Vec<f64>,
+    /// Scheduled seconds of the iterations so far, recovery penalties
+    /// excluded.
+    pub scheduled_seconds: f64,
     /// Iteration of the last simulated checkpoint write.
     pub last_checkpoint_iteration: u64,
     /// Device indices whose failure has already been handled.
@@ -159,9 +162,9 @@ pub struct FaultRunner {
     plan: FaultPlan,
     gens: Vec<RoutingGenerator>,
     iteration: u64,
-    iteration_times: Vec<f64>,
+    scheduled_seconds: f64,
     last_checkpoint_iteration: u64,
-    handled_failures: Vec<usize>,
+    handled: HandledFailures,
     elastic: bool,
 }
 
@@ -214,9 +217,9 @@ impl FaultRunner {
             opts,
             plan,
             iteration: 0,
-            iteration_times: Vec::new(),
+            scheduled_seconds: 0.0,
             last_checkpoint_iteration: 0,
-            handled_failures: Vec::new(),
+            handled: HandledFailures::default(),
             elastic: false,
         }
     }
@@ -264,9 +267,9 @@ impl FaultRunner {
         if self.elastic {
             // Elastic batch: the dead devices' tokens are dropped.
             for matrix in &mut demand {
-                for &d in &self.handled_failures {
+                for d in self.handled.devices() {
                     for e in 0..matrix.num_experts() {
-                        matrix.set(DeviceId::new(d), ExpertId::new(e), 0);
+                        matrix.set(d, ExpertId::new(e), 0);
                     }
                 }
             }
@@ -307,7 +310,7 @@ impl FaultRunner {
             degraded: !active.is_empty(),
         };
         self.iteration += 1;
-        self.iteration_times.push(report.time);
+        self.scheduled_seconds += t.total;
         if self.iteration.is_multiple_of(CHECKPOINT_INTERVAL) {
             self.last_checkpoint_iteration = self.iteration;
         }
@@ -320,43 +323,32 @@ impl FaultRunner {
 
     /// Detect and re-plan: forgets the failures whose window closed (the
     /// device rejoined) and lets the system react to newly observed
-    /// ones. Returns the recovery seconds charged to this iteration.
+    /// ones, which count as handled only once it has. Returns the
+    /// recovery seconds charged to this iteration.
     fn detect(&mut self, active: &ActiveFaults) -> Result<f64, TrainError> {
         self.system.set_planner_available(!active.planner_outage());
-        self.handled_failures
-            .retain(|&d| active.is_failed(DeviceId::new(d)));
-        let newly_failed: Vec<usize> = active
-            .failed_devices()
-            .map(DeviceId::index)
-            .filter(|d| !self.handled_failures.contains(d))
-            .collect();
-        if newly_failed.is_empty() {
+        let failed = self.handled.edges(active).failed;
+        if failed.is_empty() {
             return Ok(0.0);
         }
-        let failure_view = active.degraded_view(&self.topo);
-        let penalty =
-            if self.system.handle_device_failures(&failure_view)? == CapacityResponse::Restart {
-                // Static layout (or no planner to re-plan with):
-                // collective timeout, reload the last checkpoint onto
-                // replacement hardware, redo the lost iterations. The
-                // restarted job runs on a whole cluster again.
-                self.elastic = false;
-                let redo = self
-                    .iteration
-                    .saturating_sub(self.last_checkpoint_iteration);
-                let avg = if self.iteration_times.is_empty() {
-                    0.0
-                } else {
-                    self.iteration_times.iter().sum::<f64>() / self.iteration_times.len() as f64
-                };
-                COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD + redo as f64 * avg
-            } else {
-                // Elastic continuation on the survivors.
-                self.elastic = true;
-                DETECTION_DELAY + REPLAN_PENALTY
-            };
-        self.handled_failures.extend(newly_failed);
-        self.handled_failures.sort_unstable();
+        let view = active.view(&self.topo, active.failed_devices());
+        let penalty = if self.system.handle_device_failures(&view)? == CapacityResponse::Restart {
+            // Static layout (or no planner to re-plan with): collective
+            // timeout, reload the last checkpoint onto replacement
+            // hardware, redo the lost iterations at their mean scheduled
+            // time. The restarted job runs on a whole cluster again.
+            self.elastic = false;
+            let redo = self
+                .iteration
+                .saturating_sub(self.last_checkpoint_iteration);
+            let mean = self.scheduled_seconds / self.iteration.max(1) as f64;
+            COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD + redo as f64 * mean
+        } else {
+            // Elastic continuation on the survivors.
+            self.elastic = true;
+            DETECTION_DELAY + REPLAN_PENALTY
+        };
+        self.handled.handle(&failed);
         Ok(penalty)
     }
 
@@ -369,18 +361,9 @@ impl FaultRunner {
             self.system.context_mut().set_fault_view(None);
             return self.topo.devices().collect();
         }
-        let mut view = DegradedView::new(self.topo.clone());
-        for (a, b, factor) in active.degraded_links() {
-            view.degrade_link(a, b, factor);
-        }
-        let live = if self.elastic {
-            for d in active.failed_devices() {
-                view.fail_device(d);
-            }
-            view.survivors()
-        } else {
-            self.topo.devices().collect()
-        };
+        let removed = active.failed_devices().filter(|_| self.elastic);
+        let view = active.view(&self.topo, removed);
+        let live = view.survivors();
         self.system
             .context_mut()
             .set_fault_view((!view.is_nominal()).then_some(view));
@@ -408,9 +391,9 @@ impl FaultRunner {
             iteration: self.iteration,
             generators: self.gens.iter().map(RoutingGenerator::checkpoint).collect(),
             system_state: self.system.snapshot(),
-            iteration_times: self.iteration_times.clone(),
+            scheduled_seconds: self.scheduled_seconds,
             last_checkpoint_iteration: self.last_checkpoint_iteration,
-            handled_failures: self.handled_failures.clone(),
+            handled_failures: self.handled.devices().map(DeviceId::index).collect(),
             elastic: self.elastic,
         }
     }
@@ -455,13 +438,17 @@ impl FaultRunner {
         }
         self.system.restore(&ckpt.system_state)?;
         // Per-step state (fault view, planner availability) is re-derived
-        // from the plan inside `step`, and `handled_failures` keeps the
+        // from the plan inside `step`, and the handled failures keep the
         // detect phase from firing again, so nothing else to re-arm.
         self.gens = gens;
         self.iteration = ckpt.iteration;
-        self.iteration_times = ckpt.iteration_times;
+        self.scheduled_seconds = ckpt.scheduled_seconds;
         self.last_checkpoint_iteration = ckpt.last_checkpoint_iteration;
-        self.handled_failures = ckpt.handled_failures;
+        self.handled = ckpt
+            .handled_failures
+            .into_iter()
+            .map(DeviceId::new)
+            .collect();
         self.elastic = ckpt.elastic;
         Ok(())
     }
@@ -600,6 +587,44 @@ mod tests {
             ratio < 0.9,
             "static restart should stall below 90%, got {ratio:.3}"
         );
+    }
+
+    /// A restart redoes the iterations since the last checkpoint at
+    /// their mean scheduled time: an earlier restart's penalty is not
+    /// re-executed. (Priced on every iteration's charged time, the
+    /// second restart here cost 1.43 s too much.)
+    #[test]
+    fn restart_redo_is_priced_at_the_scheduled_mean() {
+        let mut plan = failure_plan(3, 4);
+        plan.push(FaultEvent {
+            kind: FaultKind::DeviceFailure {
+                device: DeviceId::new(5),
+            },
+            start: 7,
+            end: u64::MAX,
+        })
+        .unwrap();
+        let mut runner = FaultRunner::new(quick(SystemKind::VanillaEp), plan);
+        let mut scheduled: Vec<f64> = Vec::new();
+        for iteration in 0..8 {
+            let demand = runner.next_demand();
+            let step = runner.step(demand).unwrap();
+            let makespan = step.engine.timeline().makespan();
+            // The restarts at iterations 4 and 7 redo everything since
+            // the checkpoints at iterations 0 and 5.
+            let mean = scheduled.iter().sum::<f64>() / scheduled.len().max(1) as f64;
+            let expected = match iteration {
+                4 => COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD + 4.0 * mean,
+                7 => COLLECTIVE_TIMEOUT + CHECKPOINT_RELOAD + 2.0 * mean,
+                _ => 0.0,
+            };
+            let penalty = step.report.time - makespan;
+            assert!(
+                (penalty - expected).abs() < 1e-9,
+                "iteration {iteration}: penalty {penalty}, expected {expected}"
+            );
+            scheduled.push(makespan);
+        }
     }
 
     /// An unrecoverable cluster aborts with a typed error, not a panic.

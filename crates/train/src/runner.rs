@@ -154,8 +154,14 @@ impl ExperimentConfig {
 
     /// The system context of this experiment.
     pub fn context(&self) -> SystemContext {
+        self.context_on(self.topology())
+    }
+
+    /// This experiment's system context on `topo` instead of its own
+    /// cluster (a racked topology, for one).
+    pub fn context_on(&self, topo: Topology) -> SystemContext {
         SystemContext::new(
-            self.topology(),
+            topo,
             self.preset.config(),
             GpuSpec::a100(),
             self.tokens_per_device,

@@ -1,5 +1,6 @@
 //! The `laer` CLI rejects bad flag values with one `error:` line and
-//! exit code 1 — never a panic (exit 101) deep inside the library.
+//! exit code 1 — never a panic (exit 101) deep inside the library — and
+//! runs its serving and fault studies to success, deterministically.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -18,6 +19,51 @@ fn rejects(args: &[&str]) -> String {
     assert_eq!(lines.len(), 1, "laer {args:?}: {stderr}");
     assert!(lines[0].starts_with("error: "), "laer {args:?}: {stderr}");
     lines[0].to_string()
+}
+
+/// Runs `laer` with `args` twice, asserting exit 0 and the same stdout
+/// both times, and returns that stdout.
+fn succeeds(args: &[&str]) -> String {
+    let run = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_laer"))
+            .args(args)
+            .output()
+            .expect("spawn laer");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "laer {args:?}: {stderr}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let first = run();
+    assert_eq!(
+        first,
+        run(),
+        "laer {args:?} must print the same bytes twice"
+    );
+    first
+}
+
+/// `laer serve` and `laer faults` print one table row per system.
+#[test]
+fn serve_and_faults_run_to_success() {
+    for (args, systems) in [
+        (
+            &["serve", "--requests", "60"][..],
+            &["static-ep", "replicate-hot", "laer"],
+        ),
+        (
+            &["faults", "--fault", "failure", "--iters", "4"][..],
+            &["Laer", "FsdpEp", "VanillaEp"],
+        ),
+    ] {
+        let stdout = succeeds(args);
+        for system in systems {
+            let rows = stdout
+                .lines()
+                .filter(|line| line.split_whitespace().next() == Some(system))
+                .count();
+            assert_eq!(rows, 1, "laer {args:?}, {system}:\n{stdout}");
+        }
+    }
 }
 
 #[test]
