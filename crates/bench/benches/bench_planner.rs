@@ -1,8 +1,8 @@
 //! Criterion bench for the expert layout solver (Fig. 11's quantity):
 //! full Alg. 2 plans across cluster sizes and capacities and at the
 //! `fleet-plan` benchmark's N1024 shape, plus the fleet-scale hot paths
-//! — lite routing and refine probes through the incremental vs
-//! from-scratch evaluator.
+//! — Alg. 1 relocation, lite routing and refine probes through the
+//! incremental vs from-scratch evaluator.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -10,7 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laer_cluster::Topology;
 use laer_model::{GpuSpec, ModelPreset};
 use laer_planner::{
-    lite_route, refine_layout, refine_layout_scratch, CostParams, Planner, PlannerConfig,
+    expert_relocation, lite_route, refine_layout, refine_layout_scratch, replica_allocation,
+    CostParams, Planner, PlannerConfig,
 };
 use laer_routing::{DatasetProfile, RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
 
@@ -75,6 +76,24 @@ fn bench_plan(c: &mut Criterion) {
     group.finish();
 }
 
+/// Alg. 1 relocation of the proportional (Alg. 4) scheme at the
+/// ext-scale sweep's fleet sizes.
+fn bench_relocation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("expert_relocation");
+    group.sample_size(20);
+    for &gpus in &[1024usize, 4096] {
+        let (topo, demand, _) = scale_instance(gpus);
+        let loads = demand.expert_loads();
+        let replicas = replica_allocation(&loads, gpus, 2);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("N{gpus}")),
+            &replicas,
+            |b, replicas| b.iter(|| expert_relocation(replicas, &loads, &topo, 2)),
+        );
+    }
+    group.finish();
+}
+
 /// Lite routing (Alg. 3) across fleet sizes.
 fn bench_lite_route(c: &mut Criterion) {
     let mut group = c.benchmark_group("lite_route");
@@ -117,5 +136,11 @@ fn bench_refine_probes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_plan, bench_lite_route, bench_refine_probes);
+criterion_group!(
+    benches,
+    bench_plan,
+    bench_relocation,
+    bench_lite_route,
+    bench_refine_probes
+);
 criterion_main!(benches);

@@ -46,7 +46,7 @@ use std::time::Instant;
 
 /// Cluster sizes of the full sweep.
 pub const FULL_SIZES: [usize; 4] = [64, 256, 1024, 4096];
-/// Cluster sizes of the quick sweep (the default, and the CI smoke).
+/// Cluster sizes of the quick sweep (the default).
 pub const QUICK_SIZES: [usize; 2] = [64, 256];
 /// Experts per layer.
 const EXPERTS: usize = 16;

@@ -12,15 +12,22 @@
 //! resolves each `(node, expert)` target list once, from per-expert
 //! replica lists built once per layout (`ReplicaIndex`), and then
 //! splits every sender's cell against it. A cell with one target, or
-//! with equal replica counts, is split in closed form; the others take
-//! a select-nth of the largest remainders instead of a full sort. Three
-//! callers share the core: [`lite_route`] materialises the entries, the
-//! tuner prices candidates without materialising them (`Pricer`), and
-//! the delta evaluator re-routes the stale nodes of one expert's column
+//! with equal replica counts, is split in closed form, in integers
+//! (`tokens / m` and `tokens % m`); the others take a select-nth of the
+//! largest remainders instead of a full sort. Three callers share the
+//! core: [`lite_route`] materialises the entries, the tuner prices
+//! candidates without materialising them (`Pricer`), and the delta
+//! evaluator re-routes the stale nodes of one expert's column
 //! (`crate::delta`). The two pricing callers count into Eq. 2's integer
 //! sums (`crate::cost::Eq2Sums`), which do not depend on the order
 //! entries are counted in, and get each target's link-price bucket once
 //! per node when the network prices links by kind.
+//!
+//! On such a network the tuner also counts a node's *own* lists — its
+//! replicas of an expert — a column at a time: every sender on the node
+//! reaches every other device of the node over one link kind, so each
+//! sender's share of the column is one send update, and each target's
+//! receive sums and load are added once for the whole column.
 //!
 //! Order-free sums let the tuner skip the entries of a *fallback* list —
 //! the expert's whole replica list, used when the senders' node holds
@@ -77,7 +84,7 @@ pub fn lite_route(topo: &Topology, demand: &RoutingMatrix, layout: &ExpertLayout
 /// [`ExpertLayout::replica_devices`], kept so a global fallback reads
 /// its targets without a device scan. Mutable, so the delta evaluator
 /// keeps one current through its moves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ReplicaIndex {
     devices: usize,
     experts: usize,
@@ -89,26 +96,30 @@ pub(crate) struct ReplicaIndex {
 
 impl ReplicaIndex {
     pub(crate) fn from_layout(layout: &ExpertLayout) -> Self {
-        let devices = layout.num_devices();
+        let mut index = Self::default();
+        index.assign(layout);
+        index
+    }
+
+    /// Makes this the index of `layout`, keeping its buffers.
+    pub(crate) fn assign(&mut self, layout: &ExpertLayout) {
         let experts = layout.num_experts();
-        let counts = layout.replica_counts().to_vec();
-        let mut lists = vec![Vec::new(); experts];
-        let mut totals = vec![0usize; experts];
-        for (d, row) in counts.chunks_exact(experts).enumerate() {
+        self.devices = layout.num_devices();
+        self.experts = experts;
+        self.capacity = layout.capacity();
+        self.counts.clear();
+        self.counts.extend_from_slice(layout.replica_counts());
+        self.lists.resize_with(experts, Vec::new);
+        self.lists.iter_mut().for_each(Vec::clear);
+        self.totals.clear();
+        self.totals.resize(experts, 0);
+        for (d, row) in self.counts.chunks_exact(experts).enumerate() {
             for (j, &c) in row.iter().enumerate() {
                 if c > 0 {
-                    lists[j].push((DeviceId::new(d), c));
-                    totals[j] += c as usize;
+                    self.lists[j].push((DeviceId::new(d), c));
+                    self.totals[j] += c as usize;
                 }
             }
-        }
-        Self {
-            devices,
-            experts,
-            capacity: layout.capacity(),
-            counts,
-            lists,
-            totals,
         }
     }
 
@@ -184,8 +195,8 @@ impl ReplicaIndex {
 
 /// The routing core's reusable buffers: one node's resolved target
 /// lists (and their link-price buckets), plus the largest-remainder
-/// working set. Buffers grow to the largest node seen and stay
-/// allocated.
+/// working set and a column's per-target sums. Buffers grow to the
+/// largest node seen and stay allocated.
 #[derive(Debug, Default)]
 pub(crate) struct Router {
     /// Resolved targets, flat; `lists[k]` spans the `k`-th resolved
@@ -195,35 +206,127 @@ pub(crate) struct Router {
     /// Per target, once [attached](Self::attach_buckets): the
     /// [`LinkPrices`] bucket the node's other senders reach it over.
     buckets: Vec<usize>,
-    shares: Vec<(u64, f64)>,
-    order: Vec<usize>,
+    remainders: Remainders,
+    /// [`Self::count_column`]'s per-target load and receive sums.
+    column: Vec<(u64, Traffic)>,
 }
 
 /// One resolved target list: its span of [`Router`]'s targets, their
-/// replica total, whether every target holds the same count, and
-/// whether it was left unresolved for the caller to spread.
+/// replica total, whether every target holds the same count, whether
+/// its targets are the senders' own node's replicas, and whether it was
+/// left unresolved for the caller to spread.
 #[derive(Debug, Clone, Copy)]
 struct TargetList {
     start: usize,
     end: usize,
     total: u64,
     equal: bool,
+    local: bool,
     spread: bool,
 }
 
+/// The largest-remainder working set of an unequal split: per target
+/// its `(floor share, remainder)`, and the targets' rank keys.
+#[derive(Debug, Default)]
+struct Remainders {
+    shares: Vec<(u64, f64)>,
+    order: Vec<(u64, bool, DeviceId, usize)>,
+}
+
 /// The closed-form split of `tokens` over `m` targets that each hold
-/// `count` of `total = m · count` replicas: every target gets the
-/// floor share `F`, and the first `x` in remainder order one more.
-/// Returns `(F, x)`.
+/// the same replica count: every target gets the floor share
+/// `F = tokens / m`, and the first `x = tokens % m` in remainder order
+/// one more. Returns `(F, x)`.
+///
+/// This is the proportional split [`split_list`] gives unequal lists,
+/// `⌊tokens · count / (m · count)⌋` in `f64`, for as long as
+/// `tokens · count ≤ 2^52`: the product is then exact, and the
+/// quotient's rounding error (at most `tokens / m · 2^-53 ≤ 1 / 2m`)
+/// cannot carry it to the next integer, which lies at least `1 / m`
+/// above a quotient that is not one, so the float floor is `F` and the
+/// tokens it leaves are `x`. Past that bound this split stays exact and
+/// the float one may not.
 #[inline]
-fn equal_shares(tokens: u64, count: u32, total: u64, m: usize) -> (u64, usize) {
-    let exact = tokens as f64 * count as f64 / total as f64;
-    let floor = exact.floor() as u64;
-    let (left, m) = (tokens - floor * m as u64, m as u64);
-    if left < m {
-        (floor, left as usize)
-    } else {
-        (floor + left / m, (left % m) as usize)
+fn equal_shares(tokens: u64, m: usize) -> (u64, usize) {
+    let m = m as u64;
+    (tokens / m, (tokens % m) as usize)
+}
+
+/// Alg. 3's split of `src`'s `tokens` over one resolved `list` with
+/// targets `targets`, calling `emit(i, share)` for every target
+/// position `i` in target order, zero shares included.
+///
+/// The split is proportional to replica counts ("evenly distributed
+/// among all replicas") with deterministic largest-remainder rounding:
+/// remainders descending, ties to the sender itself, then to lower
+/// device ids, which keeps traffic local when possible.
+fn split_list(
+    list: &TargetList,
+    targets: &[(DeviceId, u32)],
+    src: DeviceId,
+    tokens: u64,
+    remainders: &mut Remainders,
+    mut emit: impl FnMut(usize, u64),
+) {
+    let m = targets.len();
+    if m == 1 {
+        // The one share is the whole cell: its remainder, if any,
+        // rounds back onto the same target.
+        emit(0, tokens);
+        return;
+    }
+    if list.equal {
+        // Equal counts: every target has the same share, floor and
+        // remainder, so the remainder order is the sender first, then
+        // ascending device id — the targets' own order. A fallback list
+        // lies off the sender's node.
+        let (floor, extra) = equal_shares(tokens, m);
+        let sender = if list.local {
+            targets.iter().position(|&(d, _)| d == src)
+        } else {
+            None
+        };
+        for i in 0..m {
+            let rank = match sender {
+                Some(s) if i == s => 0,
+                Some(s) if i < s => i + 1,
+                _ => i,
+            };
+            emit(i, floor + u64::from(rank < extra));
+        }
+        return;
+    }
+    let Remainders { shares, order } = remainders;
+    shares.clear();
+    let mut assigned = 0u64;
+    for &(_, count) in targets {
+        let exact = tokens as f64 * count as f64 / list.total as f64;
+        let floor = exact.floor() as u64;
+        assigned += floor;
+        shares.push((floor, exact - floor as f64));
+    }
+    let left = tokens - assigned;
+    let (base, extra) = (left / m as u64, (left % m as u64) as usize);
+    if extra > 0 {
+        // The `extra` largest remainders each take one more token. A
+        // remainder is a non-negative float, whose bits order as its
+        // value, so each target's rank is one key: remainder descending,
+        // then the sender, then ascending device id.
+        order.clear();
+        order.extend(
+            targets
+                .iter()
+                .zip(shares.iter())
+                .enumerate()
+                .map(|(i, (&(d, _), &(_, rem)))| (u64::MAX - rem.to_bits(), d != src, d, i)),
+        );
+        order.select_nth_unstable(extra - 1);
+        for &(.., i) in &order[..extra] {
+            shares[i].0 += 1;
+        }
+    }
+    for (i, &(floor, _)) in shares.iter().enumerate() {
+        emit(i, floor + base);
     }
 }
 
@@ -252,9 +355,9 @@ impl Router {
                     self.targets.push((dev, c));
                 }
             }
-            let fallback = self.targets.len() == start;
-            let spread = fallback && spreadable.get(j) == Some(&true);
-            if fallback && !spread {
+            let local = self.targets.len() > start;
+            let spread = !local && spreadable.get(j) == Some(&true);
+            if !local && !spread {
                 self.targets.extend_from_slice(&index.lists[j]);
             }
             let list = &self.targets[start..];
@@ -263,6 +366,7 @@ impl Router {
                 end: self.targets.len(),
                 total: list.iter().map(|&(_, c)| u64::from(c)).sum(),
                 equal: list.iter().all(|&(_, c)| c == list[0].1),
+                local,
                 spread,
             });
         }
@@ -291,14 +395,10 @@ impl Router {
     }
 
     /// Splits `src`'s `tokens` for `expert` over the `k`-th resolved
-    /// target list, calling `emit(dst, count, bucket)` per entry, with
-    /// the target's link-price bucket when the list was priced per node.
-    ///
-    /// The split is proportional to replica counts ("evenly distributed
-    /// among all replicas") with deterministic largest-remainder
-    /// rounding: remainders descending, ties to the sender itself, then
-    /// to lower device ids, which keeps traffic local when possible.
-    /// Entries come in target order and skip zero-token shares.
+    /// target list ([`split_list`]), calling `emit(dst, count, bucket)`
+    /// per entry, with the target's link-price bucket when the list was
+    /// priced per node. Entries come in target order and skip
+    /// zero-token shares.
     ///
     /// # Panics
     ///
@@ -312,89 +412,92 @@ impl Router {
         k: usize,
         mut emit: impl FnMut(DeviceId, u64, Option<usize>),
     ) {
-        let TargetList {
-            start,
-            end,
-            total,
-            equal,
-            ..
-        } = self.lists[k];
-        let targets = &self.targets[start..end];
-        let buckets = self.buckets.get(start..end);
-        let mut out = |i: usize, count: u64| {
-            if count > 0 {
-                emit(targets[i].0, count, buckets.map(|b| b[i]));
-            }
-        };
+        let list = self.lists[k];
+        let targets = &self.targets[list.start..list.end];
+        let buckets = self.buckets.get(list.start..list.end);
         assert!(
             !targets.is_empty(),
             "layout hosts no replica of {expert}; validate layouts before routing"
         );
-        let m = targets.len();
-        if m == 1 {
-            // The one share is the whole cell: its remainder, if any,
-            // rounds back onto the same target.
-            out(0, tokens);
-            return;
-        }
-        if equal {
-            // Equal counts: every target has the same share, floor and
-            // remainder, so the remainder order is the sender first, then
-            // ascending device id — the targets' own order.
-            let (floor, extra) = equal_shares(tokens, targets[0].1, total, m);
-            let sender = targets.iter().position(|&(d, _)| d == src);
-            for i in 0..m {
-                let rank = match sender {
-                    Some(s) if i == s => 0,
-                    Some(s) if i < s => i + 1,
-                    _ => i,
-                };
-                out(i, floor + u64::from(rank < extra));
+        split_list(
+            &list,
+            targets,
+            src,
+            tokens,
+            &mut self.remainders,
+            |i, count| {
+                if count > 0 {
+                    emit(targets[i].0, count, buckets.map(|b| b[i]));
+                }
+            },
+        );
+    }
+
+    /// Counts into `sums` what [`Self::split`] would emit for each of
+    /// `cells`, the senders of one node, over the `k`-th resolved list —
+    /// one the node holds itself, with buckets
+    /// [attached](Self::attach_buckets). Every sender reaches every
+    /// other device of its node over one bucket, so each sender's sends
+    /// are one update, and each target's receive sums and load are added
+    /// once for the whole column.
+    pub(crate) fn count_column(
+        &mut self,
+        k: usize,
+        cells: impl Iterator<Item = (DeviceId, u64)>,
+        sums: &mut Eq2Sums,
+    ) {
+        let list = self.lists[k];
+        debug_assert!(list.local, "a column's targets are its senders' node's");
+        let targets = &self.targets[list.start..list.end];
+        // A node's only device is its own only target, so its bucket is
+        // never read.
+        let bucket = self.buckets[list.start];
+        let column = &mut self.column;
+        column.clear();
+        column.resize(targets.len(), (0, Traffic::default()));
+        for (src, tokens) in cells {
+            let mut sent = Traffic::default();
+            split_list(
+                &list,
+                targets,
+                src,
+                tokens,
+                &mut self.remainders,
+                |i, share| {
+                    if share == 0 {
+                        return;
+                    }
+                    let (load, recv) = &mut column[i];
+                    *load += share;
+                    if targets[i].0 != src {
+                        for t in [recv, &mut sent] {
+                            t.tokens += share;
+                            t.messages += 1;
+                        }
+                    }
+                },
+            );
+            if sent.messages > 0 {
+                sums.send(src, bucket, sent);
             }
-            return;
         }
-        let shares = &mut self.shares;
-        shares.clear();
-        let mut assigned = 0u64;
-        for &(_, count) in targets {
-            let exact = tokens as f64 * count as f64 / total as f64;
-            let floor = exact.floor() as u64;
-            assigned += floor;
-            shares.push((floor, exact - floor as f64));
-        }
-        let left = tokens - assigned;
-        let (base, extra) = (left / m as u64, (left % m as u64) as usize);
-        if extra > 0 {
-            // The `extra` largest remainders each take one more token.
-            let order = &mut self.order;
-            order.clear();
-            order.extend(0..m);
-            let rank = |&a: &usize, &b: &usize| {
-                let (da, db) = (targets[a].0, targets[b].0);
-                shares[b]
-                    .1
-                    .total_cmp(&shares[a].1)
-                    .then_with(|| (db == src).cmp(&(da == src)))
-                    .then(da.cmp(&db))
-            };
-            order.select_nth_unstable_by(extra - 1, rank);
-            for &i in &order[..extra] {
-                shares[i].0 += 1;
+        for (&(dst, _), &(load, recv)) in targets.iter().zip(column.iter()) {
+            sums.load(dst, load);
+            if recv.messages > 0 {
+                sums.recv(dst, bucket, recv);
             }
-        }
-        for (i, &(floor, _)) in shares.iter().enumerate() {
-            out(i, floor + base);
         }
     }
 }
 
 /// The tuner's candidate pricing: Alg. 3's routing of a whole layout,
 /// counted straight into Eq. 2's sums and never materialised. On a
-/// network that prices links by kind, a node that holds none of an
-/// expert whose replicas all hold the same count is spread per view
-/// ([`Spreads`]); every other `(node, expert)` list is split sender by
-/// sender, as [`lite_route`] splits it. The sums come out exactly as if
-/// `lite_route`'s entries were counted.
+/// network that prices links by kind, a node's own list of an expert is
+/// counted a column at a time ([`Router::count_column`]), and a node
+/// that holds none of an expert whose replicas all hold the same count
+/// is spread per view ([`Spreads`]); every other `(node, expert)` list
+/// is split and counted sender by sender, as [`lite_route`] splits it.
+/// The sums come out exactly as if `lite_route`'s entries were counted.
 #[derive(Debug, Default)]
 pub(crate) struct Pricer {
     router: Router,
@@ -442,8 +545,13 @@ impl Pricer {
                     .devices_on(node)
                     .map(|src| (src, demand.get(src, expert)))
                     .filter(|&(_, tokens)| tokens > 0);
-                if router.lists[j].spread {
+                let list = router.lists[j];
+                if list.spread {
                     spreads.add(topo, index, node, expert, cells, prices, sums);
+                    continue;
+                }
+                if list.local && prices.by_kind() {
+                    router.count_column(j, cells, sums);
                     continue;
                 }
                 for (src, tokens) in cells {
@@ -554,9 +662,8 @@ impl Spreads {
             None => self.open(slot, expert, list, rep, prices),
         };
         let spread = &mut self.spreads[s];
-        let (count, total) = (list[0].1, index.expert_replicas(expert) as u64);
         for (src, tokens) in cells {
-            let (floor, x) = equal_shares(tokens, count, total, m);
+            let (floor, x) = equal_shares(tokens, m);
             spread.floors += floor;
             spread.senders += 1;
             let remainder = &mut self.remainders[spread.at + x];

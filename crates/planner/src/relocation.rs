@@ -9,16 +9,20 @@
 //! The paper's group scan — sort the nodes by how many replicas of the
 //! expert they hold, then scan the lowest group's devices — costs
 //! `O(N)` per replica. An expert's replicas are placed back to back and
-//! every node climbs one level per replica it takes, so the lowest group
-//! is exactly the nodes of the current level that still have room: a
-//! heap of those nodes, keyed by each one's least-loaded eligible device
-//! `(load, device id)`, yields the device the scan picks, with the same
-//! tie-breaks, in `O(log nodes + devices per node)` per replica.
+//! every node climbs one *level* per replica it takes, so the lowest
+//! group is exactly the nodes of the current level that still have
+//! room. Placing on a node changes only that node's least-loaded device
+//! and lifts the node out of the level, so within a level every node
+//! takes at most one replica, at the `(load, device id)` slot it had
+//! when the level began: a level with no more nodes than replicas left
+//! takes one replica on each, and a last, partial level of `k` replicas
+//! takes its `k` smallest slots by a select-nth. Every replica lands
+//! where the scan puts it, with the same tie-breaks, in
+//! `O(nodes + devices per node)` per level.
 
 use crate::layout::ExpertLayout;
 use laer_cluster::{DeviceId, ExpertId, NodeId, Topology};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 /// Alg. 1: builds an [`ExpertLayout`] from per-expert replica counts and
 /// loads.
@@ -107,30 +111,37 @@ pub fn expert_relocation_on(
         .collect();
     // Lines 7-9: the nodes holding the fewest replicas of the expert
     // form the candidate group. Every node starts an expert at zero and
-    // moves up one level per replica it takes, so the group is a heap
-    // of the current level's nodes keyed by their least-loaded device:
-    // its minimum is the device the group scan picks.
-    let mut level: BinaryHeap<Reverse<Slot>> = BinaryHeap::with_capacity(topo.num_nodes());
-    let mut next_level: Vec<Reverse<Slot>> = Vec::with_capacity(topo.num_nodes());
+    // moves up one level per replica it takes, so the group is the
+    // current level's nodes, each at the slot it had when the level
+    // began: a whole level takes one replica per node, a partial last
+    // level its `left` smallest slots.
+    let mut level: Vec<Slot> = Vec::with_capacity(topo.num_nodes());
     for j in order {
         let expert = ExpertId::new(j);
         level.clear();
-        level.extend(node_best.iter().flatten().copied().map(Reverse));
-        next_level.clear();
-        for _ in 0..expert_rep[j] {
-            if level.is_empty() {
-                level.extend(next_level.drain(..));
+        level.extend(node_best.iter().flatten().copied());
+        let mut left = expert_rep[j];
+        while left > 0 {
+            assert!(
+                !level.is_empty(),
+                "replica total equals slot total, placement must succeed"
+            );
+            if left < level.len() {
+                level.select_nth_unstable(left - 1);
+                level.truncate(left);
             }
-            let Some(Reverse(slot)) = level.pop() else {
-                panic!("replica total equals slot total, placement must succeed");
-            };
-            let device = DeviceId::new(slot.device);
-            layout.add_replica(device, expert);
-            device_loads[slot.device] += avg[j];
-            expert_count[slot.device] += 1;
-            let nid = topo.node_of(device);
-            node_best[nid.index()] = least_loaded(nid, &expert_count, &device_loads);
-            next_level.extend(node_best[nid.index()].map(Reverse));
+            left -= level.len();
+            // Place the level's replicas; the nodes that keep room form
+            // the next level.
+            level.retain_mut(|slot| {
+                let device = DeviceId::new(slot.device);
+                layout.add_replica(device, expert);
+                device_loads[slot.device] += avg[j];
+                expert_count[slot.device] += 1;
+                let nid = topo.node_of(device);
+                node_best[nid.index()] = least_loaded(nid, &expert_count, &device_loads);
+                node_best[nid.index()].map(|next| *slot = next).is_some()
+            });
         }
     }
     debug_assert!(layout.validate_on(active).is_ok());

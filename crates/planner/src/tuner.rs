@@ -6,11 +6,11 @@
 //! (Alg. 1), routes under lite routing (Alg. 3), scores with the time
 //! model (Eq. 2) and keeps the best. Candidates are priced without
 //! materialising their routing — each `(node, expert)` target list is
-//! counted into Eq. 2's integer sums, and an equal fallback list's
-//! receive side once per rack — so only the winner is ever routed with
-//! `lite_route`. Because those sums do not depend on the order entries
-//! are counted in, the cost is bit-identical to pricing `lite_route`'s
-//! output with `time_cost`.
+//! counted into Eq. 2's integer sums, a node's own lists a column at a
+//! time and an equal fallback list's receive side once per rack — so
+//! only the winner is ever routed with `lite_route`. Because those sums
+//! do not depend on the order entries are counted in, the cost is
+//! bit-identical to pricing `lite_route`'s output with `time_cost`.
 
 use crate::cost::{CostBreakdown, CostParams, LinkPrices};
 use crate::layout::ExpertLayout;
@@ -325,6 +325,7 @@ impl Planner {
             // proportional scheme so planning stays total.
             schemes.push(replica_allocation(&loads, active.len(), self.cfg.capacity));
         }
+        let mut index = ReplicaIndex::default();
         let mut pricer = Pricer::default();
         let mut prices = LinkPrices::new(net);
         let mut best: Option<(ExpertLayout, CostBreakdown)> = None;
@@ -333,8 +334,9 @@ impl Planner {
             EVAL_COUNT.with(|c| c.set(c.get() + 1));
             let layout =
                 expert_relocation_on(replicas, &loads, &self.topo, self.cfg.capacity, active);
+            index.assign(&layout);
             let predicted = self
-                .route_cost(&mut pricer, &mut prices, demand, &layout)
+                .route_cost(&mut pricer, &mut prices, demand, &index)
                 .pipelined(self.cfg.num_chunks);
             if best
                 .as_ref()
@@ -353,22 +355,22 @@ impl Planner {
         }
     }
 
-    /// Eq. 2 of `layout`, priced on the network behind `prices` as
-    /// Alg. 3 would route it: [`Pricer`] counts the routing into Eq. 2's
-    /// integer sums — an equal fallback list's receive side once per
-    /// rack when the network prices links by kind — and the one
-    /// conversion every evaluator shares turns them into seconds. The
-    /// sums are exact, so the cost is bit-identical to
+    /// Eq. 2 of the layout behind `index`, priced on the network behind
+    /// `prices` as Alg. 3 would route it: [`Pricer`] counts the routing
+    /// into Eq. 2's integer sums — a node's own lists a column at a
+    /// time, and an equal fallback list's receive side once per rack,
+    /// when the network prices links by kind — and the one conversion
+    /// every evaluator shares turns them into seconds. The sums are
+    /// exact, so the cost is bit-identical to
     /// `time_cost(net, &lite_route(..), ..)`.
     fn route_cost<I: Interconnect>(
         &self,
         pricer: &mut Pricer,
         prices: &mut LinkPrices<'_, I>,
         demand: &RoutingMatrix,
-        layout: &ExpertLayout,
+        index: &ReplicaIndex,
     ) -> CostBreakdown {
-        let index = ReplicaIndex::from_layout(layout);
-        let sums = pricer.price(&self.topo, &index, demand, prices);
+        let sums = pricer.price(&self.topo, index, demand, prices);
         sums.eq2(prices.prices(), &self.cost)
     }
 

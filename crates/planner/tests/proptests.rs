@@ -404,10 +404,10 @@ proptest! {
         prop_assert_eq!(layout.replica_vector(), rep);
     }
 
-    /// The heap relocation places every replica where the group-scan
-    /// oracle does: any survivor subset, tied loads (few distinct
-    /// values, so averages and device loads tie), C = 1–4, with and
-    /// without racks, for both base replica schemes.
+    /// The level-at-a-time relocation places every replica where the
+    /// group-scan oracle does: any survivor subset, tied loads (few
+    /// distinct values, so averages and device loads tie), C = 1–4,
+    /// with and without racks, for both base replica schemes.
     #[test]
     fn relocation_matches_group_scan_oracle(
         topo in any_topo_strategy(),
@@ -430,14 +430,22 @@ proptest! {
 
     /// `lite_route` emits the per-cell oracle's entries in its order:
     /// arbitrary layouts (a device may hold two replicas of one expert),
-    /// zero-token cells, single-node and one-GPU-per-node shapes.
+    /// zero-token cells, single-node and one-GPU-per-node shapes. Cells
+    /// of up to 2^40 tokens check large cells without overflow and catch
+    /// a split of equal lists computed at coarse precision (say `f32`).
+    /// With C ≤ 4 they stay inside `equal_shares`' `tokens · count ≤
+    /// 2^52` bound, where the integer and `f64` splits provably agree,
+    /// so they cannot reach a case where `f64` rounding parts the two.
     #[test]
     fn lite_route_matches_per_cell_oracle(
         (nodes, dpn) in prop_oneof![Just((1usize, 4usize)), Just((4, 1)), (1usize..=4, 1usize..=4)],
         c in 1usize..=4,
         experts in 1usize..8,
         picks in proptest::collection::vec(0usize..64, 64),
-        cells in proptest::collection::vec(prop_oneof![Just(0u64), 0u64..50, 0u64..5000], 128),
+        cells in proptest::collection::vec(
+            prop_oneof![Just(0u64), 0u64..50, 0u64..5000, 0u64..1 << 40],
+            128,
+        ),
     ) {
         let topo = Topology::new(nodes, dpn).expect("non-empty");
         let n = topo.num_devices();

@@ -33,7 +33,6 @@ use laer_sim::{
     all_to_all_time, record_timed_fault_spans, token_a2a_times, A2aMatrix, ActiveFaults, Engine,
     FaultPlan, HandledFailures, Span, SpanHandle, SpanLabel, StreamKind, Timeline,
 };
-use laer_train::ExperimentConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::resilience::{
@@ -108,8 +107,9 @@ impl ServeConfig {
     /// model, and — crucially — the *same popularity process*, resumed
     /// at `trained_iters` (the layer-0 routing stream the run trained
     /// on, fast-forwarded past the trained prefix).
-    pub fn from_training(
-        exp: &ExperimentConfig,
+    #[cfg(test)]
+    fn from_training(
+        exp: &laer_train::ExperimentConfig,
         system: ServingSystemKind,
         trained_iters: u64,
     ) -> Self {
@@ -1220,6 +1220,7 @@ mod tests {
     #[test]
     fn from_training_resumes_the_training_mix() {
         use laer_baselines::SystemKind;
+        use laer_train::ExperimentConfig;
 
         let exp = ExperimentConfig::new(ModelPreset::Mixtral8x7bE8k2, SystemKind::Laer);
         let mut cfg = ServeConfig::from_training(&exp, ServingSystemKind::Laer, 70);

@@ -3,9 +3,10 @@
 //!
 //! The scheduler ([`crate::serving::run_serving`]) owns the loop; a
 //! system only decides *where experts live*. After every step it is fed
-//! the served routing statistics via [`ServingSystem::observe`]; when it
-//! returns a new layout the scheduler charges the relocation traffic
-//! before using it (see [`laer_planner::relocation_moves`]).
+//! the served routing statistics via [`ServingSystem::observe`]; when
+//! its [layout](ServingSystem::layout) changes the scheduler charges the
+//! relocation traffic before using it (see
+//! [`laer_planner::relocation_moves`]).
 //!
 //! `laer` drives the [`LayoutPolicy`] training's `LaerSystem` drives,
 //! adding only windows, hysteresis and the eager survivor re-plan.
@@ -23,16 +24,14 @@ use laer_routing::RoutingMatrix;
 
 /// An online expert-placement policy.
 pub trait ServingSystem {
-    /// Artifact-style identifier (`static-ep`, `replicate-hot`, `laer`).
-    fn name(&self) -> &'static str;
-
     /// The layout the system currently wants deployed.
     fn layout(&self) -> &ExpertLayout;
 
-    /// Feeds the routing statistics served at `step`; returns `true` if
-    /// the desired layout changed (the scheduler will then charge the
-    /// relocation and apply it before the next step's expert compute).
-    fn observe(&mut self, step: u64, served: &RoutingMatrix) -> bool;
+    /// Feeds the routing statistics served at `step`; the system may
+    /// change its desired [layout](Self::layout) (the scheduler then
+    /// charges the relocation and applies it before the next step's
+    /// expert compute).
+    fn observe(&mut self, step: u64, served: &RoutingMatrix);
 
     /// Tells the system whether the asynchronous CPU planner host is
     /// reachable. While it is not, planner-backed systems must fall back
@@ -149,17 +148,11 @@ impl StaticEp {
 }
 
 impl ServingSystem for StaticEp {
-    fn name(&self) -> &'static str {
-        ServingSystemKind::StaticEp.id()
-    }
-
     fn layout(&self) -> &ExpertLayout {
         &self.layout
     }
 
-    fn observe(&mut self, _step: u64, _served: &RoutingMatrix) -> bool {
-        false
-    }
+    fn observe(&mut self, _step: u64, _served: &RoutingMatrix) {}
 
     /// Static EP cannot re-form its placement on survivors: a failure
     /// always costs the full restart path. Recoveries are no-ops (the
@@ -235,24 +228,21 @@ impl ReplicateHot {
 }
 
 impl ServingSystem for ReplicateHot {
-    fn name(&self) -> &'static str {
-        ServingSystemKind::ReplicateHot.id()
-    }
-
     fn layout(&self) -> &ExpertLayout {
         &self.layout
     }
 
-    fn observe(&mut self, step: u64, served: &RoutingMatrix) -> bool {
+    fn observe(&mut self, step: u64, served: &RoutingMatrix) {
         if self.window.len() == self.window_cap {
             self.window.pop_front();
         }
         self.window.push_back(served.expert_loads());
         if !(step + 1).is_multiple_of(self.period) {
-            return false;
+            return;
         }
-        self.windowed_loads()
-            .is_some_and(|loads| self.place(&loads))
+        if let Some(loads) = self.windowed_loads() {
+            self.place(&loads);
+        }
     }
 
     /// Reactive replication adapts to capacity the same way it adapts
@@ -359,36 +349,32 @@ impl LaerServing {
 }
 
 impl ServingSystem for LaerServing {
-    fn name(&self) -> &'static str {
-        ServingSystemKind::Laer.id()
-    }
-
     fn layout(&self) -> &ExpertLayout {
         &self.layout
     }
 
-    fn observe(&mut self, step: u64, served: &RoutingMatrix) -> bool {
+    fn observe(&mut self, step: u64, served: &RoutingMatrix) {
         if self.window.len() == self.window_cap {
             self.window.pop_front();
         }
         self.window.push_back(served.clone());
         if !(step + 1).is_multiple_of(self.period) {
-            return false;
+            return;
         }
         let Some(total) = self.window_total() else {
-            return false;
+            return;
         };
         if total.total() == 0 {
-            return false;
+            return;
         }
         self.policy.observe(0, &total);
         // Nothing is proposed while the planner host is down: keep
         // serving on the stale layout.
         let Some(Proposal { demand, plan, .. }) = self.policy.propose(0, self.view.as_ref()) else {
-            return false;
+            return;
         };
         if plan.layout == self.layout {
-            return false;
+            return;
         }
         // Cost-aware hysteresis: price *keeping* the current layout
         // under the same predicted demand; only move when the planner's
@@ -399,11 +385,9 @@ impl ServingSystem for LaerServing {
             Some(view) => time_cost(view, &keep, planner.cost_params()).total(),
             None => time_cost(planner.topology(), &keep, planner.cost_params()).total(),
         };
-        if plan.predicted.total() >= keep_cost * (1.0 - HYSTERESIS_MARGIN) {
-            return false;
+        if plan.predicted.total() < keep_cost * (1.0 - HYSTERESIS_MARGIN) {
+            self.layout = plan.layout;
         }
-        self.layout = plan.layout;
-        true
     }
 
     fn set_planner_available(&mut self, available: bool) {
@@ -470,9 +454,9 @@ mod tests {
         let mut sys = ServingSystemKind::StaticEp.build(&topo, &cfg, GpuSpec::a100(), 2, 4, 4);
         let before = sys.layout().clone();
         for step in 0..16 {
-            assert!(!sys.observe(step, &skewed(8, 8, 3, 512)));
+            sys.observe(step, &skewed(8, 8, 3, 512));
+            assert_eq!(sys.layout(), &before);
         }
-        assert_eq!(sys.layout(), &before);
         assert!(before.validate().is_ok());
     }
 
@@ -481,12 +465,16 @@ mod tests {
         let topo = Topology::new(2, 4).unwrap();
         let cfg = ModelPreset::Mixtral8x7bE8k2.config();
         let mut sys = ServingSystemKind::ReplicateHot.build(&topo, &cfg, GpuSpec::a100(), 2, 4, 4);
-        let even = sys.layout().expert_replicas(ExpertId::new(3));
-        let mut changed = false;
+        let before = sys.layout().clone();
+        let even = before.expert_replicas(ExpertId::new(3));
         for step in 0..8 {
-            changed |= sys.observe(step, &skewed(8, 8, 3, 512));
+            sys.observe(step, &skewed(8, 8, 3, 512));
         }
-        assert!(changed, "skewed traffic must trigger a re-layout");
+        assert_ne!(
+            sys.layout(),
+            &before,
+            "skewed traffic must trigger a re-layout"
+        );
         assert!(sys.layout().validate().is_ok());
         assert!(
             sys.layout().expert_replicas(ExpertId::new(3)) > even,
@@ -499,12 +487,16 @@ mod tests {
         let topo = Topology::new(2, 4).unwrap();
         let cfg = ModelPreset::Mixtral8x7bE8k2.config();
         let mut sys = ServingSystemKind::Laer.build(&topo, &cfg, GpuSpec::a100(), 2, 4, 4);
-        let even = sys.layout().expert_replicas(ExpertId::new(3));
-        let mut changed = false;
+        let before = sys.layout().clone();
+        let even = before.expert_replicas(ExpertId::new(3));
         for step in 0..16 {
-            changed |= sys.observe(step, &skewed(8, 8, 3, 512));
+            sys.observe(step, &skewed(8, 8, 3, 512));
         }
-        assert!(changed, "skewed traffic must trigger a re-layout");
+        assert_ne!(
+            sys.layout(),
+            &before,
+            "skewed traffic must trigger a re-layout"
+        );
         assert!(sys.layout().validate().is_ok());
         assert!(sys.layout().expert_replicas(ExpertId::new(3)) > even);
     }
@@ -547,11 +539,8 @@ mod tests {
             .validate_on(&view.survivors())
             .expect("survivor layout must host every expert off the dead device");
         // Subsequent periodic re-layouts stay on the survivor subset.
-        let mut changed = false;
         for step in 4..12 {
-            changed |= sys.observe(step, &skewed(8, 8, 5, 512));
-        }
-        if changed {
+            sys.observe(step, &skewed(8, 8, 5, 512));
             sys.layout().validate_on(&view.survivors()).unwrap();
         }
         // Rejoin: the whole cluster comes back.
@@ -606,9 +595,12 @@ mod tests {
         let empty = RoutingMatrix::zeros(8, 8).unwrap();
         for kind in [ServingSystemKind::ReplicateHot, ServingSystemKind::Laer] {
             let mut sys = kind.build(&topo, &cfg, GpuSpec::a100(), 2, 2, 4);
+            let before = sys.layout().clone();
             for step in 0..8 {
-                assert!(
-                    !sys.observe(step, &empty),
+                sys.observe(step, &empty);
+                assert_eq!(
+                    sys.layout(),
+                    &before,
                     "{}: empty traffic moved experts",
                     kind.id()
                 );
