@@ -1,12 +1,14 @@
 //! Criterion bench for the expert layout solver (Fig. 11's quantity):
-//! full Alg. 2 plans across cluster sizes and capacities and at the
-//! `fleet-plan` benchmark's N1024 shape, plus the fleet-scale hot paths
+//! full Alg. 2 plans across cluster sizes and capacities, at the
+//! `fleet-plan` benchmark's N1024 shape and on `ext-scale`'s N4096
+//! instance, plus the fleet-scale hot paths on `ext-scale`'s instances
 //! — Alg. 1 relocation, lite routing and refine probes through the
 //! incremental vs from-scratch evaluator.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use laer_bench::ext_scale;
 use laer_cluster::Topology;
 use laer_model::{GpuSpec, ModelPreset};
 use laer_planner::{
@@ -15,19 +17,13 @@ use laer_planner::{
 };
 use laer_routing::{DatasetProfile, RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
 
-/// The ext-scale sweep's shape at cluster size `gpus`: 8-GPU nodes, 16
-/// experts, capacity 2, seeded Wikitext-profile demand.
+/// The `ext-scale` sweep's instance at cluster size `gpus`, from its own
+/// constructors: 8-GPU nodes, 16 experts, capacity 2, ε = 8, its seeded
+/// demand and the latency-aware E16k4/A100 Eq. 2.
 fn scale_instance(gpus: usize) -> (Topology, RoutingMatrix, Planner) {
-    let topo = Topology::new(gpus / 8, 8).expect("cluster");
-    let planner = Planner::new(
-        PlannerConfig::new(2).with_epsilon(8),
-        CostParams::mixtral_8x7b(),
-        topo.clone(),
-    );
-    let demand =
-        RoutingGenerator::new(RoutingGeneratorConfig::new(gpus, 16, 16 * 1024).with_seed(33))
-            .next_iteration();
-    (topo, demand, planner)
+    let topo = ext_scale::topo_for(gpus);
+    let planner = ext_scale::planner_for(topo.clone());
+    (topo, ext_scale::demand_for(gpus), planner)
 }
 
 fn bench_plan(c: &mut Criterion) {
@@ -73,11 +69,19 @@ fn bench_plan(c: &mut Criterion) {
         &demand,
         |b, demand| b.iter(|| planner.plan(demand)),
     );
+    // `ext-scale`'s N4096 instance, whose plan-time column this is.
+    let (_, demand, planner) = scale_instance(4096);
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::from_parameter("ext_scale_N4096"),
+        &demand,
+        |b, demand| b.iter(|| planner.plan(demand)),
+    );
     group.finish();
 }
 
-/// Alg. 1 relocation of the proportional (Alg. 4) scheme at the
-/// ext-scale sweep's fleet sizes.
+/// Alg. 1 relocation of the proportional (Alg. 4) scheme on the
+/// ext-scale sweep's fleet instances.
 fn bench_relocation(c: &mut Criterion) {
     let mut group = c.benchmark_group("expert_relocation");
     group.sample_size(20);
@@ -94,7 +98,7 @@ fn bench_relocation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lite routing (Alg. 3) across fleet sizes.
+/// Lite routing (Alg. 3) of the ext-scale sweep's plans.
 fn bench_lite_route(c: &mut Criterion) {
     let mut group = c.benchmark_group("lite_route");
     for &gpus in &[64usize, 256, 1024] {
@@ -112,16 +116,17 @@ fn bench_lite_route(c: &mut Criterion) {
     group.finish();
 }
 
-/// Refinement probe throughput: a fixed probe budget through the
-/// incremental (delta) evaluator vs the from-scratch reference — the
-/// committed `BENCH_planner.json` floor in criterion form.
+/// Refinement probe throughput on the ext-scale sweep's plans: a fixed
+/// probe budget through the incremental (delta) evaluator vs the
+/// from-scratch reference — the committed `BENCH_planner.json` floor
+/// in criterion form.
 fn bench_refine_probes(c: &mut Criterion) {
     let mut group = c.benchmark_group("refine_probes");
     group.sample_size(10);
     for &(gpus, budget) in &[(64usize, 200usize), (256, 100), (1024, 50)] {
         let (topo, demand, planner) = scale_instance(gpus);
         let layout = planner.plan(&demand).layout;
-        let params = CostParams::mixtral_8x7b();
+        let params = ext_scale::params_for();
         group.bench_with_input(
             BenchmarkId::new("delta", format!("N{gpus}")),
             &demand,

@@ -5,15 +5,17 @@
 //! For each cluster size N ∈ {64, 256, 1024, 4096} (`--full`; the
 //! default `--quick` sweep stops at {64, 256}) the study:
 //!
-//! * plans the instance with one timed [`laer_planner::Planner::plan`]
-//!   call, one [`crate::pool`] cell per size: the greedy (Alg. 2) plan,
-//!   its deduplicated candidate count and the headline plan-time column;
+//! * plans the instance with [`laer_planner::Planner::plan`], one
+//!   [`crate::pool`] cell per size: the greedy (Alg. 2) plan and its
+//!   deduplicated candidate count;
 //! * refines the greedy layout through the incremental
 //!   [`laer_planner::IncrementalCost`] evaluator and, at N ≤ 1024, the
 //!   from-scratch reference refiner — the probes/sec ratio is the
-//!   delta-evaluation speedup. These two legs are timed *serially*,
-//!   after the pooled phases drain, so the ratio measures evaluator
-//!   cost rather than pool contention;
+//!   delta-evaluation speedup;
+//! * times `Planner::plan` again, the median of five calls — the
+//!   headline plan-time column. These timings and the two refinement
+//!   legs run *serially*, after the pooled phases drain, so they
+//!   measure the planner rather than pool contention;
 //! * simulates one training iteration (4 layers, FSEP optimized
 //!   schedule) under the static classic-EP layout and the LAER plan.
 //!
@@ -70,6 +72,9 @@ const SPEEDUP_FLOOR: f64 = 5.0;
 /// Largest size the from-scratch reference refiner still runs at —
 /// beyond this a scratch probe is too slow to time in a smoke budget.
 const SCRATCH_MAX_DEVICES: usize = 1024;
+/// Serial `Planner::plan` calls per size whose median is the plan-time
+/// column: the first call of a size runs cold.
+const PLAN_TIMINGS: usize = 5;
 
 /// Hill-climb probe budget per cluster size: more probes where each is
 /// cheap, fewer at fleet scale.
@@ -83,7 +88,7 @@ fn refine_budget(devices: usize) -> usize {
 }
 
 /// The sweep's seeded demand for `devices` devices.
-fn demand_for(devices: usize) -> RoutingMatrix {
+pub fn demand_for(devices: usize) -> RoutingMatrix {
     RoutingGenerator::new(
         RoutingGeneratorConfig::new(devices, EXPERTS, ASSIGNMENTS_PER_DEVICE).with_seed(SEED),
     )
@@ -91,7 +96,11 @@ fn demand_for(devices: usize) -> RoutingMatrix {
 }
 
 /// The sweep's topology: `devices / 8` nodes of 8 devices.
-fn topo_for(devices: usize) -> Topology {
+///
+/// # Panics
+///
+/// Panics unless `devices` is a positive multiple of 8.
+pub fn topo_for(devices: usize) -> Topology {
     assert!(
         devices >= 8 && devices.is_multiple_of(8),
         "sweep sizes are whole 8-GPU nodes"
@@ -100,13 +109,13 @@ fn topo_for(devices: usize) -> Topology {
 }
 
 /// The sweep's cost parameters: derived from the *same* model/GPU
-/// operating point the simulator prices ([`simulated_step`]'s
+/// operating point the simulator prices (the simulated step's
 /// `SystemContext`), with per-peer latency in the communication term.
 /// At fleet scale the accumulated fan-in latency of sparsely-replicated
 /// experts dominates their A2A time; a bandwidth-only planner picks
 /// layouts the simulator then measures as *slower* than static
 /// classic-EP at N ≥ 1024.
-fn params_for() -> CostParams {
+pub fn params_for() -> CostParams {
     CostParams::from_model(
         &ModelPreset::Mixtral8x7bE16k4.config(),
         GpuSpec::a100(),
@@ -116,7 +125,7 @@ fn params_for() -> CostParams {
 }
 
 /// The sweep's planner.
-fn planner_for(topo: Topology) -> Planner {
+pub fn planner_for(topo: Topology) -> Planner {
     Planner::new(
         PlannerConfig::new(CAPACITY).with_epsilon(EPSILON),
         params_for(),
@@ -133,18 +142,32 @@ fn config_description() -> String {
     )
 }
 
-/// Plans the `devices`-GPU instance with one timed [`Planner::plan`]
-/// call: the deduplicated candidate count, the call's wall-clock in
-/// milliseconds, and the plan.
-fn timed_plan(devices: usize) -> (usize, f64, Plan) {
+/// Plans the `devices`-GPU instance: the deduplicated candidate count
+/// and the plan.
+fn plan_for(devices: usize) -> (usize, Plan) {
     let planner = planner_for(topo_for(devices));
     let demand = demand_for(devices);
     let schemes = planner
         .unique_schemes(planner.candidate_schemes(&demand))
         .len();
-    let start = Instant::now();
-    let plan = planner.plan(&demand);
-    (schemes, start.elapsed().as_secs_f64() * 1e3, plan)
+    (schemes, planner.plan(&demand))
+}
+
+/// The median wall-clock, in milliseconds, of [`PLAN_TIMINGS`]
+/// [`Planner::plan`] calls on the `devices`-GPU instance, timed on the
+/// calling thread.
+fn time_plan(devices: usize) -> f64 {
+    let planner = planner_for(topo_for(devices));
+    let demand = demand_for(devices);
+    let mut ms: Vec<f64> = (0..PLAN_TIMINGS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(planner.plan(&demand));
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[PLAN_TIMINGS / 2]
 }
 
 /// Simulates one FSEP training iteration under `routing` and returns
@@ -184,7 +207,8 @@ pub struct ScaleRow {
     pub devices: usize,
     /// Deduplicated candidate schemes evaluated.
     pub schemes: usize,
-    /// Serial `Planner::plan` wall-clock, milliseconds.
+    /// Median wall-clock of five serial `Planner::plan` calls, timed
+    /// after the pooled phases drain, milliseconds.
     pub plan_wall_ms: f64,
     /// Eq. 2 cost of the static classic-EP layout, seconds.
     pub static_cost: f64,
@@ -216,7 +240,6 @@ pub struct ScaleRow {
 struct SizePending {
     devices: usize,
     schemes: usize,
-    plan_wall_ms: f64,
     greedy_cost: f64,
     layout: ExpertLayout,
     sim: Slot<(f64, f64, f64)>,
@@ -278,10 +301,11 @@ fn measure_refine(devices: usize, layout: &ExpertLayout) -> (RefineOutcome, Opti
     (delta, scratch)
 }
 
-/// Collects one size's executed cells and serial refinement legs into a
-/// [`ScaleRow`].
+/// Collects one size's executed cells, serial plan time and serial
+/// refinement legs into a [`ScaleRow`].
 fn collect_row(
     pending: SizePending,
+    plan_wall_ms: f64,
     delta: RefineOutcome,
     scratch: Option<RefineOutcome>,
 ) -> ScaleRow {
@@ -303,7 +327,7 @@ fn collect_row(
     ScaleRow {
         devices: pending.devices,
         schemes: pending.schemes,
-        plan_wall_ms: pending.plan_wall_ms,
+        plan_wall_ms,
         static_cost,
         greedy_cost: pending.greedy_cost,
         refined_cost: delta.cost,
@@ -394,12 +418,11 @@ pub fn run_jobs(opts: &ObsOptions, effort: Effort, workers: usize) -> bool {
         config_description()
     );
 
-    // Phase 1: one timed `Planner::plan` cell per size, on one shared
-    // pool.
+    // Phase 1: one `Planner::plan` cell per size, on one shared pool.
     let mut batch = Batch::new();
-    let plans: Vec<Slot<(usize, f64, Plan)>> = sizes
+    let plans: Vec<Slot<(usize, Plan)>> = sizes
         .iter()
-        .map(|&n| batch.submit(format!("ext-scale/N{n}/plan"), move || timed_plan(n)))
+        .map(|&n| batch.submit(format!("ext-scale/N{n}/plan"), move || plan_for(n)))
         .collect();
     batch.run(workers);
 
@@ -409,11 +432,10 @@ pub fn run_jobs(opts: &ObsOptions, effort: Effort, workers: usize) -> bool {
         .iter()
         .zip(plans)
         .map(|(&devices, slot)| {
-            let (schemes, plan_wall_ms, plan) = slot.take();
+            let (schemes, plan) = slot.take();
             SizePending {
                 devices,
                 schemes,
-                plan_wall_ms,
                 greedy_cost: plan.predicted.total(),
                 sim: submit_sim_cell(&mut batch, devices, plan.routing),
                 layout: plan.layout,
@@ -422,13 +444,14 @@ pub fn run_jobs(opts: &ObsOptions, effort: Effort, workers: usize) -> bool {
         .collect();
     batch.run(workers);
 
-    // Phase 3: the refinement legs, serial and uncontended (see
-    // `measure_refine`).
+    // Phase 3: the plan timings and refinement legs, serial and
+    // uncontended (see `measure_refine`).
     let rows: Vec<ScaleRow> = measures
         .into_iter()
         .map(|pending| {
+            let plan_wall_ms = time_plan(pending.devices);
             let (delta, scratch) = measure_refine(pending.devices, &pending.layout);
-            collect_row(pending, delta, scratch)
+            collect_row(pending, plan_wall_ms, delta, scratch)
         })
         .collect();
 

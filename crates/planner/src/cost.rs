@@ -96,6 +96,13 @@ impl CostParams {
             3.0
         }
     }
+
+    /// Eq. 2's `T_comp` for a straggler computing `max_load` tokens:
+    /// `(3 + F_ckpt) · max_load · V_comp / B_comp`. Non-decreasing in
+    /// `max_load` in floating point too, every factor being positive.
+    pub(crate) fn compute_time(&self, max_load: u64) -> f64 {
+        self.compute_multiplier() * max_load as f64 * self.v_comp / self.b_comp
+    }
 }
 
 /// The two components of the objective, in seconds.
@@ -313,6 +320,12 @@ impl Eq2Sums {
     /// `max_load · V_comp / B_comp` times `(3 + F_ckpt)`. The one
     /// conversion every evaluator shares: equal sums give equal bits,
     /// whatever order the traffic was counted in.
+    ///
+    /// Non-decreasing in every sum, in floating point too: each term is
+    /// a non-negative product added to a non-negative running sum (a
+    /// bucket not yet used adds zero), and the stragglers are `max`es.
+    /// So the sums of part of a routing price it no higher than the
+    /// whole — the tuner's second bound.
     pub(crate) fn eq2(&self, prices: &[(f64, f64)], params: &CostParams) -> CostBreakdown {
         let n = self.devices;
         let mut order: Vec<usize> = (0..self.send.len().checked_div(n).unwrap_or(0)).collect();
@@ -349,7 +362,7 @@ impl Eq2Sums {
         let max_load = self.loads.iter().copied().max().unwrap_or(0);
         CostBreakdown {
             comm: 4.0 * straggler,
-            comp: params.compute_multiplier() * max_load as f64 * params.v_comp / params.b_comp,
+            comp: params.compute_time(max_load),
         }
     }
 }

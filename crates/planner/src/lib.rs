@@ -17,7 +17,8 @@
 //!   onto devices;
 //! * [`tuner`] — Alg. 2: the asynchronous expert-layout tuner evaluating a
 //!   candidate set ε of replica schemes (proportional, even, random
-//!   perturbations) under the cost model and picking the cheapest;
+//!   perturbations) under the cost model and picking the cheapest,
+//!   dropping each candidate once it provably cannot win;
 //! * [`cost`] — the joint objective `T = T_comm + T_comp` of Eqs. 2–4;
 //! * [`exact`] — a brute-force layout enumerator for tiny instances, used
 //!   by tests to bound the greedy optimality gap;

@@ -38,6 +38,12 @@
 //! receive sums of all those splits follow from `Σ F_s` and a histogram
 //! of the remainders `x_s` (`Spreads`): `O(senders + targets)` per
 //! expert and rack instead of `O(senders × targets)` per node.
+//!
+//! `Pricer` counts those receive sums before anything else: which nodes
+//! fall back needs only which nodes hold each expert, and an expert
+//! with one or two replicas takes the fan-in of every other node. The
+//! tuner prices the partial sums and stops a candidate whose fan-in
+//! alone costs what the best candidate so far does.
 
 use crate::cost::{Eq2Sums, LinkPrices, Traffic};
 use crate::layout::ExpertLayout;
@@ -492,12 +498,13 @@ impl Router {
 
 /// The tuner's candidate pricing: Alg. 3's routing of a whole layout,
 /// counted straight into Eq. 2's sums and never materialised. On a
-/// network that prices links by kind, a node's own list of an expert is
-/// counted a column at a time ([`Router::count_column`]), and a node
-/// that holds none of an expert whose replicas all hold the same count
-/// is spread per view ([`Spreads`]); every other `(node, expert)` list
-/// is split and counted sender by sender, as [`lite_route`] splits it.
-/// The sums come out exactly as if `lite_route`'s entries were counted.
+/// network that prices links by kind, a node that holds none of an
+/// expert whose replicas all hold the same count is spread per view
+/// ([`Spreads`]), and a node's own list of an expert is counted a
+/// column at a time ([`Router::count_column`]); every other
+/// `(node, expert)` list is split and counted sender by sender, as
+/// [`lite_route`] splits it. The sums come out exactly as if
+/// `lite_route`'s entries were counted.
 #[derive(Debug, Default)]
 pub(crate) struct Pricer {
     router: Router,
@@ -506,27 +513,39 @@ pub(crate) struct Pricer {
     /// network prices links by kind and its replicas all hold the same
     /// count.
     spreadable: Vec<bool>,
+    /// Per `(expert, node)`, at `expert · nodes + node`: whether the
+    /// node holds a replica of the expert.
+    held: Vec<bool>,
     sums: Eq2Sums,
 }
 
 impl Pricer {
     /// Counts Alg. 3's routing of `demand` under `index` into Eq. 2's
-    /// sums, against `prices`.
+    /// sums, against `prices`, receive side of the spread fallback
+    /// lists first: their receivers' loads and receive sums, which
+    /// need only which nodes hold each expert. When some list was
+    /// spread, `can_win` sees those partial sums with the bucket
+    /// prices; if it says no, counting stops and `None` is returned.
+    /// Otherwise everything else is counted once — the spread senders'
+    /// sends, every node's own columns, every other list — and the
+    /// sums are those of the whole routing.
     pub(crate) fn price<I: Interconnect + ?Sized>(
         &mut self,
         topo: &Topology,
         index: &ReplicaIndex,
         demand: &RoutingMatrix,
         prices: &mut LinkPrices<'_, I>,
-    ) -> &Eq2Sums {
+        can_win: impl FnOnce(&Eq2Sums, &[(f64, f64)]) -> bool,
+    ) -> Option<&Eq2Sums> {
         index.assert_shapes(topo, demand);
         let Self {
             router,
             spreads,
             spreadable,
+            held,
             sums,
         } = self;
-        let e = index.num_experts();
+        let (e, nodes) = (index.num_experts(), topo.num_nodes());
         sums.reset(topo.num_devices());
         spreads.reset(topo, e);
         spreadable.clear();
@@ -536,6 +555,30 @@ impl Pricer {
             Some(&(_, count)) => prices.by_kind() && list.iter().all(|&(_, c)| c == count),
             None => false,
         }));
+        held.clear();
+        held.resize(e * nodes, false);
+        for (j, list) in index.lists.iter().enumerate() {
+            for &(dev, _) in list {
+                held[j * nodes + topo.node_of(dev).index()] = true;
+            }
+        }
+        for j in (0..e).filter(|&j| spreadable[j]) {
+            let expert = ExpertId::new(j);
+            for node in topo
+                .node_ids()
+                .filter(|node| !held[j * nodes + node.index()])
+            {
+                let cells = topo
+                    .devices_on(node)
+                    .map(|src| (src, demand.get(src, expert)))
+                    .filter(|&(_, tokens)| tokens > 0);
+                spreads.receive(topo, index, node, expert, cells, prices);
+            }
+        }
+        spreads.finish(index, sums);
+        if spreads.any() && !can_win(sums, prices.prices()) {
+            return None;
+        }
         for node in topo.node_ids() {
             router.resolve(topo, index, node, 0..e, spreadable);
             router.attach_buckets(topo, node, prices);
@@ -547,7 +590,7 @@ impl Pricer {
                     .filter(|&(_, tokens)| tokens > 0);
                 let list = router.lists[j];
                 if list.spread {
-                    spreads.add(topo, index, node, expert, cells, prices, sums);
+                    spreads.send(topo, index, node, expert, cells, sums);
                     continue;
                 }
                 if list.local && prices.by_kind() {
@@ -566,8 +609,7 @@ impl Pricer {
                 }
             }
         }
-        spreads.finish(index, sums);
-        sums
+        Some(sums)
     }
 }
 
@@ -588,11 +630,14 @@ impl Pricer {
 ///
 /// Each `(expert, view)` therefore costs `O(senders + targets)`, and
 /// its receive sums are counted once, however many nodes fall back.
+/// The two sides are counted apart — [`Self::receive`] and
+/// [`Self::finish`] first, [`Self::send`] later — so that the tuner
+/// can drop a candidate on its receive side alone.
 #[derive(Debug, Default)]
 struct Spreads {
     views: usize,
     /// Per `(expert, view)`, at `expert · views + view`: its spread's
-    /// index in `spreads` once a sender used it.
+    /// index in `spreads` once a node fell back to it.
     slots: Vec<Option<usize>>,
     spreads: Vec<Spread>,
     /// Flat per-spread buffers at each spread's offsets: every target's
@@ -636,10 +681,26 @@ impl Spreads {
         self.prefix.clear();
     }
 
-    /// Counts the `cells` of `node`'s senders, which fall back to
-    /// `expert`'s equal replica list.
-    #[allow(clippy::too_many_arguments)]
-    fn add<I: Interconnect + ?Sized>(
+    /// Whether some node fell back to a spread.
+    fn any(&self) -> bool {
+        !self.spreads.is_empty()
+    }
+
+    /// The `(expert, view)` slot of `node`'s senders, and the node's
+    /// first device, which stands for the view.
+    fn slot(&self, topo: &Topology, node: NodeId, expert: ExpertId) -> (usize, DeviceId) {
+        let rep = topo
+            .devices_on(node)
+            .next()
+            .unwrap_or_else(|| unreachable!("nodes hold devices"));
+        let view = topo.rack_of(rep).unwrap_or(0);
+        (expert.index() * self.views + view, rep)
+    }
+
+    /// Folds the `cells` of `node`'s senders, which fall back to
+    /// `expert`'s equal replica list, into its spread's receive
+    /// histogram.
+    fn receive<I: Interconnect + ?Sized>(
         &mut self,
         topo: &Topology,
         index: &ReplicaIndex,
@@ -647,22 +708,16 @@ impl Spreads {
         expert: ExpertId,
         cells: impl Iterator<Item = (DeviceId, u64)>,
         prices: &mut LinkPrices<'_, I>,
-        sums: &mut Eq2Sums,
     ) {
         let list = index.replicas(expert);
         let m = list.len();
-        let rep = topo
-            .devices_on(node)
-            .next()
-            .unwrap_or_else(|| unreachable!("nodes hold devices"));
-        let view = topo.rack_of(rep).unwrap_or(0);
-        let slot = expert.index() * self.views + view;
+        let (slot, rep) = self.slot(topo, node, expert);
         let s = match self.slots[slot] {
             Some(s) => s,
             None => self.open(slot, expert, list, rep, prices),
         };
         let spread = &mut self.spreads[s];
-        for (src, tokens) in cells {
+        for (_, tokens) in cells {
             let (floor, x) = equal_shares(tokens, m);
             spread.floors += floor;
             spread.senders += 1;
@@ -672,6 +727,28 @@ impl Spreads {
                 spread.idle += 1;
                 remainder.1 += 1;
             }
+        }
+    }
+
+    /// Counts the sends of the same `cells` of `node`'s senders, once
+    /// [received](Self::receive).
+    fn send(
+        &self,
+        topo: &Topology,
+        index: &ReplicaIndex,
+        node: NodeId,
+        expert: ExpertId,
+        cells: impl Iterator<Item = (DeviceId, u64)>,
+        sums: &mut Eq2Sums,
+    ) {
+        let m = index.replicas(expert).len();
+        let (slot, _) = self.slot(topo, node, expert);
+        let Some(s) = self.slots[slot] else {
+            unreachable!("every fallback node is received first")
+        };
+        let spread = &self.spreads[s];
+        for (src, tokens) in cells {
+            let (floor, x) = equal_shares(tokens, m);
             for (g, &b) in self.groups[spread.groups.clone()].iter().enumerate() {
                 let pre = &self.prefix[spread.prefix_at + g * (m + 1)..][..=m];
                 let (cnt, before) = (pre[m], pre[x]);

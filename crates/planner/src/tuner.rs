@@ -11,6 +11,14 @@
 //! only the winner is ever routed with `lite_route`. Because those sums
 //! do not depend on the order entries are counted in, the cost is
 //! bit-identical to pricing `lite_route`'s output with `time_cost`.
+//!
+//! A candidate stops as soon as a lower bound of its Eq. 2 total reaches
+//! the best total so far, since it can then no longer be strictly
+//! cheaper: first its compute floor, before Alg. 1 places it, then the
+//! fan-in of its fallback lists, before the rest of its routing is
+//! counted. Candidates are still visited in order and the first strict
+//! minimum wins, so the plan is the one every candidate priced in full
+//! would give.
 
 use crate::cost::{CostBreakdown, CostParams, LinkPrices};
 use crate::layout::ExpertLayout;
@@ -26,23 +34,43 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
-// Test-only counter of Alg. 2 candidate evaluations, used to prove
-// that candidate deduplication actually skips redundant evaluations.
+// Test-only counters of Alg. 2 candidate evaluations, used to prove
+// that candidate deduplication actually skips redundant evaluations,
+// and of the candidates each bound stopped (compute floor, fan-in).
 #[cfg(test)]
 thread_local! {
     static EVAL_COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static STOP_COUNT: std::cell::Cell<[usize; 2]> = const { std::cell::Cell::new([0; 2]) };
 }
 
-/// Resets the test-only evaluation counter (current thread).
+/// Resets the test-only counters (current thread).
 #[cfg(test)]
 pub(crate) fn reset_eval_count() {
     EVAL_COUNT.with(|c| c.set(0));
+    STOP_COUNT.with(|c| c.set([0; 2]));
 }
 
 /// Reads the test-only evaluation counter (current thread).
 #[cfg(test)]
 pub(crate) fn eval_count() -> usize {
     EVAL_COUNT.with(|c| c.get())
+}
+
+/// Reads the test-only counts of candidates stopped by the compute
+/// floor and by the fan-in bound (current thread).
+#[cfg(test)]
+pub(crate) fn stop_counts() -> [usize; 2] {
+    STOP_COUNT.with(|c| c.get())
+}
+
+/// Counts a candidate stopped by `bound` (0: compute floor, 1: fan-in).
+#[cfg(test)]
+fn count_stop(bound: usize) {
+    STOP_COUNT.with(|c| {
+        let mut counts = c.get();
+        counts[bound] += 1;
+        c.set(counts);
+    });
 }
 
 /// Failure modes of [`Planner::plan_degraded`].
@@ -240,8 +268,10 @@ impl Planner {
             .collect()
     }
 
-    /// Alg. 2 lines 9–16: evaluates every candidate and returns the best
-    /// plan.
+    /// Alg. 2 lines 9–16: evaluates the candidates and returns the best
+    /// plan. A candidate is dropped as soon as it provably cannot be
+    /// strictly cheaper than the best so far, so the plan is the one
+    /// evaluating every candidate in full gives.
     ///
     /// # Panics
     ///
@@ -317,6 +347,20 @@ impl Planner {
     /// on the `active` devices (Alg. 1), priced on `net` as Alg. 3
     /// would route it, and the first strictly cheapest one wins. Only the
     /// winner's routing is materialised.
+    ///
+    /// A candidate stops once a lower bound of its total is at least
+    /// the best total so far — it cannot be strictly cheaper:
+    ///
+    /// 1. before Alg. 1, its compute floor: some device holding expert
+    ///    `j` computes at least `⌈load_j / r_j⌉` of its tokens, and the
+    ///    total is at least `T_comp` of the largest such share
+    ///    ([`CostParams::compute_time`], `T_comp`'s own expression;
+    ///    chunked pricing adds a non-negative `T_comm` to an unchanged
+    ///    `T_comp`);
+    /// 2. on whole-iteration pricing, Eq. 2 of its fallback fan-in, which
+    ///    [`Pricer`] counts first: `Eq2Sums::eq2` is non-decreasing in
+    ///    every sum. `pipelined` is not provably so in floating point,
+    ///    so chunked pricing skips this bound.
     fn solve<I: Interconnect>(&self, demand: &RoutingMatrix, active: &[DeviceId], net: &I) -> Plan {
         let loads = demand.expert_loads();
         let mut schemes = self.unique_schemes(self.candidate_schemes_for(active.len(), demand));
@@ -328,20 +372,35 @@ impl Planner {
         let mut index = ReplicaIndex::default();
         let mut pricer = Pricer::default();
         let mut prices = LinkPrices::new(net);
+        // Whole-iteration pricing: the fan-in bound applies.
+        let whole = self.cfg.num_chunks <= 1;
         let mut best: Option<(ExpertLayout, CostBreakdown)> = None;
         for replicas in &schemes {
             #[cfg(test)]
             EVAL_COUNT.with(|c| c.set(c.get() + 1));
+            let best_total = best.as_ref().map(|(_, b)| b.total());
+            if best_total
+                .is_some_and(|b| self.cost.compute_time(compute_floor(replicas, &loads)) >= b)
+            {
+                #[cfg(test)]
+                count_stop(0);
+                continue;
+            }
             let layout =
                 expert_relocation_on(replicas, &loads, &self.topo, self.cfg.capacity, active);
             index.assign(&layout);
-            let predicted = self
-                .route_cost(&mut pricer, &mut prices, demand, &index)
+            let priced = pricer.price(&self.topo, &index, demand, &mut prices, |fan_in, prices| {
+                !whole || best_total.is_none_or(|b| fan_in.eq2(prices, &self.cost).total() < b)
+            });
+            let Some(sums) = priced else {
+                #[cfg(test)]
+                count_stop(1);
+                continue;
+            };
+            let predicted = sums
+                .eq2(prices.prices(), &self.cost)
                 .pipelined(self.cfg.num_chunks);
-            if best
-                .as_ref()
-                .is_none_or(|(_, b)| predicted.total() < b.total())
-            {
+            if best_total.is_none_or(|b| predicted.total() < b) {
                 best = Some((layout, predicted));
             }
         }
@@ -355,31 +414,25 @@ impl Planner {
         }
     }
 
-    /// Eq. 2 of the layout behind `index`, priced on the network behind
-    /// `prices` as Alg. 3 would route it: [`Pricer`] counts the routing
-    /// into Eq. 2's integer sums — a node's own lists a column at a
-    /// time, and an equal fallback list's receive side once per rack,
-    /// when the network prices links by kind — and the one conversion
-    /// every evaluator shares turns them into seconds. The sums are
-    /// exact, so the cost is bit-identical to
-    /// `time_cost(net, &lite_route(..), ..)`.
-    fn route_cost<I: Interconnect>(
-        &self,
-        pricer: &mut Pricer,
-        prices: &mut LinkPrices<'_, I>,
-        demand: &RoutingMatrix,
-        index: &ReplicaIndex,
-    ) -> CostBreakdown {
-        let sums = pricer.price(&self.topo, index, demand, prices);
-        sums.eq2(prices.prices(), &self.cost)
-    }
-
     /// Returns this planner re-priced for a different executor chunk
     /// count (clamped to at least 1).
     pub fn with_num_chunks(mut self, num_chunks: usize) -> Self {
         self.cfg.num_chunks = num_chunks.max(1);
         self
     }
+}
+
+/// Bound 1's floor on the straggler load of any layout with `replicas`:
+/// the devices holding expert `j` compute all `load_j` of its tokens
+/// over its `r_j` replicas, so one of them computes at least
+/// `load_j / r_j` per replica it holds, hence at least `⌈load_j / r_j⌉`.
+fn compute_floor(replicas: &[usize], loads: &[u64]) -> u64 {
+    replicas
+        .iter()
+        .zip(loads)
+        .map(|(&r, &load)| load.div_ceil(r as u64))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Random perturbation of a replica scheme: move one replica from an
@@ -518,14 +571,27 @@ mod tests {
         let deduped = p.plan(&d);
         assert_eq!(eval_count(), 1, "dedup must evaluate each scheme once");
 
-        // Dedup never changes the plan: place, route and price every raw
-        // candidate and keep the first of the cheapest under strict `<`.
-        let loads = d.expert_loads();
+        // Dedup never changes the plan.
+        assert_eq!(deduped, reference_plan(&p, &schemes, &d));
+
+        // The degraded path runs the same counted loop.
+        reset_eval_count();
+        let nominal = p.plan_degraded(&d, &DegradedView::new(topo)).unwrap();
+        assert_eq!(eval_count(), 1);
+        assert_eq!(nominal, deduped);
+    }
+
+    /// Every candidate of `schemes` placed, routed and priced in full
+    /// through the public decomposition, and the first of the cheapest
+    /// kept under strict `<`.
+    fn reference_plan(p: &Planner, schemes: &[Vec<usize>], d: &RoutingMatrix) -> Plan {
+        let (topo, loads) = (p.topology(), d.expert_loads());
         let mut reference: Option<Plan> = None;
-        for scheme in &schemes {
-            let layout = expert_relocation(scheme, &loads, &topo, 2);
-            let routing = lite_route(&topo, &d, &layout);
-            let predicted = time_cost(&topo, &routing, p.cost_params());
+        for scheme in schemes {
+            let layout = expert_relocation(scheme, &loads, topo, p.config().capacity);
+            let routing = lite_route(topo, d, &layout);
+            let predicted =
+                time_cost(topo, &routing, p.cost_params()).pipelined(p.config().num_chunks);
             if reference
                 .as_ref()
                 .is_none_or(|b| predicted.total() < b.predicted.total())
@@ -537,13 +603,53 @@ mod tests {
                 });
             }
         }
-        assert_eq!(Some(&deduped), reference.as_ref());
+        reference.expect("at least one scheme")
+    }
 
-        // The degraded path runs the same counted loop.
+    /// Both bounds stop candidates that cannot win — the compute floor
+    /// at the Fig. 8 shape (N32, 8 experts, C = 2, ε = 4), the fallback
+    /// fan-in on `ext-scale`'s N1024 instance — and every plan equals
+    /// the one all candidates priced in full give.
+    #[test]
+    fn bounds_stop_losers_and_keep_the_plan() {
+        let p = planner(ReplicaScheme::Both);
         reset_eval_count();
-        let nominal = p.plan_degraded(&d, &DegradedView::new(topo)).unwrap();
-        assert_eq!(eval_count(), 1);
-        assert_eq!(nominal, deduped);
+        for seed in 1u64..=10 {
+            let d = demand(seed);
+            let schemes = p.unique_schemes(p.candidate_schemes(&d));
+            assert_eq!(p.plan(&d), reference_plan(&p, &schemes, &d), "seed {seed}");
+        }
+        assert!(
+            stop_counts()[0] > 0,
+            "compute floor never fired: {:?}",
+            stop_counts()
+        );
+
+        // `ext-scale`'s N1024 instance: 128 nodes of 8, 16 experts,
+        // C = 2, ε = 8, the latency-aware E16k4/A100 Eq. 2.
+        let params = CostParams::from_model(
+            &laer_model::ModelPreset::Mixtral8x7bE16k4.config(),
+            laer_model::GpuSpec::a100(),
+            false,
+        )
+        .with_latency_aware(true);
+        let p = Planner::new(
+            PlannerConfig::new(2).with_epsilon(8),
+            params,
+            Topology::new(128, 8).unwrap(),
+        );
+        let d =
+            RoutingGenerator::new(RoutingGeneratorConfig::new(1024, 16, 16 * 1024).with_seed(33))
+                .next_iteration();
+        let schemes = p.unique_schemes(p.candidate_schemes(&d));
+        reset_eval_count();
+        assert_eq!(p.plan(&d), reference_plan(&p, &schemes, &d));
+        assert_eq!(eval_count(), schemes.len());
+        assert!(
+            stop_counts()[1] > 0,
+            "fan-in bound never fired: {:?}",
+            stop_counts()
+        );
     }
 
     #[test]
