@@ -1,9 +1,9 @@
 //! Criterion bench for the expert layout solver (Fig. 11's quantity):
 //! full Alg. 2 plans across cluster sizes and capacities, at the
-//! `fleet-plan` benchmark's N1024 shape and on `ext-scale`'s N4096
-//! instance, plus the fleet-scale hot paths on `ext-scale`'s instances
-//! — Alg. 1 relocation, lite routing and refine probes through the
-//! incremental vs from-scratch evaluator.
+//! `fleet-plan` benchmark's N1024 shape (a light and a dense demand)
+//! and on `ext-scale`'s N4096 instance, plus the fleet-scale hot paths
+//! on `ext-scale`'s instances — Alg. 1 relocation, lite routing and
+//! refine probes through the incremental vs from-scratch evaluator.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -47,8 +47,11 @@ fn bench_plan(c: &mut Criterion) {
         );
     }
     // The `fleet-plan` benchmark's planner: 128 nodes × 8 GPUs, 16
-    // experts, C = 2, ε = 8, the latency-aware E16k4/A100 Eq. 2 and a
-    // Wikitext-profile demand.
+    // experts, C = 2, ε = 8, the latency-aware E16k4/A100 Eq. 2 and
+    // Wikitext-profile demands. Both regimes that set its p90 get a
+    // row: a light demand whose winner routes 16,384 entries, and
+    // round 13 of seed 1 (its segment generator's first draw), whose
+    // winner routes 264,840.
     let topo = Topology::new(128, 8).expect("cluster");
     let params = CostParams::from_model(
         &ModelPreset::Mixtral8x7bE16k4.config(),
@@ -57,18 +60,25 @@ fn bench_plan(c: &mut Criterion) {
     )
     .with_latency_aware(true);
     let planner = Planner::new(PlannerConfig::new(2).with_epsilon(8), params, topo);
-    let demand = RoutingGenerator::new(
-        RoutingGeneratorConfig::new(1024, 16, 16 * 1024)
-            .with_profile(DatasetProfile::Wikitext)
-            .with_seed(1),
-    )
-    .next_iteration();
+    let wikitext = |seed| {
+        RoutingGenerator::new(
+            RoutingGeneratorConfig::new(1024, 16, 16 * 1024)
+                .with_profile(DatasetProfile::Wikitext)
+                .with_seed(seed),
+        )
+        .next_iteration()
+    };
     group.sample_size(20);
-    group.bench_with_input(
-        BenchmarkId::from_parameter("fleet_N1024_C2_eps8"),
-        &demand,
-        |b, demand| b.iter(|| planner.plan(demand)),
-    );
+    for (name, seed) in [
+        ("fleet_N1024_C2_eps8", 1),
+        ("fleet_N1024_dense", (1 << 20) + 13),
+    ] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(name),
+            &wikitext(seed),
+            |b, demand| b.iter(|| planner.plan(demand)),
+        );
+    }
     // `ext-scale`'s N4096 instance, whose plan-time column this is.
     let (_, demand, planner) = scale_instance(4096);
     group.sample_size(10);

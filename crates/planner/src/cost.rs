@@ -325,7 +325,9 @@ impl Eq2Sums {
     /// a non-negative product added to a non-negative running sum (a
     /// bucket not yet used adds zero), and the stragglers are `max`es.
     /// So the sums of part of a routing price it no higher than the
-    /// whole — the tuner's second bound.
+    /// whole — the tuner's fan-in bound — and so do the sums of stand-in
+    /// devices each dominated by some real device's sums — its
+    /// layout-free witness.
     pub(crate) fn eq2(&self, prices: &[(f64, f64)], params: &CostParams) -> CostBreakdown {
         let n = self.devices;
         let mut order: Vec<usize> = (0..self.send.len().checked_div(n).unwrap_or(0)).collect();

@@ -14,13 +14,13 @@
 //!
 //! A candidate stops as soon as a lower bound of its Eq. 2 total reaches
 //! the best total so far, since it can then no longer be strictly
-//! cheaper: first its compute floor, before Alg. 1 places it, then the
-//! fan-in of its fallback lists, before the rest of its routing is
-//! counted. Candidates are still visited in order and the first strict
-//! minimum wins, so the plan is the one every candidate priced in full
-//! would give.
+//! cheaper: first a layout-free witness built from its replica counts
+//! alone, before Alg. 1 places it, then the fan-in of its fallback
+//! lists, before the rest of its routing is counted. Candidates are
+//! still visited in order and the first strict minimum wins, so the
+//! plan is the one every candidate priced in full would give.
 
-use crate::cost::{CostBreakdown, CostParams, LinkPrices};
+use crate::cost::{CostBreakdown, CostParams, Eq2Sums, LinkPrices, Traffic};
 use crate::layout::ExpertLayout;
 use crate::lite_routing::{lite_route, Pricer, ReplicaIndex};
 use crate::relocation::expert_relocation_on;
@@ -36,7 +36,7 @@ use std::fmt;
 
 // Test-only counters of Alg. 2 candidate evaluations, used to prove
 // that candidate deduplication actually skips redundant evaluations,
-// and of the candidates each bound stopped (compute floor, fan-in).
+// and of the candidates each bound stopped (witness, fan-in).
 #[cfg(test)]
 thread_local! {
     static EVAL_COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -56,14 +56,14 @@ pub(crate) fn eval_count() -> usize {
     EVAL_COUNT.with(|c| c.get())
 }
 
-/// Reads the test-only counts of candidates stopped by the compute
-/// floor and by the fan-in bound (current thread).
+/// Reads the test-only counts of candidates stopped by the layout-free
+/// witness and by the fan-in bound (current thread).
 #[cfg(test)]
 pub(crate) fn stop_counts() -> [usize; 2] {
     STOP_COUNT.with(|c| c.get())
 }
 
-/// Counts a candidate stopped by `bound` (0: compute floor, 1: fan-in).
+/// Counts a candidate stopped by `bound` (0: witness, 1: fan-in).
 #[cfg(test)]
 fn count_stop(bound: usize) {
     STOP_COUNT.with(|c| {
@@ -351,12 +351,9 @@ impl Planner {
     /// A candidate stops once a lower bound of its total is at least
     /// the best total so far — it cannot be strictly cheaper:
     ///
-    /// 1. before Alg. 1, its compute floor: some device holding expert
-    ///    `j` computes at least `⌈load_j / r_j⌉` of its tokens, and the
-    ///    total is at least `T_comp` of the largest such share
-    ///    ([`CostParams::compute_time`], `T_comp`'s own expression;
-    ///    chunked pricing adds a non-negative `T_comm` to an unchanged
-    ///    `T_comp`);
+    /// 1. before Alg. 1, Eq. 2 of a [`Witness`] built from its replica
+    ///    counts alone: stand-in devices that each receive and compute
+    ///    no more than some device of any layout with those counts does;
     /// 2. on whole-iteration pricing, Eq. 2 of its fallback fan-in, which
     ///    [`Pricer`] counts first: `Eq2Sums::eq2` is non-decreasing in
     ///    every sum. `pipelined` is not provably so in floating point,
@@ -372,19 +369,23 @@ impl Planner {
         let mut index = ReplicaIndex::default();
         let mut pricer = Pricer::default();
         let mut prices = LinkPrices::new(net);
-        // Whole-iteration pricing: the fan-in bound applies.
+        // Whole-iteration pricing: the fan-in bound and the witness's
+        // receive side apply.
         let whole = self.cfg.num_chunks <= 1;
+        let mut witness: Option<Witness> = None;
         let mut best: Option<(ExpertLayout, CostBreakdown)> = None;
         for replicas in &schemes {
             #[cfg(test)]
             EVAL_COUNT.with(|c| c.set(c.get() + 1));
             let best_total = best.as_ref().map(|(_, b)| b.total());
-            if best_total
-                .is_some_and(|b| self.cost.compute_time(compute_floor(replicas, &loads)) >= b)
-            {
-                #[cfg(test)]
-                count_stop(0);
-                continue;
+            if let Some(b) = best_total {
+                let witness = witness
+                    .get_or_insert_with(|| Witness::new(&self.topo, demand, &mut prices, whole));
+                if witness.total(replicas, &loads, prices.prices(), &self.cost) >= b {
+                    #[cfg(test)]
+                    count_stop(0);
+                    continue;
+                }
             }
             let layout =
                 expert_relocation_on(replicas, &loads, &self.topo, self.cfg.capacity, active);
@@ -422,10 +423,11 @@ impl Planner {
     }
 }
 
-/// Bound 1's floor on the straggler load of any layout with `replicas`:
-/// the devices holding expert `j` compute all `load_j` of its tokens
-/// over its `r_j` replicas, so one of them computes at least
-/// `load_j / r_j` per replica it holds, hence at least `⌈load_j / r_j⌉`.
+/// The compute floor of any layout with `replicas`, the load of the
+/// [`Witness`]'s last stand-in: the devices holding expert `j` compute
+/// all `load_j` of its tokens over its `r_j` replicas, so one of them
+/// computes at least `load_j / r_j` per replica it holds, hence at least
+/// `⌈load_j / r_j⌉`.
 fn compute_floor(replicas: &[usize], loads: &[u64]) -> u64 {
     replicas
         .iter()
@@ -433,6 +435,130 @@ fn compute_floor(replicas: &[usize], loads: &[u64]) -> u64 {
         .map(|(&r, &load)| load.div_ceil(r as u64))
         .max()
         .unwrap_or(0)
+}
+
+/// Bound 1: a layout-free witness of a candidate's Eq. 2 total. Its
+/// `Eq2Sums` hold `E + 1` stand-in devices, each dominated in every sum
+/// by some device of *any* layout with the candidate's replica counts,
+/// so `eq2` — non-decreasing in every sum, in floating point too —
+/// prices the witness no higher than the candidate:
+///
+/// * stand-in `E` computes the [`compute_floor`];
+/// * stand-in `j`, for an expert with `r_j < nodes`, computes
+///   `T_j = ⌈S_j / r_j⌉` tokens, and receives them in `M_j` messages
+///   over the one inter-node price. `S_j` is the demand for `j` outside
+///   the `r_j` nodes holding the most of it, `M_j` the senders with
+///   demand for `j` outside the `r_j` nodes holding the most such
+///   senders.
+///
+/// Why stand-in `j` is dominated: at most `r_j` nodes hold expert `j`,
+/// so the others send at least `S_j` tokens from at least `M_j` senders,
+/// and each of them splits its cell over `j`'s whole replica list, off
+/// its own node (Alg. 3's fallback). Under `split_list` the lowest-id
+/// device holding the most replicas of `j` gets at least `⌈t / r_j⌉`
+/// tokens and one message of every such cell with `t > 0`, and computes
+/// them: for an equal list that is position 0's share `⌈t / m⌉` with
+/// `m ≤ r_j`; for an unequal list it holds while `tokens · count ≤
+/// 2^52`, the range `equal_shares` documents.
+///
+/// The receive side needs every fallback entry in one price bucket:
+/// whole-iteration pricing on a two-level network priced by link kind.
+/// Chunked pricing, racks and pair-priced networks keep the loads only;
+/// with chunks, `pipelined` adds a non-negative `T_comm` to an
+/// unchanged `T_comp`, which those loads bound.
+#[derive(Debug)]
+struct Witness {
+    nodes: usize,
+    /// The one bucket fallback traffic arrives over, when the receive
+    /// side applies.
+    bucket: Option<usize>,
+    /// Per expert `j`, at `j · (nodes + 1) + r`: the demand for `j` on
+    /// the `r` nodes holding the most of it, and the senders with demand
+    /// for `j` on the `r` nodes holding the most such senders.
+    top: Vec<(u64, u64)>,
+    sums: Eq2Sums,
+}
+
+impl Witness {
+    /// Sorts `demand`'s per-(expert, node) demand and sender counts once
+    /// per plan; `whole` is whole-iteration pricing.
+    fn new<I: Interconnect + ?Sized>(
+        topo: &Topology,
+        demand: &RoutingMatrix,
+        prices: &mut LinkPrices<'_, I>,
+        whole: bool,
+    ) -> Self {
+        let (experts, nodes) = (demand.num_experts(), topo.num_nodes());
+        // Per (node, expert): its demand and its senders.
+        let mut cells = vec![(0u64, 0u64); nodes * experts];
+        for (node, row) in topo.node_ids().zip(cells.chunks_exact_mut(experts)) {
+            for src in topo.devices_on(node) {
+                for (cell, &tokens) in row.iter_mut().zip(demand.row(src)) {
+                    cell.0 += tokens;
+                    cell.1 += u64::from(tokens > 0);
+                }
+            }
+        }
+        let mut top = Vec::with_capacity(experts * (nodes + 1));
+        let (mut tokens, mut senders) = (Vec::with_capacity(nodes), Vec::with_capacity(nodes));
+        for j in 0..experts {
+            let column = cells[j..].iter().step_by(experts);
+            tokens.clear();
+            tokens.extend(column.clone().map(|&(t, _)| t));
+            tokens.sort_unstable_by(|a, b| b.cmp(a));
+            senders.clear();
+            senders.extend(column.map(|&(_, s)| s));
+            senders.sort_unstable_by(|a, b| b.cmp(a));
+            let mut held = (0, 0);
+            top.push(held);
+            for (t, s) in tokens.iter().zip(&senders) {
+                held = (held.0 + t, held.1 + s);
+                top.push(held);
+            }
+        }
+        let bucket = (whole && prices.by_kind() && topo.devices_per_rack().is_none() && nodes > 1)
+            .then(|| prices.bucket(DeviceId::new(0), DeviceId::new(topo.devices_per_node())));
+        Self {
+            nodes,
+            bucket,
+            top,
+            sums: Eq2Sums::default(),
+        }
+    }
+
+    /// The witness's Eq. 2 total for a candidate with `replicas`, of
+    /// expert loads `loads`, against the planner's bucket `prices`.
+    fn total(
+        &mut self,
+        replicas: &[usize],
+        loads: &[u64],
+        prices: &[(f64, f64)],
+        cost: &CostParams,
+    ) -> f64 {
+        let (e, nodes) = (replicas.len(), self.nodes);
+        let sums = &mut self.sums;
+        sums.reset(e + 1);
+        sums.load(DeviceId::new(e), compute_floor(replicas, loads));
+        for (j, &r) in replicas.iter().enumerate() {
+            let row = &self.top[j * (nodes + 1)..][..=nodes];
+            let (all, held) = (row[nodes], row[r.min(nodes)]);
+            let (fan_in, senders) = (all.0 - held.0, all.1 - held.1);
+            if fan_in == 0 {
+                continue;
+            }
+            let stand_in = DeviceId::new(j);
+            let tokens = fan_in.div_ceil(r as u64);
+            sums.load(stand_in, tokens);
+            if let Some(bucket) = self.bucket {
+                let t = Traffic {
+                    tokens,
+                    messages: senders,
+                };
+                sums.recv(stand_in, bucket, t);
+            }
+        }
+        sums.eq2(prices, cost).total()
+    }
 }
 
 /// Random perturbation of a replica scheme: move one replica from an
@@ -462,6 +588,7 @@ mod tests {
     use crate::cost::time_cost;
     use crate::relocation::expert_relocation;
     use laer_routing::{RoutingGenerator, RoutingGeneratorConfig};
+    use proptest::prelude::*;
 
     fn planner(scheme: ReplicaScheme) -> Planner {
         Planner::new(
@@ -606,10 +733,15 @@ mod tests {
         reference.expect("at least one scheme")
     }
 
-    /// Both bounds stop candidates that cannot win — the compute floor
-    /// at the Fig. 8 shape (N32, 8 experts, C = 2, ε = 4), the fallback
-    /// fan-in on `ext-scale`'s N1024 instance — and every plan equals
-    /// the one all candidates priced in full give.
+    /// Both bounds stop candidates that cannot win, and every plan
+    /// equals the one all candidates priced in full give. The witness
+    /// fires at the Fig. 8 shape (N32, 8 experts, C = 2, ε = 4), and on
+    /// `ext-scale`'s N1024 demand it stops all four losers before
+    /// Alg. 1. The fan-in bound fires on `fleet-plan`'s dense round 13
+    /// (seed 1), whose winner routes 264,840 entries: there the losers'
+    /// busiest receiver holds replicas of two sparsely replicated
+    /// experts and takes both fan-ins, which no layout-free witness can
+    /// see.
     #[test]
     fn bounds_stop_losers_and_keep_the_plan() {
         let p = planner(ReplicaScheme::Both);
@@ -621,12 +753,12 @@ mod tests {
         }
         assert!(
             stop_counts()[0] > 0,
-            "compute floor never fired: {:?}",
+            "witness never fired: {:?}",
             stop_counts()
         );
 
-        // `ext-scale`'s N1024 instance: 128 nodes of 8, 16 experts,
-        // C = 2, ε = 8, the latency-aware E16k4/A100 Eq. 2.
+        // The N1024 planner of `ext-scale` and `fleet-plan`: 128 nodes of
+        // 8, 16 experts, C = 2, ε = 8, the latency-aware E16k4/A100 Eq. 2.
         let params = CostParams::from_model(
             &laer_model::ModelPreset::Mixtral8x7bE16k4.config(),
             laer_model::GpuSpec::a100(),
@@ -645,11 +777,80 @@ mod tests {
         reset_eval_count();
         assert_eq!(p.plan(&d), reference_plan(&p, &schemes, &d));
         assert_eq!(eval_count(), schemes.len());
-        assert!(
-            stop_counts()[1] > 0,
-            "fan-in bound never fired: {:?}",
-            stop_counts()
-        );
+        assert_eq!(stop_counts(), [4, 0], "ext-scale N1024");
+
+        let d = RoutingGenerator::new(
+            RoutingGeneratorConfig::new(1024, 16, 16 * 1024)
+                .with_profile(laer_routing::DatasetProfile::Wikitext)
+                .with_seed((1 << 20) + 13),
+        )
+        .next_iteration();
+        let schemes = p.unique_schemes(p.candidate_schemes(&d));
+        reset_eval_count();
+        let plan = p.plan(&d);
+        assert_eq!(plan.routing.entries().len(), 264_840);
+        assert_eq!(plan, reference_plan(&p, &schemes, &d));
+        assert_eq!(stop_counts(), [2, 4], "fleet-plan seed 1, round 13");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The witness is a lower bound of every unique candidate's own
+        /// total — its layout placed, routed and priced in full — on
+        /// flat and racked topologies, with a failed device or a
+        /// degraded link, latency on and off, 1–3 chunks, and a
+        /// generated and a sparse demand (cells of 0–7 tokens, fewer
+        /// than a fallback list's targets).
+        #[test]
+        fn witness_never_exceeds_a_candidates_total(
+            (topo, experts, sparse) in (1usize..=3, 1usize..=3, 1usize..=4, any::<bool>(), 1usize..10)
+                .prop_flat_map(|(racks, per_rack, per_node, racked, experts)| {
+                    let topo = if racked {
+                        Topology::with_racks(racks, per_rack, per_node, 5e9).unwrap()
+                    } else {
+                        Topology::new(racks * per_rack, per_node).unwrap()
+                    };
+                    let cells = proptest::collection::vec(0u64..8, topo.num_devices() * experts);
+                    (Just(topo), Just(experts), cells)
+                }),
+            c in 1usize..4,
+            epsilon in 1usize..8,
+            chunks in 1usize..4,
+            seed in 0u64..1_000,
+            latency_aware in any::<bool>(),
+            (fail, link) in (any::<u64>(), any::<bool>()),
+        ) {
+            let n = topo.num_devices();
+            let params = CostParams::mixtral_8x7b().with_latency_aware(latency_aware);
+            let cfg = PlannerConfig::new(c).with_epsilon(epsilon).with_seed(seed).with_num_chunks(chunks);
+            let p = Planner::new(cfg, params, topo.clone());
+            let generated =
+                RoutingGenerator::new(RoutingGeneratorConfig::new(n, experts, 4096).with_seed(seed))
+                    .next_iteration();
+            let sparse = RoutingMatrix::from_rows(n, experts, sparse).unwrap();
+            let mut view = DegradedView::new(topo.clone());
+            let (a, b) = (DeviceId::new(fail as usize % n), DeviceId::new((fail >> 32) as usize % n));
+            if link {
+                view.degrade_link(a, b, 0.5);
+            } else if n > 1 {
+                view.fail_device(a);
+            }
+            let active = view.survivors();
+            prop_assume!(active.len() * c >= experts);
+            for demand in [&generated, &sparse] {
+                let loads = demand.expert_loads();
+                let mut prices = LinkPrices::new(&view);
+                let mut witness = Witness::new(&topo, demand, &mut prices, chunks <= 1);
+                for scheme in p.unique_schemes(p.candidate_schemes_for(active.len(), demand)) {
+                    let layout = expert_relocation_on(&scheme, &loads, &topo, c, &active);
+                    let routing = lite_route(&topo, demand, &layout);
+                    let total = time_cost(&view, &routing, &params).pipelined(chunks).total();
+                    let floor = witness.total(&scheme, &loads, prices.prices(), &params);
+                    prop_assert!(floor <= total, "scheme {:?}: witness {} > total {}", scheme, floor, total);
+                }
+            }
+        }
     }
 
     #[test]

@@ -124,8 +124,9 @@ fn zero_counts_are_rejected() {
 }
 
 /// `laer replay` checks a trace against the model before running it:
-/// a trace over another expert count, and one whose matrix holds fewer
-/// counts than its shape, are each one `error:` line.
+/// a trace over another expert count, one whose matrix holds fewer
+/// counts than its shape, and a file nested too deep to parse are each
+/// one `error:` line.
 #[test]
 fn replay_rejects_a_trace_that_does_not_fit() {
     let dir = std::env::temp_dir().join(format!("laer-cli-replay-{}", std::process::id()));
@@ -162,5 +163,12 @@ fn replay_rejects_a_trace_that_does_not_fit() {
         rejects(&["replay", "--model", "mixtral-8x7b-e16k4", "--in", &short]),
         "error: trace iteration 0: routing data length 255, expected 256"
     );
+
+    // Nesting far deeper than the stack would hold is a parse error,
+    // not a stack overflow.
+    let deep = path("deep.json");
+    std::fs::write(&deep, format!(r#"{{"meta":{}"#, "[".repeat(300_000))).unwrap();
+    let line = rejects(&["replay", "--in", &deep]);
+    assert!(line.contains("recursion limit"), "{line}");
     std::fs::remove_dir_all(&dir).ok();
 }
