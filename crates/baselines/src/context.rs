@@ -4,7 +4,7 @@
 use laer_cluster::{DegradedView, Topology};
 use laer_model::{memory, CostModel, GpuSpec, ModelConfig, BF16_BYTES};
 use laer_planner::{time_cost, CostBreakdown, CostParams, TokenRouting};
-use laer_sim::token_a2a_times;
+use laer_sim::all_to_all_time;
 
 /// Everything a system needs to cost its decisions: topology, model,
 /// GPU spec and the per-iteration workload size.
@@ -153,18 +153,19 @@ impl SystemContext {
             .collect()
     }
 
-    /// Per-device dispatch and combine All-to-All local costs implied by
-    /// a routing, priced by [`token_a2a_times`] against the current
-    /// network.
-    pub fn a2a_times(&self, routing: &TokenRouting) -> (Vec<f64>, Vec<f64>) {
+    /// Per-device token All-to-All local costs implied by a routing,
+    /// priced by [`all_to_all_time`] against the current network. They
+    /// are dispatch's and combine's alike: combine is dispatch
+    /// transposed, which prices the same.
+    pub fn a2a_times(&self, routing: &TokenRouting) -> Vec<f64> {
         let traffic = routing
             .entries()
             .iter()
             .map(|&(src, _, dst, tokens)| (src, dst, tokens));
         let token_bytes = self.cost.v_comm();
         match &self.fault_view {
-            Some(view) => token_a2a_times(view, traffic, token_bytes),
-            None => token_a2a_times(&self.topo, traffic, token_bytes),
+            Some(view) => all_to_all_time(view, traffic, token_bytes),
+            None => all_to_all_time(&self.topo, traffic, token_bytes),
         }
     }
 
@@ -266,7 +267,8 @@ impl SystemContext {
         prefetch: f64,
         grad_sync: f64,
     ) -> laer_fsep::LayerTimings {
-        let (dispatch, combine) = self.a2a_times(routing);
+        let dispatch = self.a2a_times(routing);
+        let combine = dispatch.clone();
         laer_fsep::LayerTimings {
             attention: self.attention_forward_time() + tp_comm,
             dispatch,
@@ -343,7 +345,7 @@ mod tests {
                 .next_iteration();
         let layout = laer_planner::ExpertLayout::classic_ep(32, 8, 2).unwrap();
         let routing = lite_route(c.topology(), &demand, &layout);
-        let (nominal_d, _) = c.a2a_times(&routing);
+        let nominal_d = c.a2a_times(&routing);
         // Lite routing on the classic layout keeps traffic NVLink-local,
         // so degrade node 0's intra-node links.
         let mut view = DegradedView::new(c.topology().clone());
@@ -354,7 +356,7 @@ mod tests {
         }
         c.set_fault_view(Some(view));
         assert!(c.fault_view().is_some());
-        let (degraded_d, _) = c.a2a_times(&routing);
+        let degraded_d = c.a2a_times(&routing);
         let nominal: f64 = nominal_d.iter().sum();
         let degraded: f64 = degraded_d.iter().sum();
         assert!(
@@ -362,7 +364,7 @@ mod tests {
             "degraded {degraded} should exceed nominal {nominal}"
         );
         c.set_fault_view(None);
-        assert_eq!(c.a2a_times(&routing).0, nominal_d);
+        assert_eq!(c.a2a_times(&routing), nominal_d);
     }
 
     #[test]

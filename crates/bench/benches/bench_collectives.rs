@@ -1,30 +1,29 @@
-//! Criterion bench of the collective cost models (the simulator's inner
-//! loop).
+//! Criterion bench of the token All-to-All cost model (the simulator's
+//! inner loop) on the traffic it actually prices: the routing of
+//! `ext-scale`'s plan at fleet scale.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use laer_cluster::{DeviceId, Topology};
-use laer_sim::{all_to_all_balanced_time, all_to_all_time, A2aMatrix};
+use laer_bench::ext_scale;
+use laer_sim::all_to_all_time;
 
 fn bench_collectives(c: &mut Criterion) {
     let mut group = c.benchmark_group("collectives");
-    for &n in &[32usize, 128, 512] {
-        let topo = Topology::new(n / 8, 8).expect("cluster");
-        let mut m = A2aMatrix::new(n);
-        for i in 0..n {
-            for k in 0..n {
-                if i != k {
-                    m.add(DeviceId::new(i), DeviceId::new(k), 1e6 + (i * k) as f64);
-                }
-            }
-        }
-        group.bench_with_input(BenchmarkId::new("a2a_imbalanced", n), &m, |b, m| {
-            b.iter(|| all_to_all_time(&topo, m).expect("sized"))
-        });
-        group.bench_with_input(BenchmarkId::new("a2a_balanced", n), &topo, |b, topo| {
-            b.iter(|| all_to_all_balanced_time(topo, 256.0 * 1024.0 * 1024.0))
-        });
+    group.sample_size(20);
+    for &gpus in &[1024usize, 4096] {
+        let topo = ext_scale::topo_for(gpus);
+        let planner = ext_scale::planner_for(topo.clone());
+        let routing = planner.plan(&ext_scale::demand_for(gpus)).routing;
+        let token_bytes = ext_scale::params_for().v_comm;
+        group.bench_with_input(
+            BenchmarkId::new("token_a2a", format!("N{gpus}")),
+            routing.entries(),
+            |b, entries| {
+                let traffic = entries.iter().map(|&(src, _, dst, t)| (src, dst, t));
+                b.iter(|| all_to_all_time(&topo, traffic.clone(), token_bytes))
+            },
+        );
     }
     group.finish();
 }

@@ -13,6 +13,7 @@
 //!               [--seed S] [--out DIR]
 //! ```
 
+use laer_moe::model::memory;
 use laer_moe::planner::{CostParams, PlanError};
 use laer_moe::prelude::*;
 use laer_moe::train::run_experiment_on_trace;
@@ -135,14 +136,7 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     } else {
         Topology::new(devices / 8, 8).map_err(|e| e.to_string())?
     };
-    if devices.saturating_mul(capacity) < experts {
-        return Err(PlanError::InsufficientCapacity {
-            survivors: devices,
-            capacity,
-            experts,
-        }
-        .to_string());
-    }
+    check_capacity(devices, capacity, experts)?;
     if capacity > experts {
         // Each slot restores one expert; more slots than experts would
         // only duplicate replicas (and a huge C never finishes planning).
@@ -172,6 +166,63 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
         plan.predicted.comm * 1e3,
         plan.predicted.comp * 1e3
     );
+    Ok(())
+}
+
+/// The rule every layout shares: `devices · C` slots must hold each of
+/// `experts` experts at least once.
+fn check_capacity(devices: usize, capacity: usize, experts: usize) -> Result<(), String> {
+    if devices.saturating_mul(capacity) < experts {
+        return Err(PlanError::InsufficientCapacity {
+            survivors: devices,
+            capacity,
+            experts,
+        }
+        .to_string());
+    }
+    Ok(())
+}
+
+/// Rejects, before anything runs, a `nodes × devices` cluster that
+/// `preset` cannot run on at its default capacity `C`. Every system
+/// needs [`check_capacity`]; that is all the serving systems need, so
+/// `laer serve` passes no training `systems`. Classic-EP routing needs
+/// EP groups of `E / C` devices to tile the cluster, the even layouts
+/// of FlexMoE and SmartMoE need `N · C / E` whole replicas per expert,
+/// and Megatron needs a TP degree that fits device memory.
+fn check_cluster(
+    preset: ModelPreset,
+    nodes: usize,
+    devices: usize,
+    systems: &[SystemKind],
+) -> Result<(), String> {
+    let model = preset.config();
+    let (e, c) = (model.experts(), model.default_capacity());
+    let n = nodes.saturating_mul(devices);
+    check_capacity(n, c, e)?;
+    let shape = format!("{nodes}x{devices} = {n} devices");
+    use SystemKind::{Flex, FsdpEp, Megatron, SmartMoe, VanillaEp};
+    for &system in systems {
+        if matches!(system, FsdpEp | VanillaEp | Megatron) && !n.is_multiple_of(e / c) {
+            return Err(format!(
+                "{system} routes within EP groups of {} devices, which {shape} do not tile",
+                e / c
+            ));
+        }
+        if matches!(system, Flex | SmartMoe) && !n.saturating_mul(c).is_multiple_of(e) {
+            return Err(format!(
+                "{system} gives every expert the same replica count, which {shape} x capacity {c} cannot split among {e} experts"
+            ));
+        }
+        if system == Megatron {
+            let tokens = ExperimentConfig::new(preset, system).tokens_per_device;
+            if memory::megatron_min_tp(&model, n, c, tokens, devices).is_none() {
+                return Err(format!(
+                    "{system} fits device memory at no TP degree up to {devices} on {shape}"
+                ));
+            }
+        }
+    }
     Ok(())
 }
 
@@ -210,7 +261,6 @@ fn print_result(r: &ExperimentResult) {
 }
 
 fn cmd_memory(flags: &Flags) -> Result<(), String> {
-    use laer_moe::model::memory;
     let preset = model(flags)?;
     let cfg = preset.config();
     let c = cfg.default_capacity();
@@ -369,6 +419,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         None | Some("all") => ServingSystemKind::ALL.to_vec(),
         Some(s) => vec![s.parse()?],
     };
+    check_cluster(preset, nodes, devices, &[])?;
 
     println!(
         "serving {requests} requests at {rate:.0} rps (burstiness {burst}) on {nodes}x{devices}, \
@@ -447,6 +498,7 @@ fn cmd_obs(flags: &Flags) -> Result<(), String> {
         None | Some("all") => vec![SystemKind::Laer, SystemKind::FsdpEp, SystemKind::SmartMoe],
         Some(s) => vec![s.parse()?],
     };
+    check_cluster(preset, nodes, devices, &systems)?;
 
     let mut observer = Observer::new();
     let mut timelines = Vec::new();

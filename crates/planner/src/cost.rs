@@ -12,7 +12,8 @@
 //!   synchronising collective the executor's iteration time tracks the
 //!   slowest device — the max aggregation makes the planner optimise the
 //!   quantity the system actually experiences (and what
-//!   `laer_sim::all_to_all_time` charges);
+//!   `laer_sim::all_to_all_time` charges every device pair that
+//!   carries traffic);
 //! * `T_comp = (3 + F_ckpt) · max_i V_comp · Σ_{j,k} S[k][j][i] / B_comp`.
 //!
 //! Every evaluator counts a routing into the same exact integer sums
@@ -43,12 +44,13 @@ pub struct CostParams {
     /// (`F_ckpt` of Eq. 2's computation term).
     pub checkpointing: bool,
     /// Whether the pairwise communication term also charges the link's
-    /// per-message latency, matching `laer_sim::all_to_all_time`'s
-    /// per-peer `latency + bytes/bw` pricing. The paper's Eq. 2 (and
-    /// the default here) is bandwidth-only — accurate at the paper's 32
-    /// devices, but at fleet scale a rare expert's replica receives
-    /// from hundreds of distinct peers and the accumulated latency
-    /// dominates its A2A time, so fleet-size planning must price it.
+    /// per-message latency, matching `laer_sim::all_to_all_time`, which
+    /// charges each device pair `latency + bytes/bw` once. The paper's
+    /// Eq. 2 (and the default here) is bandwidth-only — accurate at the
+    /// paper's 32 devices, but at fleet scale a rare expert's replica
+    /// receives from hundreds of distinct peers and the accumulated
+    /// latency dominates its A2A time, so fleet-size planning must price
+    /// it.
     /// Charged per routing entry, as one message (a slight over-count
     /// when one peer pair carries several experts' traffic — the
     /// simulator charges per aggregated pair), which is conservative for

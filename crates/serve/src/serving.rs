@@ -30,8 +30,8 @@ use laer_obs::{
 use laer_planner::{lite_route, relocation_moves, CapacityResponse, ExpertLayout, RelocationMove};
 use laer_routing::RoutingMatrix;
 use laer_sim::{
-    all_to_all_time, record_timed_fault_spans, token_a2a_times, A2aMatrix, ActiveFaults, Engine,
-    FaultPlan, HandledFailures, Span, SpanHandle, SpanLabel, StreamKind, Timeline,
+    all_to_all_time, record_timed_fault_spans, ActiveFaults, Engine, FaultPlan, HandledFailures,
+    Span, SpanHandle, SpanLabel, StreamKind, Timeline,
 };
 use serde::{Deserialize, Serialize};
 
@@ -269,7 +269,8 @@ impl RelocationLedger {
         clock: f64,
     ) -> f64 {
         let live = |d: &DeviceId| live_mask[d.index()];
-        let mut traffic = A2aMatrix::new(live_mask.len());
+        // One unit per weight move, `expert_bytes` per unit.
+        let mut traffic = Vec::with_capacity(moves.len());
         let mut host_fetch = false;
         for mv in moves {
             let src = Some(mv.src).filter(live).or_else(|| {
@@ -277,13 +278,14 @@ impl RelocationLedger {
                 replicas.map(|(d, _)| d).find(live)
             });
             match src {
-                Some(src) => traffic.add(src, mv.dst, self.expert_bytes),
+                Some(src) => traffic.push((src, mv.dst, 1)),
                 None => host_fetch = true,
             }
         }
-        let durations = all_to_all_time(net, &traffic)
-            .unwrap_or_else(|e| unreachable!("matrix sized from the run's topology: {e}"));
-        self.bytes += traffic.total();
+        let durations = all_to_all_time(net, traffic.iter().copied(), self.expert_bytes);
+        // `expert_bytes` is integral, so this product is exact.
+        let moved = traffic.iter().filter(|&&(src, dst, _)| src != dst).count();
+        self.bytes += moved as f64 * self.expert_bytes;
         self.time += durations.iter().fold(0.0f64, |a, &b| a.max(b));
         let devices = live_devices(live_mask);
         let durs: Vec<f64> = devices.iter().map(|d| durations[d.index()]).collect();
@@ -772,7 +774,8 @@ impl<'a> ServingState<'a> {
             .iter()
             .map(|&(src, _, dst, tokens)| (src, dst, tokens));
         let net = priced_on(view, &self.topo);
-        let (dispatch_times, combine_times) = token_a2a_times(net, traffic, self.cost.v_comm());
+        // Combine is dispatch transposed, which prices the same.
+        let a2a_times = all_to_all_time(net, traffic, self.cost.v_comm());
 
         // Each stage's span on a device waits for that device's span of
         // the stage before.
@@ -803,9 +806,9 @@ impl<'a> ServingState<'a> {
             self.cost.expert_forward_time(loads) * active.compute_multiplier(dev)
         };
         let attended = compute(engine, SpanLabel::Attention, &attention, &[]);
-        let dispatched = a2a(engine, &dispatch_times, &attended);
+        let dispatched = a2a(engine, &a2a_times, &attended);
         let computed = compute(engine, SpanLabel::ExpertCompute, &experts, &dispatched);
-        let combined = a2a(engine, &combine_times, &computed);
+        let combined = a2a(engine, &a2a_times, &computed);
         let overhead = |_| self.cfg.step_overhead;
         let closing = compute(engine, SpanLabel::Other, &overhead, &combined);
         // The step ends when every device's closing span does — NOT at

@@ -11,7 +11,10 @@
 //!   mirroring CUDA events;
 //! * **collectives** ([`all_to_all_time`] and friends) are synchronising: every participant
 //!   observes the completion time of the slowest member, which is how
-//!   expert load imbalance turns into All-to-All tail latency (Fig. 1b);
+//!   expert load imbalance turns into All-to-All tail latency (Fig. 1b).
+//!   [`all_to_all_time`] is the one All-to-All price — a routing's
+//!   tokens or a relayout's expert weights, as `(src, dst, units)`
+//!   triples — and visits only the device pairs that carry traffic;
 //! * a [`Timeline`] records every span so experiment harnesses can produce
 //!   the paper's time breakdowns (Figs. 1b, 10a).
 //!
@@ -45,8 +48,7 @@ pub use chrome::{
     CounterSample, CounterTrack,
 };
 pub use collective::{
-    all_gather_time, all_reduce_time, all_to_all_balanced_time, all_to_all_time,
-    reduce_scatter_time, token_a2a_times, A2aMatrix, CollectiveError,
+    all_gather_time, all_reduce_time, all_to_all_time, reduce_scatter_time, CollectiveError,
 };
 pub use engine::{Engine, EngineOptions, SpanHandle, StreamKind};
 pub use faults::{

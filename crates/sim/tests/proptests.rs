@@ -3,12 +3,67 @@
 
 // Test code may panic freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use laer_cluster::{DeviceId, Topology};
+use laer_cluster::{DegradedView, DeviceId, Interconnect, Topology};
 use laer_sim::{
-    all_gather_time, all_to_all_balanced_time, all_to_all_time, reduce_scatter_time, A2aMatrix,
-    Engine, SpanLabel, StreamKind,
+    all_gather_time, all_to_all_time, reduce_scatter_time, Engine, SpanLabel, StreamKind,
 };
 use proptest::prelude::*;
+
+/// The dense two-loop pricing `all_to_all_time` replaced, kept as its
+/// oracle: sum the triples into an `N × N` unit matrix, then scan every
+/// device pair in both directions.
+fn dense_a2a_time<I: Interconnect>(
+    net: &I,
+    traffic: &[(DeviceId, DeviceId, u64)],
+    unit_bytes: f64,
+) -> Vec<f64> {
+    let n = net.num_devices();
+    let mut units = vec![0u64; n * n];
+    for &(src, dst, u) in traffic {
+        units[src.index() * n + dst.index()] += u;
+    }
+    let bytes = |i: usize, k: usize| {
+        let u = units[i * n + k];
+        if u > 0 && i != k {
+            u as f64 * unit_bytes
+        } else {
+            0.0
+        }
+    };
+    (0..n)
+        .map(|i| {
+            let dev = DeviceId::new(i);
+            let (mut send, mut recv) = (0.0, 0.0);
+            for k in (0..n).filter(|&k| k != i) {
+                let peer = DeviceId::new(k);
+                let tx = bytes(i, k);
+                if tx > 0.0 {
+                    send += net.latency(dev, peer) + tx / net.effective_bandwidth(dev, peer);
+                }
+                let rx = bytes(k, i);
+                if rx > 0.0 {
+                    recv += net.latency(dev, peer) + rx / net.effective_bandwidth(dev, peer);
+                }
+            }
+            send.max(recv)
+        })
+        .collect()
+}
+
+/// Fails unless `all_to_all_time` returns the dense oracle's bits on
+/// every device.
+fn matches_dense<I: Interconnect>(
+    net: &I,
+    traffic: &[(DeviceId, DeviceId, u64)],
+    unit_bytes: f64,
+) -> Result<(), TestCaseError> {
+    let bits = |times: Vec<f64>| times.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    prop_assert_eq!(
+        bits(all_to_all_time(net, traffic.iter().copied(), unit_bytes)),
+        bits(dense_a2a_time(net, traffic, unit_bytes))
+    );
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -75,42 +130,47 @@ proptest! {
         }
     }
 
-    /// All-to-All cost is monotone in traffic: adding bytes never makes
+    /// All-to-All cost is monotone in traffic: adding units never makes
     /// any device finish sooner.
     #[test]
     fn a2a_cost_is_monotone(
-        base in proptest::collection::vec(0.0f64..1e8, 16),
-        extra_src in 0usize..4,
-        extra_dst in 0usize..4,
-        extra in 0.0f64..1e9,
+        base in proptest::collection::vec((0usize..4, 0usize..4, 0u64..1000), 0..16),
+        (src, dst, units) in (0usize..4, 0usize..4, 1u64..10_000),
+        unit_bytes in 1.0f64..1e6,
     ) {
         let topo = Topology::new(2, 2).expect("2x2");
-        let mut m = A2aMatrix::new(4);
-        for i in 0..4 {
-            for k in 0..4 {
-                if i != k {
-                    m.add(DeviceId::new(i), DeviceId::new(k), base[i * 4 + k]);
-                }
-            }
-        }
-        let before = all_to_all_time(&topo, &m).expect("sized");
-        prop_assume!(extra_src != extra_dst);
-        m.add(DeviceId::new(extra_src), DeviceId::new(extra_dst), extra);
-        let after = all_to_all_time(&topo, &m).expect("sized");
+        let d = DeviceId::new;
+        let mut traffic: Vec<_> = base.into_iter().map(|(i, k, u)| (d(i), d(k), u)).collect();
+        let before = all_to_all_time(&topo, traffic.iter().copied(), unit_bytes);
+        traffic.push((d(src), d(dst), units));
+        let after = all_to_all_time(&topo, traffic.iter().copied(), unit_bytes);
         for (b, a) in before.iter().zip(&after) {
             prop_assert!(a + 1e-12 >= *b);
         }
     }
 
-    /// Balanced A2A time is monotone in volume and zero for zero bytes.
+    /// The sparse All-to-All returns the dense scan's bits on every
+    /// device, for any triples — duplicate pairs, self-pairs, zero units,
+    /// any order — on a flat, a racked and a degraded network.
     #[test]
-    fn balanced_a2a_monotone(v1 in 0.0f64..1e9, v2 in 0.0f64..1e9) {
-        let topo = Topology::paper_cluster();
-        let (lo, hi) = if v1 <= v2 { (v1, v2) } else { (v2, v1) };
-        prop_assert!(
-            all_to_all_balanced_time(&topo, lo) <= all_to_all_balanced_time(&topo, hi) + 1e-12
-        );
-        prop_assert_eq!(all_to_all_balanced_time(&topo, 0.0), 0.0);
+    fn sparse_a2a_matches_dense_reference(
+        traffic in proptest::collection::vec(
+            (0usize..8, 0usize..8, prop_oneof![Just(0u64), 1u64..50, 1u64..1_000_000]),
+            0..=400,
+        ),
+        unit_bytes in prop_oneof![Just(0.0), Just(8192.0), 0.5f64..1e6],
+        (a, b, factor, failed) in (0usize..8, 0usize..8, 0.05f64..1.0, 0usize..8),
+    ) {
+        let d = DeviceId::new;
+        let traffic: Vec<_> = traffic.into_iter().map(|(i, k, u)| (d(i), d(k), u)).collect();
+        let flat = Topology::new(2, 4).expect("2x4");
+        let racked = Topology::with_racks(2, 2, 2, 25e9).expect("2 racks x 2 nodes x 2");
+        let mut degraded = DegradedView::new(flat.clone());
+        degraded.degrade_link(d(a), d(b), factor);
+        degraded.fail_device(d(failed));
+        matches_dense(&flat, &traffic, unit_bytes)?;
+        matches_dense(&racked, &traffic, unit_bytes)?;
+        matches_dense(&degraded, &traffic, unit_bytes)?;
     }
 
     /// Ring identities: all-gather of a shard equals reduce-scatter of

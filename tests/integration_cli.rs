@@ -100,6 +100,38 @@ fn plan_rejects_capacity_above_expert_count() {
     );
 }
 
+/// `laer obs` and `laer serve` check the cluster shape against every
+/// system they will run before running any: a shape a system cannot run
+/// is one `error:` line, not a panic deep in the run.
+#[test]
+fn obs_and_serve_reject_shapes_their_systems_cannot_run() {
+    assert_eq!(
+        rejects(&["obs", "--system", "megatron"]),
+        "error: megatron fits device memory at no TP degree up to 8 on 2x8 = 16 devices"
+    );
+    assert_eq!(
+        rejects(&["obs", "--devices", "3"]),
+        "error: FSDP routes within EP groups of 4 devices, which 2x3 = 6 devices do not tile"
+    );
+    for system in ["FLEX", "smartmoe"] {
+        assert_eq!(
+            rejects(&["obs", "--nodes", "2", "--devices", "3", "--system", system]),
+            format!(
+                "error: {system} gives every expert the same replica count, \
+                 which 2x3 = 6 devices x capacity 2 cannot split among 8 experts"
+            )
+        );
+    }
+    assert_eq!(
+        rejects(&["obs", "--nodes", "1", "--devices", "1"]),
+        "error: 1 survivors x capacity 2 cannot host 8 experts"
+    );
+    assert_eq!(
+        rejects(&["serve", "--devices", "3"]),
+        "error: 3 survivors x capacity 2 cannot host 8 experts"
+    );
+}
+
 #[test]
 fn zero_counts_are_rejected() {
     for (cmd, flag) in [
